@@ -194,10 +194,6 @@ class Matrix:
     def column(self, j: int) -> list:
         return [self._d[i][j] for i in range(self.rows)]
 
-    def columns(self) -> Iterator[list]:
-        for j in range(self.cols):
-            yield self.column(j)
-
     # arithmetic -------------------------------------------------------------
 
     def _check_ring(self, other: "Matrix") -> None:
@@ -212,16 +208,6 @@ class Matrix:
         for i in range(self.rows):
             for j in range(self.cols):
                 out._d[i][j] = _coerce(self.ring, self._d[i][j] + other._d[i][j])
-        return out
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
-
-    def __neg__(self) -> "Matrix":
-        out = Matrix(self.ring, self.rows, self.cols)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out._d[i][j] = _coerce(self.ring, -self._d[i][j])
         return out
 
     def __mul__(self, other: "Matrix") -> "Matrix":
@@ -244,13 +230,6 @@ class Matrix:
             _coerce(self.ring, sum(self._d[i][k] * vec[k] for k in range(self.cols)))
             for i in range(self.rows)
         ]
-
-    def transpose(self) -> "Matrix":
-        out = Matrix(self.ring, self.cols, self.rows)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out._d[j][i] = self._d[i][j]
-        return out
 
     def is_zero(self) -> bool:
         zero = _coerce(self.ring, 0)
@@ -279,6 +258,8 @@ class Matrix:
 # --------------------------------------------------------------------------
 # Vector kernels.  Two implementations behind one duck-typed surface:
 # GF(2) vectors are ints-as-bitsets, everything else is a list of scalars.
+# Code outside this module builds vectors with ``from_items``/``from_list``
+# and reads them with ``items``/``coeff``, never by their representation.
 
 
 class _Gf2Ops:
@@ -311,8 +292,12 @@ class _Gf2Ops:
         return v
 
     @staticmethod
-    def to_list(v: int, n: int) -> list[int]:
-        return [(v >> i) & 1 for i in range(n)]
+    def items(v: int) -> Iterator[tuple[int, int]]:
+        """Nonzero (index, scalar) pairs in ascending index order."""
+        while v:
+            low = v & -v
+            yield low.bit_length() - 1, 1
+            v ^= low
 
     @staticmethod
     def add(u: int, v: int) -> int:
@@ -395,10 +380,10 @@ class _FieldOps:
     def from_list(self, xs: Sequence) -> list:
         return [self._c(x) for x in xs]
 
-    def to_list(self, v: list, n: int) -> list:
-        if len(v) != n:
-            raise ValueError("vector length mismatch")
-        return list(v)
+    def items(self, v: list) -> Iterator[tuple[int, object]]:
+        """Nonzero (index, scalar) pairs in ascending index order."""
+        zero = self.sc_zero
+        return ((i, c) for i, c in enumerate(v) if c != zero)
 
     def add(self, u: list, v: list) -> list:
         if self.ring.kind == "rationals":
@@ -667,6 +652,30 @@ class ChainMap:
         return f
 
 
+def _boundary_complex(
+    ring: CoefficientRing, bases: dict[int, Sequence[tuple[int, ...]]]
+) -> ChainComplex:
+    """Chain complex of the signed simplicial boundary on given bases.
+
+    ``bases[q]`` lists the q-simplices (sorted vertex tuples); rows and
+    columns follow that order.  Every face of a listed simplex must be
+    listed one degree down; the empty simplex ``()`` in degree -1 turns
+    the boundary of a vertex into the augmentation.
+    """
+    ranks = {q: len(basis) for q, basis in bases.items() if basis}
+    diffs: dict[int, Matrix] = {}
+    for q in ranks:
+        if q - 1 not in ranks:
+            continue
+        index = {s: i for i, s in enumerate(bases[q - 1])}
+        d = Matrix.zeros(ring, ranks[q - 1], ranks[q])
+        for j, simplex in enumerate(bases[q]):
+            for k in range(len(simplex)):
+                d[index[simplex[:k] + simplex[k + 1 :]], j] = -1 if k % 2 else 1
+        diffs[q] = d
+    return ChainComplex(ring, ranks, diffs)
+
+
 def simplicial_chain_complex(X, ring: CoefficientRing, reduced: bool = False) -> ChainComplex:
     """Simplicial chain complex of a complex, with standard boundary signs.
 
@@ -674,27 +683,10 @@ def simplicial_chain_complex(X, ring: CoefficientRing, reduced: bool = False) ->
     order.  With ``reduced=True`` a rank-one module in degree -1 is
     appended, with the augmentation sending every vertex to the generator.
     """
-    ranks: dict[int, int] = {}
-    diffs: dict[int, Matrix] = {}
-    for q in X.dims():
-        ranks[q] = len(X.simplices_of_dim(q))
-    for q in X.dims():
-        if q == 0:
-            continue
-        rows = ranks.get(q - 1, 0)
-        cols = ranks[q]
-        d = Matrix.zeros(ring, rows, cols)
-        for j, simplex in enumerate(X.simplices_of_dim(q)):
-            for k in range(len(simplex)):
-                face = simplex[:k] + simplex[k + 1 :]
-                i = X.index_of(q - 1, face)
-                d[i, j] = -1 if k % 2 else 1
-        diffs[q] = d
-    if reduced and ranks.get(0, 0) > 0:
-        ranks[-1] = 1
-        aug = Matrix(ring, 1, ranks[0], [[1] * ranks[0]])
-        diffs[0] = aug
-    return ChainComplex(ring, ranks, diffs)
+    bases = {q: X.simplices_of_dim(q) for q in X.dims()}
+    if reduced and bases.get(0):
+        bases[-1] = ((),)
+    return _boundary_complex(ring, bases)
 
 
 # --------------------------------------------------------------------------
@@ -964,11 +956,7 @@ def betti_numbers(C: ChainComplex) -> dict[int, int]:
     """Dimensions dim ker - rank of the adjacent differentials (field rings)."""
     if not C.ring.is_field:
         raise ValueError("betti_numbers expects field coefficients")
-    ops = vector_ops(C.ring)
-    rank_of = {}
-    for n in C.degrees():
-        d = C.diff(n)
-        rank_of[n] = column_rank(ops, (ops.from_list(d.column(j)) for j in range(d.cols)))
+    rank_of = {n: matrix_rank(C.diff(n)) for n in C.degrees()}
     out = {}
     for n in C.degrees():
         out[n] = C.rank(n) - rank_of.get(n, 0) - rank_of.get(n + 1, 0)
@@ -1088,9 +1076,11 @@ def induced_map_on_homology(f: ChainMap, degree: int) -> Matrix:
         ops = vector_ops(ring)
         cols = []
         for rep in src.representatives:
-            img = comp.apply(ops.to_list(rep, src.ambient_rank))
-            coords = dst.reduce(ops.from_list(img))
-            cols.append(coords)
+            img = ops.from_items(
+                comp.rows,
+                ((i, c * x) for t, c in ops.items(rep) for i, x in enumerate(comp.column(t))),
+            )
+            cols.append(dst.reduce(img))
         return Matrix.from_columns(ring, dst.dim, cols)
     if not (src.presentation.is_free and dst.presentation.is_free):
         raise NotImplementedError("integral induced maps require free homology on both sides")

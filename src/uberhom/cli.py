@@ -30,7 +30,7 @@ from concurrent.futures import ProcessPoolExecutor
 from . import algebra, complexes, graphs, mvss, uber
 from .algebra import CoefficientRing, ring_from_label
 from .complexes import SimplicialComplex
-from .errors import NotConnectedError, SizeGuardExceeded, StandardSimplexError
+from .errors import NotConnectedError, SizeGuardExceeded, StandardSimplexError, check_vertex_guard
 from .graphs import Graph
 
 EXIT_OK = 0
@@ -163,7 +163,8 @@ def cmd_bold(args) -> int:
     G = _as_graph(obj)
     ring = args.coeff
     table = uber.bold_homology(G, ring=ring, max_vertices=args.max_vertices)
-    chi = uber.euler_characteristic_bold(G, max_vertices=args.max_vertices)
+    # the alternating sum of ranks is the same over every coefficient ring
+    chi = sum((-1) ** j * g.free_rank for j, g in table.items())
     groups = []
     lines = []
     for j in sorted(table):
@@ -205,10 +206,7 @@ def cmd_mvss(args) -> int:
     ring = args.coeff
     if ring.kind == "integers":
         raise InputError("the spectral sequence needs field coefficients (q, z2 or p:<prime>)")
-    if X.vertex_count > args.max_vertices:
-        raise SizeGuardExceeded(
-            f"{X.vertex_count} vertices exceed the guard of {args.max_vertices}"
-        )
+    check_vertex_guard(X.vertex_count, args.max_vertices)
     dc = mvss.double_complex(X, ring=ring, augmented=not args.unaugmented)
     ss = mvss.run_to_convergence(dc)
     converged = ss.converged_at
@@ -265,10 +263,7 @@ def _check_abutment(obj, ring: CoefficientRing, max_vertices: int) -> dict:
         cover = complexes.anti_star_cover(X)
     except (NotConnectedError, StandardSimplexError) as exc:
         return {"status": "SKIP", "detail": {"reason": str(exc)}}
-    if X.vertex_count > max_vertices:
-        raise SizeGuardExceeded(
-            f"{X.vertex_count} vertices exceed the guard of {max_vertices}"
-        )
+    check_vertex_guard(X.vertex_count, max_vertices)
     betti = algebra.betti_numbers(algebra.simplicial_chain_complex(X, ring))
     betti = {n: d for n, d in betti.items() if d}
     plain = mvss.run_to_convergence(
@@ -324,10 +319,7 @@ def _check_cone(obj, ring: CoefficientRing, max_vertices: int) -> dict:
     X = _as_complex(obj)
     if X.is_standard_simplex():
         return {"status": "SKIP", "detail": {"reason": "complex is a standard simplex"}}
-    if X.vertex_count + 1 > max_vertices:
-        raise SizeGuardExceeded(
-            f"cone has {X.vertex_count + 1} vertices, over the guard of {max_vertices}"
-        )
+    check_vertex_guard(X.vertex_count + 1, max_vertices)
     base = uber.zero_degree_uber_table(X, ring, max_vertices=max_vertices)
     coned = uber.zero_degree_uber_table(complexes.cone(X), ring, max_vertices=max_vertices)
     ok = base == coned
@@ -339,10 +331,7 @@ def _check_suspension(obj, ring: CoefficientRing, max_vertices: int) -> dict:
     X = _as_complex(obj)
     if not X.is_connected:
         return {"status": "SKIP", "detail": {"reason": "complex is not connected"}}
-    if X.vertex_count + 2 > max_vertices:
-        raise SizeGuardExceeded(
-            f"suspension has {X.vertex_count + 2} vertices, over the guard of {max_vertices}"
-        )
+    check_vertex_guard(X.vertex_count + 2, max_vertices)
     base = uber.zero_degree_uber_table(X, ring, max_vertices=max_vertices)
     susp = uber.zero_degree_uber_table(
         complexes.suspension(X), ring, max_vertices=max_vertices
@@ -401,10 +390,6 @@ def _check_categorification(obj, ring: CoefficientRing, max_vertices: int) -> di
     G = _as_graph(obj)
     if not G.is_connected:
         return {"status": "SKIP", "detail": {"reason": "graph is not connected"}}
-    if G.vertex_count > max_vertices:
-        raise SizeGuardExceeded(
-            f"{G.vertex_count} vertices exceed the guard of {max_vertices}"
-        )
     chi = uber.euler_characteristic_bold(G, max_vertices=max_vertices)
     value = graphs.connected_domination_polynomial(G, max_vertices=max_vertices)(-1)
     detail = {"euler_characteristic": chi, "domination_at_minus_one": value}
@@ -517,8 +502,11 @@ def cmd_verify(args) -> int:
         (theorem, name, *_serialize(obj), _coeff_arg(ring), args.max_vertices)
         for name, obj in items
     ]
-    if args.jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the fork start method forks every worker up front, so ask for no more
+    # than there are inputs and CPUs
+    workers = min(args.jobs, len(work), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_verify_worker, work))
     else:
         results = [_verify_worker(item) for item in work]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from . import algebra
-from .errors import NotConnectedError, SizeGuardExceeded, StandardSimplexError
+from .errors import NotConnectedError, StandardSimplexError, check_vertex_guard
 
 Simplex = tuple[int, ...]
 
@@ -509,8 +509,7 @@ def is_d_leray(X: SimplicialComplex, d: int, max_vertices: int = 16) -> bool:
     most ``max_vertices`` vertices.
     """
     m = X.vertex_count
-    if m > max_vertices:
-        raise SizeGuardExceeded(f"{m} vertices exceeds the guard of {max_vertices}")
+    check_vertex_guard(m, max_vertices)
     for bits in range(1, 1 << m):
         sub = induced_subcomplex(X, [v for v in range(m) if bits >> v & 1])
         if sub.max_dim < d:

@@ -1,8 +1,14 @@
-"""Shared exception types."""
+"""Shared exception types, and the one vertex-count size guard."""
 
 
 class SizeGuardExceeded(RuntimeError):
     """Input exceeds the configured vertex guard for an exponential enumeration."""
+
+
+def check_vertex_guard(vertex_count: int, max_vertices: int) -> None:
+    """Refuse an exponential enumeration over more than ``max_vertices`` vertices."""
+    if vertex_count > max_vertices:
+        raise SizeGuardExceeded(f"{vertex_count} vertices exceeds the guard of {max_vertices}")
 
 
 class StandardSimplexError(ValueError):

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import NotConnectedError, SizeGuardExceeded
+from .errors import NotConnectedError, check_vertex_guard
 
 __all__ = [
     "Graph",
@@ -183,8 +183,7 @@ def connected_domination_polynomial(
     paths return identical polynomials.
     """
     m = G.vertex_count
-    if m > max_vertices:
-        raise SizeGuardExceeded(f"{m} vertices exceeds the guard of {max_vertices}")
+    check_vertex_guard(m, max_vertices)
     if not G.is_connected:
         raise NotConnectedError("the connected domination polynomial needs a connected graph")
     full = (1 << m) - 1

@@ -25,19 +25,17 @@ from typing import Iterable, Sequence
 
 from . import algebra, complexes, uber
 from .algebra import (
-    ChainComplex,
     CoefficientRing,
     HomologyBasis,
     Matrix,
     QQ,
     Span,
-    column_rank,
     matrix_rank,
     nullspace,
     vector_ops,
 )
 from .complexes import Cover, SimplicialComplex, Simplex
-from .errors import LiftFailure, SizeGuardExceeded
+from .errors import LiftFailure, check_vertex_guard
 
 __all__ = [
     "DoubleComplex",
@@ -247,8 +245,7 @@ class Page:
         d = self.differentials.get((p, q))
         if d is None:
             return 0
-        ops = vector_ops(d.ring)
-        return column_rank(ops, (ops.from_list(col) for col in d.columns()))
+        return matrix_rank(d)
 
     def nonzero_cells(self) -> list[tuple[int, int]]:
         return sorted(k for k, v in self.dims.items() if v)
@@ -284,54 +281,16 @@ class SpectralSequence:
         self._boundary: dict[tuple[int, int], list[_Gen]] = {}
         self._r = 0
 
-    # -- low level appliers -------------------------------------------------------
-
-    def _apply(self, sparse_cols, vec, src_size: int, dst_size: int):
-        ops = self.ops
-        items: list[tuple[int, object]] = []
-        if isinstance(vec, int):
-            rest = vec
-            while rest:
-                low = rest & -rest
-                idx = low.bit_length() - 1
-                rest ^= low
-                items.extend(sparse_cols[idx])
-        else:
-            for idx, c in enumerate(vec):
-                if c != ops.sc_zero:
-                    for row, ic in sparse_cols[idx]:
-                        items.append((row, ops.sc_mul(c, ic)))
-        return ops.from_items(dst_size, items)
-
     def _apply_dh(self, p: int, q: int, vec):
-        return self._apply(
-            self.dc.dh_sparse(p, q), vec, self.dc.cell_dim(p, q), self.dc.cell_dim(p - 1, q)
+        """The horizontal differential applied to a vector of cell (p, q)."""
+        ops = self.ops
+        cols = self.dc.dh_sparse(p, q)
+        return ops.from_items(
+            self.dc.cell_dim(p - 1, q),
+            ((row, ops.sc_mul(c, ic)) for idx, c in ops.items(vec) for row, ic in cols[idx]),
         )
 
-    def _embed(self, block_vec, block_size: int, offset: int, cell_size: int):
-        if isinstance(block_vec, int):
-            return block_vec << offset
-        items = [
-            (offset + i, c) for i, c in enumerate(block_vec) if c != self.ops.sc_zero
-        ]
-        return self.ops.from_items(cell_size, items)
-
     # -- page one ----------------------------------------------------------------
-
-    def _block_complex(self, J: tuple[int, ...]) -> ChainComplex:
-        blocks = self.dc._blocks[J]
-        ranks = {q: len(ss) for q, ss in blocks.items() if ss}
-        diffs: dict[int, Matrix] = {}
-        for q in sorted(ranks):
-            if q - 1 not in ranks:
-                continue
-            d = Matrix.zeros(self.ring, ranks[q - 1], ranks[q])
-            for c, s in enumerate(blocks[q]):
-                for k in range(len(s)):
-                    face = s[:k] + s[k + 1 :]
-                    d[self.dc._index_in_block(J, q - 1, face), c] = -1 if k % 2 else 1
-            diffs[q] = d
-        return ChainComplex(self.ring, ranks, diffs)
 
     def _first_page(self) -> Page:
         dc = self.dc
@@ -350,7 +309,9 @@ class SpectralSequence:
             self._classes[cell] = []
         for p in range(dc.p_min, dc.p_max + 1):
             for J in dc.column(p):
-                cc = self._block_complex(J)
+                # block order must stay dc._blocks[J][q]: the cell offsets
+                # and dv_sparse index the same order
+                cc = algebra._boundary_complex(self.ring, dc._blocks[J])
                 for q in cc.degrees():
                     hb = HomologyBasis(cc, q)
                     if hb.dim == 0:
@@ -359,7 +320,7 @@ class SpectralSequence:
                     csize = dc.cell_dim(p, q)
                     offset = dc._cell(p, q)["offsets"][J]
                     for rep in hb.representatives:
-                        vec = self._embed(rep, cc.rank(q), offset, csize)
+                        vec = ops.from_items(csize, ((offset + i, c) for i, c in ops.items(rep)))
                         self._classes[cell].append({p: vec})
         dims = {cell: len(xs) for cell, xs in self._classes.items() if xs}
         page = Page(1, dims)
@@ -525,11 +486,6 @@ class SpectralSequence:
         last = self._pages[max(self._pages)]
         return Page(r, dict(last.dims))
 
-    def turn_page(self) -> Page:
-        if self._r == 0:
-            return self._first_page()
-        return self._turn()
-
     def differentials(self, r: int) -> dict[tuple[int, int], Matrix]:
         self.page(min(r + 1, self.width + 1))
         if r > self.width:
@@ -607,8 +563,6 @@ def verify_identification(
     unchanged; the augmentation column corresponds to j = m.
     """
     m = X.vertex_count
-    if m > max_vertices:
-        raise SizeGuardExceeded(f"{m} vertices exceeds the guard of {max_vertices}")
     table = uber.zero_degree_uber_table(X, ring, max_vertices=max_vertices)
     dc = double_complex(X, ring=ring, augmented=True)
     e2 = SpectralSequence(dc).page(2)
@@ -632,8 +586,7 @@ def delta2_on_uber(
     composable pairs multiply to zero.
     """
     m = X.vertex_count
-    if m > max_vertices:
-        raise SizeGuardExceeded(f"{m} vertices exceeds the guard of {max_vertices}")
+    check_vertex_guard(m, max_vertices)
     dc = double_complex(X, ring=ring, augmented=True)
     ss = SpectralSequence(dc)
     d2 = ss.differentials(2)

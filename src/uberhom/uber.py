@@ -14,8 +14,9 @@ A colouring assigns each vertex 0 or 1.  Three constructions live here:
   edges.  Its degree-zero row (components only) also works over the
   integers, where torsion can appear.
 
-The two GF(2) routes deliberately share no code, so they can be played
-against each other in tests.
+The two GF(2) routes share no boundary, induced-map or reduction code,
+only the cube bookkeeping (levels, offsets, the rank formula) and the
+algebra layer, so they can be played against each other in tests.
 """
 from __future__ import annotations
 
@@ -33,11 +34,12 @@ from .algebra import (
     QQ,
     ZZ,
     column_rank,
+    matrix_rank,
     smith_normal_form,
     vector_ops,
 )
 from .complexes import SimplicialComplex, Simplex
-from .errors import SizeGuardExceeded
+from .errors import check_vertex_guard
 
 Bicolouring = tuple[int, ...]
 
@@ -115,6 +117,32 @@ STANDARD_SIGNS = SignAssignment(
 ALTERNATE_SIGNS = SignAssignment(
     "ones-above", lambda mask, v: -1 if (mask >> (v + 1)).bit_count() % 2 else 1
 )
+
+
+def _cube_levels(m: int) -> list[list[int]]:
+    """Colouring masks of the m-cube grouped by level, ascending within each."""
+    levels: list[list[int]] = [[] for _ in range(m + 1)]
+    for mask in range(1 << m):
+        levels[mask.bit_count()].append(mask)
+    return levels
+
+
+def _level_offsets(
+    masks: Sequence[int], size: Callable[[int], int]
+) -> tuple[dict[int, int], int]:
+    """Offset of each mask's block within a level, and the level's total size."""
+    offsets = {}
+    total = 0
+    for mask in masks:
+        offsets[mask] = total
+        total += size(mask)
+    return offsets, total
+
+
+def _cube_homology(level_dims: Sequence[int], ranks: dict[int, int]) -> list[int]:
+    """Homology of a cube complex per level: its dimension minus the ranks
+    of the maps out of it (``ranks[j]``) and into it (``ranks[j - 1]``)."""
+    return [dim - ranks.get(j, 0) - ranks.get(j - 1, 0) for j, dim in enumerate(level_dims)]
 
 
 def verify_sign_assignment(m: int, signs: SignAssignment) -> bool:
@@ -227,15 +255,11 @@ class UberComplex:
 
     def __init__(self, X: SimplicialComplex, max_vertices: int = 16):
         m = X.vertex_count
-        if m > max_vertices:
-            raise SizeGuardExceeded(f"{m} vertices exceeds the guard of {max_vertices}")
+        check_vertex_guard(m, max_vertices)
         self.X = X
         self.m = m
         self._nodes = [HorizontalHomology(X, _to_tuple(mask, m)) for mask in range(1 << m)]
-        self._levels = [
-            sorted(mask for mask in range(1 << m) if mask.bit_count() == j)
-            for j in range(m + 1)
-        ]
+        self._levels = _cube_levels(m)
         self._pairs = sorted({key for node in self._nodes for key in node._buckets})
         self._mats: dict[tuple[int, int, int], Matrix] = {}
 
@@ -254,8 +278,12 @@ class UberComplex:
             return mat
         src_nodes = self._levels[j]
         dst_nodes = self._levels[j + 1] if j + 1 <= self.m else []
-        src_off, n_src = _offsets(self._nodes, src_nodes, i, k)
-        dst_off, n_dst = _offsets(self._nodes, dst_nodes, i, k)
+
+        def node_dim(mask: int) -> int:
+            return self._nodes[mask].homology(i, k).dim
+
+        src_off, n_src = _level_offsets(src_nodes, node_dim)
+        dst_off, n_dst = _level_offsets(dst_nodes, node_dim)
         mat = Matrix.zeros(GF2, n_dst, n_src)
         ops = vector_ops(GF2)
         for mask in src_nodes:
@@ -272,10 +300,10 @@ class UberComplex:
                     continue
                 dst_basis = {s: r for r, s in enumerate(self._nodes[up].basis(i, k))}
                 for c, rep in enumerate(src_h.representatives):
-                    image = ops.zero(len(dst_basis))
-                    for pos, coeff in enumerate(ops.to_list(rep, len(src_basis))):
-                        if coeff and v not in src_basis[pos]:
-                            image = ops.add(image, ops.unit(len(dst_basis), dst_basis[src_basis[pos]]))
+                    simplices = (src_basis[pos] for pos, _ in ops.items(rep))
+                    image = ops.from_items(
+                        len(dst_basis), ((dst_basis[s], 1) for s in simplices if v not in s)
+                    )
                     coords = dst_h.reduce(image)
                     for r, val in enumerate(coords):
                         if val:
@@ -285,28 +313,14 @@ class UberComplex:
 
     def homology_dims(self) -> dict[tuple[int, int, int], int]:
         """Nonzero poset homology dimensions keyed by (level, weight, dimension)."""
-        ops = vector_ops(GF2)
         out: dict[tuple[int, int, int], int] = {}
         for (i, k) in self._pairs:
-            ranks = {}
-            for j in range(self.m + 1):
-                d = self.differential(j, i, k)
-                ranks[j] = column_rank(ops, (ops.from_list(col) for col in d.columns()))
-            for j in range(self.m + 1):
-                dim_here = self.level_dim(j, i, k)
-                h = dim_here - ranks.get(j, 0) - ranks.get(j - 1, 0)
+            ranks = {j: matrix_rank(self.differential(j, i, k)) for j in range(self.m + 1)}
+            level_dims = [self.level_dim(j, i, k) for j in range(self.m + 1)]
+            for j, h in enumerate(_cube_homology(level_dims, ranks)):
                 if h:
                     out[(j, k, i)] = h
         return out
-
-
-def _offsets(nodes, masks, i, k):
-    off = {}
-    total = 0
-    for mask in masks:
-        off[mask] = total
-        total += nodes[mask].homology(i, k).dim
-    return off, total
 
 
 def uber_complex(X: SimplicialComplex, max_vertices: int = 16) -> UberComplex:
@@ -323,15 +337,11 @@ def uberhomology(X: SimplicialComplex, max_vertices: int = 16) -> dict[tuple[int
 
 
 class _CubeNode:
-    """Homology of the subcomplex spanned by the 1-coloured vertices."""
+    """Homology in one degree of the subcomplex spanned by the 1-coloured vertices."""
 
-    __slots__ = ("complex", "homology", "ambient_index")
+    __slots__ = ("homology", "ambient_index")
 
-    def __init__(self, X: SimplicialComplex, mask: int, ring: CoefficientRing, degree: int):
-        vertices = [v for v in range(X.vertex_count) if mask >> v & 1]
-        sub = complexes.induced_subcomplex(X, vertices)
-        self.complex = sub
-        cc = algebra.simplicial_chain_complex(sub, ring)
+    def __init__(self, sub: SimplicialComplex, cc: ChainComplex, degree: int):
         self.homology = HomologyBasis(cc, degree)
         ids = sub.original_ids or ()
         self.ambient_index = {}
@@ -339,19 +349,15 @@ class _CubeNode:
             self.ambient_index[tuple(ids[v] for v in s)] = r
 
 
-def _cube_edge_matrix(src: _CubeNode, dst: _CubeNode, ring: CoefficientRing, degree: int):
+def _cube_edge_matrix(src: _CubeNode, dst: _CubeNode, ring: CoefficientRing):
     """Coordinates of the inclusion-induced map between two node homologies."""
     ops = vector_ops(ring)
     n_dst = len(dst.ambient_index)
     src_simplices = list(src.ambient_index)
     cols = []
     for rep in src.homology.representatives:
-        entries = []
-        for pos, coeff in enumerate(ops.to_list(rep, len(src_simplices))):
-            if coeff != ops.sc_zero:
-                entries.append((dst.ambient_index[src_simplices[pos]], coeff))
-        coords = dst.homology.reduce(ops.from_items(n_dst, entries))
-        cols.append(coords)
+        entries = [(dst.ambient_index[src_simplices[pos]], c) for pos, c in ops.items(rep)]
+        cols.append(dst.homology.reduce(ops.from_items(n_dst, entries)))
     return cols
 
 
@@ -364,35 +370,30 @@ def zero_degree_uber_table(
     """Weight-zero poset homology over a field, all bidegrees at once.
 
     Keys are (level j, dimension i); values are dimensions over ``ring``.
-    Built from scratch on the colouring cube: nothing is shared with the
-    GF(2) horizontal-homology pipeline.
+    Built from scratch on the colouring cube: no boundary, induced-map or
+    reduction code is shared with the GF(2) horizontal-homology pipeline.
     """
     if not ring.is_field:
         raise ValueError("the weight-zero slice needs field coefficients")
     m = X.vertex_count
-    if m > max_vertices:
-        raise SizeGuardExceeded(f"{m} vertices exceeds the guard of {max_vertices}")
+    check_vertex_guard(m, max_vertices)
     max_degree = X.max_dim if not X.is_empty else -1
+    ops = vector_ops(ring)
+    levels = _cube_levels(m)
+    subs = [
+        complexes.induced_subcomplex(X, [v for v in range(m) if mask >> v & 1])
+        for mask in range(1 << m)
+    ]
+    chains = [algebra.simplicial_chain_complex(sub, ring) for sub in subs]
     out: dict[tuple[int, int], int] = {}
     for degree in range(max_degree + 1):
-        nodes = {mask: _CubeNode(X, mask, ring, degree) for mask in range(1 << m)}
-        levels = [
-            sorted(mask for mask in range(1 << m) if mask.bit_count() == j)
-            for j in range(m + 1)
-        ]
-        dims = {mask: nodes[mask].homology.dim for mask in nodes}
-        ops = vector_ops(ring)
+        nodes = [_CubeNode(sub, cc, degree) for sub, cc in zip(subs, chains)]
+        dims = [node.homology.dim for node in nodes]
         ranks = {}
         for j in range(m):
-            src_masks = levels[j]
-            dst_masks = levels[j + 1]
-            dst_off = {}
-            total = 0
-            for mask in dst_masks:
-                dst_off[mask] = total
-                total += dims[mask]
+            dst_off, total = _level_offsets(levels[j + 1], dims.__getitem__)
             columns = []
-            for mask in src_masks:
+            for mask in levels[j]:
                 if dims[mask] == 0:
                     continue
                 src_node = nodes[mask]
@@ -401,7 +402,7 @@ def zero_degree_uber_table(
                     if mask >> v & 1:
                         continue
                     up = mask | 1 << v
-                    block = _cube_edge_matrix(src_node, nodes[up], ring, degree)
+                    block = _cube_edge_matrix(src_node, nodes[up], ring)
                     sgn = signs(mask, v)
                     for c in range(dims[mask]):
                         for r, val in enumerate(block[c]):
@@ -411,9 +412,8 @@ def zero_degree_uber_table(
                 for c in range(dims[mask]):
                     columns.append(ops.from_items(total, entries[c]))
             ranks[j] = column_rank(ops, columns)
-        for j in range(m + 1):
-            level_dim = sum(dims[mask] for mask in levels[j])
-            h = level_dim - ranks.get(j, 0) - ranks.get(j - 1, 0)
+        level_dims = [sum(dims[mask] for mask in level) for level in levels]
+        for j, h in enumerate(_cube_homology(level_dims, ranks)):
             if h:
                 out[(j, degree)] = h
     return out
@@ -463,15 +463,18 @@ def bold_homology(
     """
     G = obj if hasattr(obj, "adjacency") else graphs.one_skeleton(obj)
     m = G.vertex_count
-    if m > max_vertices:
-        raise SizeGuardExceeded(f"{m} vertices exceeds the guard of {max_vertices}")
-    levels = [sorted(mask for mask in range(1 << m) if mask.bit_count() == j) for j in range(m + 1)]
+    check_vertex_guard(m, max_vertices)
+    levels = _cube_levels(m)
     comps = {mask: _components_by_mask(G.adjacency, mask) for mask in range(1 << m)}
+
+    def comp_count(mask: int) -> int:
+        return len(comps[mask])
+
     mats: dict[int, Matrix] = {}
     for j in range(m):
         src_masks, dst_masks = levels[j], levels[j + 1]
-        src_off, n_src = _mask_offsets(comps, src_masks)
-        dst_off, n_dst = _mask_offsets(comps, dst_masks)
+        src_off, n_src = _level_offsets(src_masks, comp_count)
+        dst_off, n_dst = _level_offsets(dst_masks, comp_count)
         d = Matrix.zeros(ring, n_dst, n_src)
         for mask in src_masks:
             for v in range(m):
@@ -485,39 +488,19 @@ def bold_homology(
                     r = next(t for t, uc in enumerate(up_comps) if uc & anchor)
                     d[dst_off[up] + r, src_off[mask] + c] += sgn
         mats[j] = d
-    out: dict[int, AbelianGroupPresentation] = {}
-    if ring.is_field:
-        ops = vector_ops(ring)
-        ranks = {
-            j: column_rank(ops, (ops.from_list(col) for col in mats[j].columns()))
-            for j in mats
-        }
-        for j in range(m + 1):
-            level_dim = sum(len(comps[mask]) for mask in levels[j])
-            out[j] = AbelianGroupPresentation(level_dim - ranks.get(j, 0) - ranks.get(j - 1, 0))
-    else:
-        ranks = {}
-        divisors: dict[int, list[int]] = {}
-        for j, d in mats.items():
+    ranks: dict[int, int] = {}
+    torsion: dict[int, tuple[int, ...]] = {}
+    for j, d in mats.items():
+        if ring.is_field:
+            ranks[j] = matrix_rank(d)
+        else:
             D, _, _ = smith_normal_form(d)
             diag = [D[t, t] for t in range(min(D.rows, D.cols)) if D[t, t] != 0]
             ranks[j] = len(diag)
-            divisors[j] = diag
-        for j in range(m + 1):
-            level_dim = sum(len(comps[mask]) for mask in levels[j])
-            free = level_dim - ranks.get(j, 0) - ranks.get(j - 1, 0)
-            torsion = tuple(t for t in divisors.get(j - 1, []) if abs(t) > 1)
-            out[j] = AbelianGroupPresentation(free, torsion)
-    return out
-
-
-def _mask_offsets(comps, masks):
-    off = {}
-    total = 0
-    for mask in masks:
-        off[mask] = total
-        total += len(comps[mask])
-    return off, total
+            torsion[j + 1] = tuple(t for t in diag if abs(t) > 1)
+    level_dims = [sum(len(comps[mask]) for mask in level) for level in levels]
+    free = _cube_homology(level_dims, ranks)
+    return {j: AbelianGroupPresentation(free[j], torsion.get(j, ())) for j in range(m + 1)}
 
 
 def euler_characteristic_bold(obj, max_vertices: int = 16) -> int:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -94,6 +96,20 @@ def test_rank_and_nullspace_match_oracle(cols):
             for t in range(len(cols)):
                 acc = ops.add(acc, ops.scale(ops.coeff(k, t), vecs[t]))
             assert ops.is_zero(acc)
+
+
+@pytest.mark.parametrize(
+    "ring, entries, expected",
+    [
+        (al.GF2, [(2, 1), (0, 3), (2, 1), (4, 2)], [(0, 1)]),
+        (al.GF(3), [(3, 2), (1, 1), (1, 2), (0, 4)], [(0, 1), (3, 2)]),
+        (al.QQ, [(2, 1), (4, Fraction(1, 2)), (2, -1), (1, -3)], [(1, -3), (4, Fraction(1, 2))]),
+    ],
+)
+def test_kernel_items_are_the_nonzero_entries_in_index_order(ring, entries, expected):
+    ops = al.vector_ops(ring)
+    assert list(ops.items(ops.from_items(5, entries))) == expected
+    assert list(ops.items(ops.zero(5))) == []
 
 
 def test_matrix_rank_works_over_every_ring():

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from uberhom import cli
+from uberhom import cli, graphs, uber
 
 
 CIRCLE = {"vertex_count": 3, "facets": [[0, 1], [0, 2], [1, 2]]}
@@ -147,6 +147,21 @@ def test_bold_json_golden(capsys, circle_path):
         "euler_characteristic": -1,
         "groups": [{"degree": 1, "group": "Z", "rank": 1, "torsion": []}],
     }
+
+
+@pytest.mark.parametrize("coeff", ["z", "q", "z2"])
+def test_bold_takes_the_euler_characteristic_from_its_own_table(
+    capsys, monkeypatch, tmp_path, coeff
+):
+    def recompute(*args, **kwargs):
+        raise AssertionError("bold must not compute bold homology a second time")
+
+    monkeypatch.setattr(uber, "euler_characteristic_bold", recompute)
+    for G in (graphs.cycle_graph(3), graphs.grid_graph(3, 2)):
+        path = tmp_path / "graph.json"
+        path.write_text(graphs.graph_to_json(G))
+        doc = run_json(capsys, ["bold", str(path), "--coeff", coeff])
+        assert doc["euler_characteristic"] == graphs.connected_domination_polynomial(G)(-1)
 
 
 def test_domination_json_golden(capsys, circle_path):
@@ -321,6 +336,31 @@ def test_verify_corpus_run_with_workers(capsys):
     assert doc["ok"] is True
     assert len(doc["results"]) >= 4
     assert all(r["status"] in ("PASS", "SKIP") for r in doc["results"])
+
+
+def test_verify_starts_no_more_workers_than_inputs_or_cpus(capsys, monkeypatch):
+    recorded = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            recorded.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    doc = run_json(capsys, ["verify", "--theorem", "cone", "--jobs", "64"])
+    assert recorded == [len(doc["results"])] == [4]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+    run_json(capsys, ["verify", "--theorem", "cone", "--jobs", "64"])
+    assert recorded == [4]
 
 
 def test_verify_needs_field_coefficients_for_homological_checks(capsys, circle_path):
