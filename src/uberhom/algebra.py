@@ -200,16 +200,6 @@ class Matrix:
         if self.ring != other.ring:
             raise ValueError("mixed coefficient rings")
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_ring(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in addition")
-        out = Matrix(self.ring, self.rows, self.cols)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out._d[i][j] = _coerce(self.ring, self._d[i][j] + other._d[i][j])
-        return out
-
     def __mul__(self, other: "Matrix") -> "Matrix":
         self._check_ring(other)
         if self.cols != other.rows:
@@ -528,9 +518,6 @@ class Span:
             return mu
         return None
 
-    def contains(self, v) -> bool:
-        return self.solve(v) is not None
-
 
 def column_rank(ops, columns: Iterable) -> int:
     """Rank of a set of vectors (columns of a map) over a field kernel."""
@@ -582,7 +569,6 @@ class ChainComplex:
         ring: CoefficientRing,
         ranks: dict[int, int],
         differentials: dict[int, Matrix],
-        check: bool = True,
     ):
         self.ring = ring
         self._ranks = {n: r for n, r in ranks.items() if r > 0}
@@ -597,11 +583,10 @@ class ChainComplex:
                 raise ValueError(f"differential at degree {n} has wrong shape")
             if d.cols > 0 and d.rows > 0:
                 self._diffs[n] = d
-        if check:
-            for n in list(self._diffs):
-                lower = self._diffs.get(n - 1)
-                if lower is not None and not (lower * self._diffs[n]).is_zero():
-                    raise ValueError(f"differential does not square to zero at degree {n}")
+        for n in list(self._diffs):
+            lower = self._diffs.get(n - 1)
+            if lower is not None and not (lower * self._diffs[n]).is_zero():
+                raise ValueError(f"differential does not square to zero at degree {n}")
 
     def rank(self, n: int) -> int:
         return self._ranks.get(n, 0)
@@ -830,13 +815,10 @@ class HomologyBasis:
         kernel_basis = [V1.column(j) for j in range(r1, n)]  # integral basis of the cycle lattice
         k = len(kernel_basis)
         self.cycle_rank = k
-        # boundary columns in kernel coordinates (exact rational solve; the
-        # kernel basis spans a direct summand, so the coordinates are integral)
-        rel_cols = []
-        for t in range(d_above.cols):
-            b = d_above.column(t)
-            coords = _solve_exact_integer(kernel_basis, b)
-            rel_cols.append(coords)
+        # boundary columns in kernel coordinates (the kernel basis spans a
+        # direct summand, so the coordinates are integral)
+        self._lattice = _lattice_span(n, kernel_basis)
+        rel_cols = [_integer_coords(self._lattice, d_above.column(t)) for t in range(d_above.cols)]
         M = Matrix.from_columns(ZZ, k, rel_cols) if rel_cols else Matrix.zeros(ZZ, k, 0)
         D2, U2, _ = smith_normal_form(M)
         divisors = [D2[i, i] for i in range(min(D2.rows, D2.cols)) if D2[i, i] != 0]
@@ -845,13 +827,13 @@ class HomologyBasis:
         free_rank = k - len(divisors)
         self.presentation = AbelianGroupPresentation(free_rank, torsion)
         self.dim = free_rank
-        self._kernel_basis = kernel_basis
         self._U2 = U2
         if self.presentation.is_free:
-            U2_inv = _invert_unimodular(U2)
+            # the columns of U2^-1 are the solutions of U2 x = e_t
+            u2 = _lattice_span(k, [U2.column(j) for j in range(k)])
             reps = []
             for t in range(len(divisors), k):
-                coords = U2_inv.column(t)
+                coords = _integer_coords(u2, [int(i == t) for i in range(k)])
                 rep = [sum(kernel_basis[j][i] * coords[j] for j in range(k)) for i in range(n)]
                 reps.append(rep)
             self.representatives = reps
@@ -859,15 +841,10 @@ class HomologyBasis:
             self.representatives = None
 
     def _reduce_integral(self, cycle) -> list:
-        k = self.cycle_rank
-        x = _solve_exact_integer(self._kernel_basis, list(cycle))
-        y = self._U2.apply(x)
-        r = k - self.presentation.free_rank
-        for i in range(r):
-            d = 1  # all earlier divisors are 1 in the free case
-            if y[i] % d != 0:  # pragma: no cover - unreachable when free
-                raise SolveFailure("cycle not reducible integrally")
-        return [int(y[i]) for i in range(r, k)]
+        # every divisor is 1 in the free case, so the leading coordinates
+        # are boundaries and the trailing ones are the class
+        y = self._U2.apply(_integer_coords(self._lattice, cycle))
+        return y[self.cycle_rank - self.presentation.free_rank :]
 
     def __repr__(self) -> str:
         if self.ring.is_field:
@@ -875,70 +852,28 @@ class HomologyBasis:
         return f"H_{self.degree}(Z) = {self.presentation.describe()}"
 
 
-def _solve_exact_integer(basis_columns: Sequence[Sequence[int]], b: Sequence) -> list[int]:
-    """Solve sum(x_j * basis_j) = b exactly; entries must come out integral."""
-    if not basis_columns:
-        if any(v != 0 for v in b):
-            raise SolveFailure("vector outside the (empty) lattice")
-        return []
-    n = len(basis_columns[0])
-    k = len(basis_columns)
-    # rational Gaussian elimination on the augmented system
-    aug = [[Fraction(basis_columns[j][i]) for j in range(k)] + [Fraction(b[i])] for i in range(n)]
-    pivots = []
-    row = 0
-    for col in range(k):
-        sel = next((r for r in range(row, n) if aug[r][col] != 0), None)
-        if sel is None:
-            continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [a * inv for a in aug[row]]
-        for r in range(n):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * c for a, c in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == n:
-            break
-    for r in range(row, n):
-        if aug[r][k] != 0:
-            raise SolveFailure("vector outside the lattice")
-    x = [Fraction(0)] * k
-    for r, col in enumerate(pivots):
-        x[col] = aug[r][k]
-    out = []
-    for v in x:
-        if v.denominator != 1:
+def _lattice_span(n: int, columns: Sequence[Sequence[int]]) -> Span:
+    """Span over QQ of independent integer columns; column j keeps tag j."""
+    ops = vector_ops(QQ)
+    span = Span(ops, n)
+    for col in columns:
+        span.insert(ops.from_list(col))
+    return span
+
+
+def _integer_coords(lattice: Span, vector: Sequence) -> list[int]:
+    """Coordinates of ``vector`` against a lattice basis; they must be integral."""
+    if len(vector) != lattice.n:
+        raise ValueError(f"vector has {len(vector)} entries, expected {lattice.n}")
+    combo = lattice.solve(lattice.ops.from_list(vector))
+    if combo is None:
+        raise SolveFailure("vector outside the lattice")
+    coords = [0] * lattice.inserted
+    for j, c in combo.items():
+        if c.denominator != 1:
             raise SolveFailure("non-integral coordinates against an integral basis")
-        out.append(int(v))
-    return out
-
-
-def _invert_unimodular(U: Matrix) -> Matrix:
-    """Exact inverse of a unimodular integer matrix."""
-    n = U.rows
-    aug = [[Fraction(U[i, j]) for j in range(n)] + [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        sel = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[sel] = aug[sel], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [a * inv for a in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * c for a, c in zip(aug[r], aug[col])]
-    data = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = aug[i][n + j]
-            if v.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            row.append(int(v))
-        data.append(row)
-    return Matrix.from_rows(ZZ, data)
+        coords[j] = int(c)
+    return coords
 
 
 def homology(C: ChainComplex, n: int, ring: CoefficientRing | None = None) -> HomologyBasis:

@@ -220,8 +220,8 @@ def build_complex(vertex_count: int, facets: Iterable[Iterable[int]]) -> Simplic
 def induced_subcomplex(X: SimplicialComplex, vertices: Iterable[int]) -> SimplicialComplex:
     """The subcomplex of simplices contained in the given vertex set.
 
-    The result is renumbered to 0..k-1 in increasing order of original id,
-    with the originals recorded in ``original_ids``.  An empty selection
+    The result is renumbered to 0..k-1 in increasing order of vertex id,
+    with each vertex's id in ``X`` recorded in ``original_ids``.  An empty selection
     gives the empty complex.
     """
     keep = sorted(set(vertices))
@@ -238,9 +238,7 @@ def induced_subcomplex(X: SimplicialComplex, vertices: Iterable[int]) -> Simplic
         for s in X.simplices_of_dim(q):
             if all(v in keep_set for v in s):
                 by_dim[q].append(tuple(local[v] for v in s))
-    parent_ids = X.original_ids
-    originals = tuple(parent_ids[v] if parent_ids else v for v in present)
-    return SimplicialComplex(len(present), by_dim, original_ids=originals)
+    return SimplicialComplex(len(present), by_dim, original_ids=tuple(present))
 
 
 def anti_star(X: SimplicialComplex, v: int) -> SimplicialComplex:

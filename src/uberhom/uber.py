@@ -68,15 +68,6 @@ __all__ = [
 # Colourings
 
 
-def _to_mask(colouring: Sequence[int]) -> int:
-    mask = 0
-    for v, bit in enumerate(colouring):
-        if bit not in (0, 1):
-            raise ValueError("colourings are 0/1 valued")
-        mask |= bit << v
-    return mask
-
-
 def _to_tuple(mask: int, m: int) -> Bicolouring:
     return tuple(mask >> v & 1 for v in range(m))
 
@@ -262,10 +253,6 @@ class UberComplex:
         self._levels = _cube_levels(m)
         self._pairs = sorted({key for node in self._nodes for key in node._buckets})
         self._mats: dict[tuple[int, int, int], Matrix] = {}
-
-    def bidegrees(self) -> list[tuple[int, int]]:
-        """All (dimension, weight) pairs carrying chain modules somewhere."""
-        return list(self._pairs)
 
     def level_dim(self, j: int, i: int, k: int) -> int:
         return sum(self._nodes[mask].homology(i, k).dim for mask in self._levels[j])

@@ -289,6 +289,32 @@ def test_integral_reduce_on_free_homology():
     assert basis.reduce(rep) in ([1], [-1])
 
 
+def test_integral_reduce_is_the_unit_vector_modulo_boundaries(corpus_complex):
+    cc = al.simplicial_chain_complex(corpus_complex, al.ZZ)
+    for n, basis in al.homology_table(cc).items():
+        if not basis.presentation.is_free:
+            continue
+        d_above = cc.diff(n + 1)
+        for k, rep in enumerate(basis.representatives):
+            unit = [int(i == k) for i in range(basis.dim)]
+            assert basis.reduce(rep) == unit
+            for t in range(min(3, d_above.cols)):
+                shifted = [a + b for a, b in zip(rep, d_above.column(t))]
+                assert basis.reduce(shifted) == unit
+
+
+def test_integral_reduce_rejects_non_cycles():
+    circle = cx.boundary_of_simplex(3)
+    basis = al.homology(al.simplicial_chain_complex(circle, al.ZZ), 1)
+    with pytest.raises(SolveFailure, match="outside the lattice"):
+        basis.reduce([1, 1, 0])
+    with pytest.raises(SolveFailure, match="non-integral"):
+        basis.reduce([Fraction(c, 2) for c in basis.representatives[0]])
+    for wrong_length in ([1, -1], [1, -1, 1, 5]):
+        with pytest.raises(ValueError, match="entries, expected 3"):
+            basis.reduce(wrong_length)
+
+
 # --------------------------------------------------------------------------
 # chain maps, induced maps, mapping cones
 

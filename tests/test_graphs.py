@@ -194,6 +194,15 @@ def test_chordality_matches_oracle_on_atlas():
         _check_certificate(g, cert)
 
 
+def test_chordless_cycle_search_finds_one_in_every_non_chordal_graph():
+    for nxg in oracles.connected_atlas_graphs(7):
+        g = gr.Graph(nxg.number_of_nodes(), nxg.edges())
+        if oracles.chordal_oracle(g):
+            continue
+        cycle = gr._chordless_cycle(g)
+        _check_certificate(g, gr.ChordalityCertificate(False, chordless_cycle=cycle))
+
+
 def test_chordality_goldens():
     assert gr.is_chordal(gr.complete_graph(5)).chordal
     assert gr.is_chordal(gr.path_graph(6)).chordal

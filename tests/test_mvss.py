@@ -44,6 +44,26 @@ def test_double_complex_validates_with_star_covers():
             dc.validate()
 
 
+@pytest.mark.parametrize("name", ["dv_sparse", "dh_sparse"])
+def test_validate_raises_on_a_corrupted_differential(monkeypatch, name):
+    dc = mvss.double_complex(cx.boundary_of_simplex(3), ring=al.QQ)
+    original = getattr(dc, name)
+
+    def corrupted(p, q):
+        # double the first entry of the first nonzero column
+        cols = [list(col) for col in original(p, q)]
+        for col in cols:
+            if col:
+                row, c = col[0]
+                col[0] = (row, 2 * c)
+                break
+        return cols
+
+    monkeypatch.setattr(dc, name, corrupted)
+    with pytest.raises(ValueError, match="fails at bidegree"):
+        dc.validate()
+
+
 def test_columns_are_indexed_by_nerve_simplices():
     X = cx.boundary_of_simplex(3)
     cov = cx.anti_star_cover(X)
@@ -203,6 +223,15 @@ def test_identification_on_corpus(corpus_complex):
         for j, i, cube_dim, page_dim in report.entries:
             assert cube_dim == page_dim
         assert report.render().endswith("PASS")
+
+
+def test_identification_on_a_complex_that_carries_original_ids():
+    X = cx.induced_subcomplex(cx.complex_from_graph(gr.cycle_graph(7)), [1, 2, 3, 4, 5])
+    assert X.original_ids == (1, 2, 3, 4, 5)
+    plain = cx.build_complex(X.vertex_count, X.facets())
+    report = mvss.verify_identification(X, al.GF2)
+    assert report.ok
+    assert report == mvss.verify_identification(plain, al.GF2)
 
 
 def test_identification_covers_every_nonzero_cell_of_both_sides():
