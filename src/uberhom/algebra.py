@@ -9,7 +9,8 @@ No floating point anywhere.  Scalars are Python ints (integers and prime
 fields) or ``fractions.Fraction`` (rationals).  Over GF(2) the internal
 vector layer stores a vector as a single int used as a bitset, which keeps
 the heavy enumerative computations (cube complexes, spectral sequence
-pages) cheap; every other field uses plain lists of scalars.
+pages) cheap; every other field stores a sparse dict from index to
+nonzero scalar.
 """
 from __future__ import annotations
 
@@ -247,7 +248,7 @@ class Matrix:
 
 # --------------------------------------------------------------------------
 # Vector kernels.  Two implementations behind one duck-typed surface:
-# GF(2) vectors are ints-as-bitsets, everything else is a list of scalars.
+# GF(2) vectors are ints-as-bitsets, everything else is a sparse dict.
 # Code outside this module builds vectors with ``from_items``/``from_list``
 # and reads them with ``items``/``coeff``, never by their representation.
 
@@ -337,101 +338,93 @@ class _Gf2Ops:
 
 
 class _FieldOps:
-    """List-backed vectors over Q or F_p (p odd)."""
+    """Sparse vectors over Q or F_p (p odd): dicts from index to nonzero scalar.
+
+    One normaliser chosen at construction (to ``Fraction`` over Q, ``x % p``
+    over F_p) keeps every scalar canonical, so equal vectors are equal dicts.
+    """
 
     def __init__(self, ring: CoefficientRing):
         if not ring.is_field:
             raise ValueError("vector kernel requires a field")
         self.ring = ring
-        if ring.kind == "rationals":
-            self.sc_zero = Fraction(0)
-            self.sc_one = Fraction(1)
-        else:
-            self.sc_zero = 0
-            self.sc_one = 1
+        p = ring.p
+        # Fraction arithmetic already returns Fractions: convert only the rest
+        self._norm = (lambda x: x % p) if p else (lambda x: x if type(x) is Fraction else Fraction(x))
+        self.sc_zero = self._norm(0)
+        self.sc_one = self._norm(1)
 
-    def _c(self, x):
-        return _coerce(self.ring, x)
+    def zero(self, n: int) -> dict:
+        return {}
 
-    def zero(self, n: int) -> list:
-        return [self.sc_zero] * n
+    def unit(self, n: int, i: int) -> dict:
+        return {i: self.sc_one}
 
-    def unit(self, n: int, i: int) -> list:
-        v = [self.sc_zero] * n
-        v[i] = self.sc_one
-        return v
-
-    def from_items(self, n: int, items: Iterable[tuple[int, object]]) -> list:
-        v = [self.sc_zero] * n
+    def from_items(self, n: int, items: Iterable[tuple[int, object]]) -> dict:
+        acc: dict = {}
         for i, c in items:
-            v[i] = self.sc_add(v[i], self._c(c))
-        return v
+            acc[i] = acc.get(i, 0) + c
+        norm = self._norm
+        return {i: c for i, c in ((i, norm(c)) for i, c in acc.items()) if c}
 
-    def from_list(self, xs: Sequence) -> list:
-        return [self._c(x) for x in xs]
+    def from_list(self, xs: Sequence) -> dict:
+        return self.from_items(len(xs), enumerate(xs))
 
-    def items(self, v: list) -> Iterator[tuple[int, object]]:
+    def items(self, v: dict) -> Iterator[tuple[int, object]]:
         """Nonzero (index, scalar) pairs in ascending index order."""
-        zero = self.sc_zero
-        return ((i, c) for i, c in enumerate(v) if c != zero)
+        return iter(sorted(v.items()))
 
-    def add(self, u: list, v: list) -> list:
-        if self.ring.kind == "rationals":
-            return [a + b for a, b in zip(u, v)]
-        p = self.ring.p
-        return [(a + b) % p for a, b in zip(u, v)]
+    def add(self, u: dict, v: dict) -> dict:
+        return self._merge(u, v.items())
 
-    def sub(self, u: list, v: list) -> list:
-        if self.ring.kind == "rationals":
-            return [a - b for a, b in zip(u, v)]
-        p = self.ring.p
-        return [(a - b) % p for a, b in zip(u, v)]
+    def sub(self, u: dict, v: dict) -> dict:
+        return self._merge(u, ((i, -c) for i, c in v.items()))
 
-    def scale(self, c, v: list) -> list:
-        c = self._c(c)
-        if self.ring.kind == "rationals":
-            return [c * a for a in v]
-        p = self.ring.p
-        return [(c * a) % p for a in v]
+    def _merge(self, u: dict, items: Iterable[tuple[int, object]]) -> dict:
+        w = dict(u)
+        norm = self._norm
+        for i, c in items:
+            s = norm(w.get(i, 0) + c)
+            if s:
+                w[i] = s
+            else:
+                del w[i]
+        return w
 
-    def is_zero(self, v: list) -> bool:
-        return all(a == self.sc_zero for a in v)
+    def scale(self, c, v: dict) -> dict:
+        c = self._norm(c)
+        if not c:
+            return {}
+        norm = self._norm
+        # a field has no zero divisors, so no product vanishes
+        return {i: norm(c * a) for i, a in v.items()}
 
-    def coeff(self, v: list, i: int):
-        return v[i]
+    def is_zero(self, v: dict) -> bool:
+        return not v
 
-    def pivot(self, v: list) -> int | None:
-        for i, a in enumerate(v):
-            if a != self.sc_zero:
-                return i
-        return None
+    def coeff(self, v: dict, i: int):
+        return v.get(i, self.sc_zero)
+
+    def pivot(self, v: dict) -> int | None:
+        return min(v) if v else None
 
     # scalar helpers
     def sc_add(self, a, b):
-        if self.ring.kind == "rationals":
-            return a + b
-        return (a + b) % self.ring.p
+        return self._norm(a + b)
 
     def sc_neg(self, a):
-        if self.ring.kind == "rationals":
-            return -a
-        return (-a) % self.ring.p
+        return self._norm(-a)
 
     def sc_mul(self, a, b):
-        if self.ring.kind == "rationals":
-            return a * b
-        return (a * b) % self.ring.p
+        return self._norm(a * b)
 
     def sc_inv(self, a):
-        if self.ring.kind == "rationals":
-            if a == 0:
-                raise ZeroDivisionError("inverse of 0")
-            return Fraction(1) / a
-        p = self.ring.p
-        a %= p
-        if a == 0:
+        a = self._norm(a)
+        if not a:
             raise ZeroDivisionError("inverse of 0")
-        return pow(a, p - 2, p)
+        if self.ring.kind == "rationals":
+            return 1 / a
+        return pow(a, -1, self.ring.p)
 
 
 _GF2_OPS = _Gf2Ops()
@@ -546,10 +539,8 @@ def nullspace(ops, columns: Sequence, source_dim: int) -> list:
     for t in range(source_dim):
         is_new, combo = span.insert(columns[t])
         if not is_new:
-            k = ops.unit(source_dim, t)
-            for g, a in combo.items():
-                k = ops.sub(k, ops.scale(a, ops.unit(source_dim, g)))
-            kernel.append(k)
+            # every tag in the combo is an earlier column, never t itself
+            kernel.append(ops.from_items(source_dim, [(t, 1), *((g, -a) for g, a in combo.items())]))
     return kernel
 
 
@@ -745,16 +736,9 @@ class HomologyBasis:
         cycle_cols = [ops.from_list(d_here.column(j)) for j in range(d_here.cols)]
         cycles = nullspace(ops, cycle_cols, n) if n else []
         span = Span(ops, n)
-        witness_sources: list[int] = []
         for t in range(d_above.cols):
-            col = ops.from_list(d_above.column(t))
-            is_new, _ = span.insert(col)
-            if is_new:
-                witness_sources.append(t)
+            span.insert(ops.from_list(d_above.column(t)))
         self.boundary_rank = span.dim
-        # Span tags count every insert, so an independent boundary column
-        # keeps its own column index as tag.
-        self._boundary_tag_to_source = {t: t for t in witness_sources}
         reps = []
         rep_tags = []
         for z in cycles:
@@ -785,19 +769,23 @@ class HomologyBasis:
                 raise NotImplementedError("reduce over Z with torsion present")
             return self._reduce_integral(cycle), None
         ops = self._ops
+        for i, _ in ops.items(cycle):
+            if i >= self.ambient_rank:
+                raise ValueError(f"vector has an entry at index {i}, expected fewer than {self.ambient_rank}")
         combo = self._span.solve(cycle)
         if combo is None:
             raise SolveFailure("vector is not a cycle (or not in the cycle space)")
         coords = [ops.sc_zero] * self.dim
-        witness = ops.zero(self._witness_dim)
+        boundary = []
         for tag, c in combo.items():
             k = self._rep_tag_index.get(tag)
-            if k is not None:
-                coords[k] = c
+            if k is None:
+                # Span tags count every insert and the boundary columns
+                # went in first, so a boundary tag is its column index
+                boundary.append((tag, c))
             else:
-                src = self._boundary_tag_to_source[tag]
-                witness = ops.add(witness, ops.scale(c, ops.unit(self._witness_dim, src)))
-        return coords, witness
+                coords[k] = c
+        return coords, ops.from_items(self._witness_dim, boundary)
 
     # integral case ------------------------------------------------------------
 

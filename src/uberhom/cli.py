@@ -98,15 +98,6 @@ def _ring_label(label: str) -> CoefficientRing:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _coeff_arg(ring: CoefficientRing) -> str:
-    """The command-line label that parses back to ``ring``."""
-    if ring.kind == "integers":
-        return "z"
-    if ring.kind == "rationals":
-        return "q"
-    return "z2" if ring.p == 2 else f"p:{ring.p}"
-
-
 def _emit(doc: dict, fmt: str, table: str) -> None:
     if fmt == "table":
         print(table)
@@ -470,16 +461,8 @@ def _corpus(theorem: str) -> list[tuple[str, SimplicialComplex | Graph]]:
     raise InputError(f"unknown theorem {theorem!r}")
 
 
-def _serialize(obj: SimplicialComplex | Graph) -> tuple[str, str]:
-    if isinstance(obj, Graph):
-        return "graph", graphs.graph_to_json(obj)
-    return "complex", complexes.complex_to_json(obj)
-
-
-def _verify_worker(item: tuple[str, str, str, str, str, int]) -> dict:
-    theorem, name, kind, payload, coeff, max_vertices = item
-    obj = graphs.graph_from_json(payload) if kind == "graph" else complexes.complex_from_json(payload)
-    ring = ring_from_label(coeff)
+def _verify_worker(item: tuple[str, str, SimplicialComplex | Graph, CoefficientRing, int]) -> dict:
+    theorem, name, obj, ring, max_vertices = item
     try:
         result = _CHECKS[theorem](obj, ring, max_vertices)
     except SizeGuardExceeded as exc:
@@ -498,10 +481,7 @@ def cmd_verify(args) -> int:
         items = [("input", _load_object(_read_text(args.input)))]
     else:
         items = _corpus(theorem)
-    work = [
-        (theorem, name, *_serialize(obj), _coeff_arg(ring), args.max_vertices)
-        for name, obj in items
-    ]
+    work = [(theorem, name, obj, ring, args.max_vertices) for name, obj in items]
     # the fork start method forks every worker up front, so ask for no more
     # than there are inputs and CPUs
     workers = min(args.jobs, len(work), os.cpu_count() or 1)

@@ -13,7 +13,7 @@ import itertools
 import json
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from . import algebra
 from .errors import NotConnectedError, StandardSimplexError, check_vertex_guard
@@ -300,6 +300,19 @@ def anti_star_cover(X: SimplicialComplex) -> Cover:
     return Cover(X, tuple(anti_star(X, v) for v in range(X.vertex_count)))
 
 
+def _renumbered(simplices: Collection[Simplex]) -> SimplicialComplex:
+    """The complex of a closed set of simplices, its vertices renumbered to
+    0..k-1 in increasing id order and their ids kept in ``original_ids``."""
+    if not simplices:
+        return EMPTY_COMPLEX
+    vertices = sorted({v for s in simplices for v in s})
+    local = {v: i for i, v in enumerate(vertices)}
+    by_dim: list[list[Simplex]] = [[] for _ in range(max(len(s) for s in simplices))]
+    for s in simplices:
+        by_dim[len(s) - 1].append(tuple(local[v] for v in s))
+    return SimplicialComplex(len(vertices), by_dim, original_ids=tuple(vertices))
+
+
 def closed_star(X: SimplicialComplex, v: int) -> SimplicialComplex:
     """The subcomplex generated by all simplices containing ``v``."""
     if not X.contains((v,)):
@@ -309,12 +322,7 @@ def closed_star(X: SimplicialComplex, v: int) -> SimplicialComplex:
         if v in s:
             for k in range(1, len(s) + 1):
                 keep.update(itertools.combinations(s, k))
-    vertices = sorted({u for s in keep for u in s})
-    local = {u: i for i, u in enumerate(vertices)}
-    by_dim: list[list[Simplex]] = [[] for _ in range(max(len(s) for s in keep))]
-    for s in keep:
-        by_dim[len(s) - 1].append(tuple(local[u] for u in s))
-    return SimplicialComplex(len(vertices), by_dim, original_ids=tuple(vertices))
+    return _renumbered(keep)
 
 
 def star_cover(X: SimplicialComplex) -> Cover:
@@ -344,15 +352,7 @@ def cover_intersection(cover: Cover, subset: Sequence[int]) -> SimplicialComplex
             raise ValueError(f"cover has no element {i}")
     if not idx:
         return cover.ambient
-    simplices = _intersection_simplices(cover, idx)
-    if not simplices:
-        return EMPTY_COMPLEX
-    vertices = sorted({v for s in simplices for v in s})
-    local = {v: i for i, v in enumerate(vertices)}
-    by_dim: list[list[Simplex]] = [[] for _ in range(max(len(s) for s in simplices))]
-    for s in simplices:
-        by_dim[len(s) - 1].append(tuple(local[v] for v in s))
-    return SimplicialComplex(len(vertices), by_dim, original_ids=tuple(vertices))
+    return _renumbered(_intersection_simplices(cover, idx))
 
 
 def nerve(cover: Cover) -> SimplicialComplex:
@@ -390,14 +390,7 @@ def link(X: SimplicialComplex, simplex: Iterable[int]) -> SimplicialComplex:
         for t in all_s
         if not (sset & set(t)) and tuple(sorted(sset | set(t))) in all_s
     ]
-    if not hits:
-        return EMPTY_COMPLEX
-    vertices = sorted({v for t in hits for v in t})
-    local = {v: i for i, v in enumerate(vertices)}
-    by_dim: list[list[Simplex]] = [[] for _ in range(max(len(t) for t in hits))]
-    for t in hits:
-        by_dim[len(t) - 1].append(tuple(local[v] for v in t))
-    return SimplicialComplex(len(vertices), by_dim, original_ids=tuple(vertices))
+    return _renumbered(hits)
 
 
 def cone(X: SimplicialComplex) -> SimplicialComplex:
@@ -459,13 +452,14 @@ def flag_complex(graph) -> SimplicialComplex:
 
 
 def skeleton(X: SimplicialComplex, k: int) -> SimplicialComplex:
-    """The subcomplex of simplices of dimension at most ``k``."""
+    """The subcomplex of simplices of dimension at most ``k``; its
+    ``original_ids`` is the identity embedding into ``X``."""
     if k < 0:
         raise ValueError("skeleton dimension must be nonnegative")
     if X.is_empty:
         return EMPTY_COMPLEX
     by_dim = [X.simplices_of_dim(q) for q in range(min(k, X.max_dim) + 1)]
-    return SimplicialComplex(X.vertex_count, by_dim, original_ids=X.original_ids)
+    return SimplicialComplex(X.vertex_count, by_dim, original_ids=tuple(range(X.vertex_count)))
 
 
 def euler_characteristic(X: SimplicialComplex) -> int:

@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's linear algebra: ranks come
 from sympy or from a self-contained mod-p elimination, Smith normal forms
 from sympy, domination counts and chordality from networkx.  Simplicial
 complexes and graphs are consumed only through their plain data (simplex
-lists, edge lists).
+lists, edge lists).  ``DenseFieldOps`` is the package's former list-backed
+vector kernel over Q and F_p, kept to check the sparse kernel against.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from fractions import Fraction
 import networkx as nx
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as _sympy_snf
+
+from uberhom.algebra import _coerce
 
 
 # --------------------------------------------------------------------------
@@ -194,3 +197,105 @@ def det_exact(rows: list[list[int]]) -> Fraction:
                 f = mat[r][c]
                 mat[r] = [x - f * y for x, y in zip(mat[r], mat[c])]
     return det
+
+
+# --------------------------------------------------------------------------
+# the retired dense vector kernel
+
+
+class DenseFieldOps:
+    """List-backed vectors over Q or F_p (p odd)."""
+
+    def __init__(self, ring):
+        if not ring.is_field:
+            raise ValueError("vector kernel requires a field")
+        self.ring = ring
+        if ring.kind == "rationals":
+            self.sc_zero = Fraction(0)
+            self.sc_one = Fraction(1)
+        else:
+            self.sc_zero = 0
+            self.sc_one = 1
+
+    def _c(self, x):
+        return _coerce(self.ring, x)
+
+    def zero(self, n: int) -> list:
+        return [self.sc_zero] * n
+
+    def unit(self, n: int, i: int) -> list:
+        v = [self.sc_zero] * n
+        v[i] = self.sc_one
+        return v
+
+    def from_items(self, n: int, items) -> list:
+        v = [self.sc_zero] * n
+        for i, c in items:
+            v[i] = self.sc_add(v[i], self._c(c))
+        return v
+
+    def from_list(self, xs) -> list:
+        return [self._c(x) for x in xs]
+
+    def items(self, v: list):
+        """Nonzero (index, scalar) pairs in ascending index order."""
+        zero = self.sc_zero
+        return ((i, c) for i, c in enumerate(v) if c != zero)
+
+    def add(self, u: list, v: list) -> list:
+        if self.ring.kind == "rationals":
+            return [a + b for a, b in zip(u, v)]
+        p = self.ring.p
+        return [(a + b) % p for a, b in zip(u, v)]
+
+    def sub(self, u: list, v: list) -> list:
+        if self.ring.kind == "rationals":
+            return [a - b for a, b in zip(u, v)]
+        p = self.ring.p
+        return [(a - b) % p for a, b in zip(u, v)]
+
+    def scale(self, c, v: list) -> list:
+        c = self._c(c)
+        if self.ring.kind == "rationals":
+            return [c * a for a in v]
+        p = self.ring.p
+        return [(c * a) % p for a in v]
+
+    def is_zero(self, v: list) -> bool:
+        return all(a == self.sc_zero for a in v)
+
+    def coeff(self, v: list, i: int):
+        return v[i]
+
+    def pivot(self, v: list) -> int | None:
+        for i, a in enumerate(v):
+            if a != self.sc_zero:
+                return i
+        return None
+
+    # scalar helpers
+    def sc_add(self, a, b):
+        if self.ring.kind == "rationals":
+            return a + b
+        return (a + b) % self.ring.p
+
+    def sc_neg(self, a):
+        if self.ring.kind == "rationals":
+            return -a
+        return (-a) % self.ring.p
+
+    def sc_mul(self, a, b):
+        if self.ring.kind == "rationals":
+            return a * b
+        return (a * b) % self.ring.p
+
+    def sc_inv(self, a):
+        if self.ring.kind == "rationals":
+            if a == 0:
+                raise ZeroDivisionError("inverse of 0")
+            return Fraction(1) / a
+        p = self.ring.p
+        a %= p
+        if a == 0:
+            raise ZeroDivisionError("inverse of 0")
+        return pow(a, p - 2, p)

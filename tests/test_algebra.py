@@ -112,6 +112,79 @@ def test_kernel_items_are_the_nonzero_entries_in_index_order(ring, entries, expe
     assert list(ops.items(ops.zero(5))) == []
 
 
+SPARSE_KERNEL_RINGS = (al.QQ, al.GF(3), al.GF(5))
+
+
+def _scalars(ring):
+    if ring == al.QQ:
+        return st.fractions(-3, 3, max_denominator=3)
+    return st.integers(-6, 6)
+
+
+@given(ring=st.sampled_from(SPARSE_KERNEL_RINGS), n=st.integers(1, 5), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_sparse_kernel_agrees_with_the_dense_oracle(ring, n, data):
+    scalars = _scalars(ring)
+    steps = data.draw(
+        st.lists(st.tuples(st.booleans(), st.lists(scalars, min_size=n, max_size=n)), max_size=8)
+    )
+    c = data.draw(scalars)
+    sparse, dense = al.vector_ops(ring), oracles.DenseFieldOps(ring)
+
+    def same(u, v):
+        return list(sparse.items(u)) == list(dense.items(v))
+
+    s_span, d_span = al.Span(sparse, n), al.Span(dense, n)
+    s_cols = [sparse.from_list(xs) for _, xs in steps]
+    d_cols = [dense.from_list(xs) for _, xs in steps]
+    for (is_insert, _), su, du in zip(steps, s_cols, d_cols):
+        assert same(su, du)
+        if is_insert:
+            assert s_span.insert(su) == d_span.insert(du)
+        else:
+            assert s_span.solve(su) == d_span.solve(du)
+    for (su, du), (sv, dv) in zip(zip(s_cols, d_cols), zip(s_cols[1:], d_cols[1:])):
+        assert same(sparse.add(su, sv), dense.add(du, dv))
+        assert same(sparse.sub(su, sv), dense.sub(du, dv))
+        assert same(sparse.scale(c, su), dense.scale(c, du))
+        assert sparse.pivot(su) == dense.pivot(du)
+    assert al.column_rank(sparse, s_cols) == al.column_rank(dense, d_cols)
+    s_kernel = al.nullspace(sparse, s_cols, len(steps))
+    d_kernel = al.nullspace(dense, d_cols, len(steps))
+    assert len(s_kernel) == len(d_kernel)
+    assert all(same(sk, dk) for sk, dk in zip(s_kernel, d_kernel))
+
+
+@given(ring=st.sampled_from(SPARSE_KERNEL_RINGS), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_sparse_kernel_stores_only_canonical_nonzero_scalars(ring, data):
+    scalars = _scalars(ring)
+    entries = data.draw(st.lists(st.tuples(st.integers(0, 5), scalars), max_size=10))
+    c = data.draw(scalars)
+    ops = al.vector_ops(ring)
+    negated = [(i, -x) for i, x in entries]
+    u = ops.from_items(6, entries)
+    v = ops.from_items(6, negated)
+    cancelled = [
+        ops.from_items(6, entries + negated),
+        ops.add(u, v),
+        ops.sub(u, u),
+        ops.add(ops.scale(c, u), ops.scale(c, v)),
+    ]
+    for w in cancelled:
+        assert ops.is_zero(w)
+        assert ops.pivot(w) is None
+        assert w == ops.zero(6)
+    results = [u, v, ops.scale(c, u), ops.add(u, ops.scale(c, u)), ops.sub(ops.scale(c, u), v)]
+    for w in results:
+        for _, x in ops.items(w):
+            if ring == al.QQ:
+                assert type(x) is Fraction and x != 0
+            else:
+                assert type(x) is int and 1 <= x < ring.p
+    assert ops.sub(ops.add(u, v), v) == u
+
+
 def test_matrix_rank_works_over_every_ring():
     rows = [[2, 4], [1, 2]]
     for ring in (al.ZZ, al.QQ, al.GF2, al.GF(3)):
@@ -278,6 +351,18 @@ def test_reduce_rejects_non_cycles():
     bad = ops.add(ops.unit(cc.rank(1), 0), ops.unit(cc.rank(1), 1))
     with pytest.raises(SolveFailure):
         basis1.reduce(bad)
+
+
+@pytest.mark.parametrize("ring", [al.QQ, al.GF(3), al.GF2], ids=str)
+def test_field_reduce_rejects_entries_beyond_the_ambient_rank(ring):
+    circle = cx.boundary_of_simplex(3)
+    basis = al.homology(al.simplicial_chain_complex(circle, ring), 1)
+    ops = al.vector_ops(ring)
+    # the first three entries form the cycle; index 3 lies outside C_1
+    too_long = ops.from_list([1, -1, 1, 5])
+    for call in (basis.reduce, basis.reduce_with_witness):
+        with pytest.raises(ValueError, match="index 3"):
+            call(too_long)
 
 
 def test_integral_reduce_on_free_homology():

@@ -121,6 +121,14 @@ def test_skeleton_of_simplex():
     assert _betti(one_skel, al.QQ) == {0: 1, 1: 3}
 
 
+def test_skeleton_embeds_identically_into_a_complex_that_carries_ids():
+    X = cx.induced_subcomplex(cx.complex_from_graph(gr.cycle_graph(7)), [1, 2, 3, 4, 5])
+    one_skel = cx.skeleton(X, 1)
+    assert one_skel.original_ids == tuple(range(X.vertex_count))
+    cover = cx.Cover(X, (one_skel,))
+    assert cover.element_simplices(0) == X.simplex_set()
+
+
 def test_flag_complex_of_complete_graph_is_a_simplex():
     assert cx.flag_complex(gr.complete_graph(4)) == cx.standard_simplex(4)
     assert cx.flag_complex(gr.cycle_graph(5)) == cx.complex_from_graph(gr.cycle_graph(5))
