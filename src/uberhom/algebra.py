@@ -1,9 +1,10 @@
 """Exact linear algebra over prime fields, the rationals and the integers.
 
-Provides the arithmetic core used by every other module: dense exact
-matrices, chain complexes with checked differentials, homology with chosen
-representatives, Smith normal form with explicit unimodular transforms,
-induced maps on homology, and mapping cones.
+Provides the arithmetic core used by every other module: chain complexes
+with checked differentials stored as sparse (row, scalar) columns, homology
+with chosen representatives, Smith normal form with explicit unimodular
+transforms, induced maps on homology, and mapping cones.  Dense exact
+matrices are built only at the public edge and for the Smith normal form.
 
 No floating point anywhere.  Scalars are Python ints (integers and prime
 fields) or ``fractions.Fraction`` (rationals).  Over GF(2) the internal
@@ -170,13 +171,12 @@ class Matrix:
         return cls(ring, r, c, rows)
 
     @classmethod
-    def from_columns(cls, ring: CoefficientRing, nrows: int, columns: Sequence[Sequence]) -> "Matrix":
+    def from_sparse(cls, ring: CoefficientRing, nrows: int, columns: Sequence) -> "Matrix":
+        """Matrix whose column j has the (row, scalar) pairs ``columns[j]``, rows distinct."""
         m = cls(ring, nrows, len(columns))
         for j, col in enumerate(columns):
-            if len(col) != nrows:
-                raise ValueError("column of wrong length")
-            for i, x in enumerate(col):
-                m._d[i][j] = _coerce(m.ring, x)
+            for i, x in col:
+                m[i, j] = x
         return m
 
     # access ----------------------------------------------------------------
@@ -548,45 +548,77 @@ def nullspace(ops, columns: Sequence, source_dim: int) -> list:
 # Chain complexes
 
 
+def composite_vanishes(ring: CoefficientRing, *terms) -> bool:
+    """Whether the sum of ``sign * second∘first`` over the terms
+    ``(first, second, sign)`` vanishes over ``ring``.  Maps are lists of
+    (row, scalar) columns; every ``first`` has the same number of columns."""
+    p = ring.p
+    for j in range(len(terms[0][0])):
+        acc: dict[int, object] = {}
+        for first, second, sign in terms:
+            for i, a in first[j]:
+                for r, b in second[i]:
+                    acc[r] = acc.get(r, 0) + sign * a * b
+        if any(x % p if p else x for x in acc.values()):
+            return False
+    return True
+
+
 class ChainComplex:
     """A bounded chain complex of finite free modules.
 
-    Differentials lower degree by one; the composite of consecutive
-    differentials is checked to vanish at construction time.
+    Differentials lower degree by one.  The constructor takes each as a
+    :class:`Matrix` or as a list of columns of (row, scalar) pairs, stores
+    it as columns with distinct rows and nonzero scalars of the ring, and
+    checks that consecutive differentials compose to zero.
     """
 
     def __init__(
         self,
         ring: CoefficientRing,
         ranks: dict[int, int],
-        differentials: dict[int, Matrix],
+        differentials: dict[int, Matrix | Sequence[Sequence[tuple[int, object]]]],
     ):
         self.ring = ring
         self._ranks = {n: r for n, r in ranks.items() if r > 0}
         degs = sorted(self._ranks)
         self.bottom = degs[0] if degs else 0
         self.top = degs[-1] if degs else -1
-        self._diffs: dict[int, Matrix] = {}
+        self._cols: dict[int, tuple[tuple[tuple[int, object], ...], ...]] = {}
         for n, d in differentials.items():
-            if d.ring != ring:
-                raise ValueError("differential over the wrong ring")
-            if d.rows != self.rank(n - 1) or d.cols != self.rank(n):
-                raise ValueError(f"differential at degree {n} has wrong shape")
-            if d.cols > 0 and d.rows > 0:
-                self._diffs[n] = d
-        for n in list(self._diffs):
-            lower = self._diffs.get(n - 1)
-            if lower is not None and not (lower * self._diffs[n]).is_zero():
+            rows, cols = self.rank(n - 1), self.rank(n)
+            if isinstance(d, Matrix):
+                if d.ring != ring:
+                    raise ValueError("differential over the wrong ring")
+                if d.rows != rows or d.cols != cols:
+                    raise ValueError(f"differential at degree {n} has wrong shape")
+                d = [[(i, d[i, j]) for i in range(rows)] for j in range(cols)]
+            elif len(d) != cols:
+                raise ValueError(f"differential at degree {n} has {len(d)} columns, expected {cols}")
+            self._cols[n] = tuple(self._column(n, rows, col) for col in d)
+        for n, cols in self._cols.items():
+            lower = self._cols.get(n - 1)
+            if lower is not None and not composite_vanishes(ring, (cols, lower, 1)):
                 raise ValueError(f"differential does not square to zero at degree {n}")
+
+    def _column(self, n: int, rows: int, col) -> tuple[tuple[int, object], ...]:
+        acc: dict[int, object] = {}
+        for i, x in col:
+            if not 0 <= i < rows:
+                raise ValueError(f"differential at degree {n} has row {i}, expected fewer than {rows}")
+            acc[i] = acc.get(i, 0) + x
+        return tuple((i, c) for i, c in ((i, _coerce(self.ring, x)) for i, x in acc.items()) if c)
 
     def rank(self, n: int) -> int:
         return self._ranks.get(n, 0)
 
+    def columns(self, n: int) -> tuple[tuple[tuple[int, object], ...], ...]:
+        """The degree-n differential as its sparse columns."""
+        return self._cols.get(n) or ((),) * self.rank(n)
+
     def diff(self, n: int) -> Matrix:
-        d = self._diffs.get(n)
-        if d is None:
-            return Matrix.zeros(self.ring, self.rank(n - 1), self.rank(n))
-        return d
+        """The degree-n differential as a dense matrix, built on each call."""
+        return Matrix.from_sparse(self.ring, self.rank(n - 1), self.columns(n))
 
     def degrees(self) -> range:
         if not self._ranks:
@@ -600,7 +632,10 @@ class ChainComplex:
 
 @dataclass
 class ChainMap:
-    """A degree-preserving map of chain complexes, checked to commute."""
+    """A degree-preserving map of chain complexes, checked to commute.
+
+    A degree left out of ``components`` is the zero map; the squares on
+    both sides of every given component are checked."""
 
     source: ChainComplex
     target: ChainComplex
@@ -613,11 +648,9 @@ class ChainMap:
         for n, f in self.components.items():
             if f.rows != self.target.rank(n) or f.cols != self.source.rank(n):
                 raise ValueError(f"component at degree {n} has wrong shape")
-        for n in self.components:
-            f_n = self.component(n)
-            f_prev = self.component(n - 1)
-            left = self.target.diff(n) * f_n
-            right = f_prev * self.source.diff(n)
+        for n in sorted({n + e for n in self.components for e in (0, 1)}):
+            left = self.target.diff(n) * self.component(n)
+            right = self.component(n - 1) * self.source.diff(n)
             if left != right:
                 raise ValueError(f"chain map fails to commute at degree {n}")
 
@@ -639,16 +672,15 @@ def _boundary_complex(
     the boundary of a vertex into the augmentation.
     """
     ranks = {q: len(basis) for q, basis in bases.items() if basis}
-    diffs: dict[int, Matrix] = {}
+    diffs = {}
     for q in ranks:
         if q - 1 not in ranks:
             continue
         index = {s: i for i, s in enumerate(bases[q - 1])}
-        d = Matrix.zeros(ring, ranks[q - 1], ranks[q])
-        for j, simplex in enumerate(bases[q]):
-            for k in range(len(simplex)):
-                d[index[simplex[:k] + simplex[k + 1 :]], j] = -1 if k % 2 else 1
-        diffs[q] = d
+        diffs[q] = [
+            [(index[s[:k] + s[k + 1 :]], -1 if k % 2 else 1) for k in range(len(s))]
+            for s in bases[q]
+        ]
     return ChainComplex(ring, ranks, diffs)
 
 
@@ -719,25 +751,25 @@ class HomologyBasis:
         self.degree = degree
         self.ring = complex_.ring
         self.ambient_rank = complex_.rank(degree)
-        d_here = complex_.diff(degree)
-        d_above = complex_.diff(degree + 1)
         if self.ring.is_field:
-            self._init_field(d_here, d_above)
+            self._init_field(complex_, degree)
             self.presentation = AbelianGroupPresentation(self.dim)
         else:
-            self._init_integral(d_here, d_above)
+            self._init_integral(complex_.diff(degree), complex_.diff(degree + 1))
 
     # field case -------------------------------------------------------------
 
-    def _init_field(self, d_here: Matrix, d_above: Matrix) -> None:
+    def _init_field(self, complex_: ChainComplex, degree: int) -> None:
         ops = vector_ops(self.ring)
         self._ops = ops
         n = self.ambient_rank
-        cycle_cols = [ops.from_list(d_here.column(j)) for j in range(d_here.cols)]
+        below = complex_.rank(degree - 1)
+        cycle_cols = [ops.from_items(below, col) for col in complex_.columns(degree)]
         cycles = nullspace(ops, cycle_cols, n) if n else []
         span = Span(ops, n)
-        for t in range(d_above.cols):
-            span.insert(ops.from_list(d_above.column(t)))
+        above = complex_.columns(degree + 1)
+        for col in above:
+            span.insert(ops.from_items(n, col))
         self.boundary_rank = span.dim
         reps = []
         rep_tags = []
@@ -752,7 +784,7 @@ class HomologyBasis:
         self.representatives = reps
         self.cycle_rank = len(cycles)
         self.dim = len(reps)
-        self._witness_dim = d_above.cols
+        self._witness_dim = len(above)
 
     def reduce(self, cycle) -> list:
         """Coordinates of a cycle in the representative basis (mod boundaries)."""
@@ -791,13 +823,6 @@ class HomologyBasis:
 
     def _init_integral(self, d_here: Matrix, d_above: Matrix) -> None:
         n = self.ambient_rank
-        if n == 0:
-            self.presentation = AbelianGroupPresentation(0)
-            self.representatives = []
-            self.dim = 0
-            self.cycle_rank = 0
-            self.boundary_rank = 0
-            return
         D1, _, V1 = smith_normal_form(d_here)
         r1 = sum(1 for i in range(min(D1.rows, D1.cols)) if D1[i, i] != 0)
         kernel_basis = [V1.column(j) for j in range(r1, n)]  # integral basis of the cycle lattice
@@ -807,7 +832,7 @@ class HomologyBasis:
         # direct summand, so the coordinates are integral)
         self._lattice = _lattice_span(n, kernel_basis)
         rel_cols = [_integer_coords(self._lattice, d_above.column(t)) for t in range(d_above.cols)]
-        M = Matrix.from_columns(ZZ, k, rel_cols) if rel_cols else Matrix.zeros(ZZ, k, 0)
+        M = Matrix.from_sparse(ZZ, k, [enumerate(c) for c in rel_cols])
         D2, U2, _ = smith_normal_form(M)
         divisors = [D2[i, i] for i in range(min(D2.rows, D2.cols)) if D2[i, i] != 0]
         self.boundary_rank = len(divisors)
@@ -879,7 +904,11 @@ def betti_numbers(C: ChainComplex) -> dict[int, int]:
     """Dimensions dim ker - rank of the adjacent differentials (field rings)."""
     if not C.ring.is_field:
         raise ValueError("betti_numbers expects field coefficients")
-    rank_of = {n: matrix_rank(C.diff(n)) for n in C.degrees()}
+    ops = vector_ops(C.ring)
+    rank_of = {
+        n: column_rank(ops, (ops.from_items(C.rank(n - 1), col) for col in C.columns(n)))
+        for n in C.degrees()
+    }
     out = {}
     for n in C.degrees():
         out[n] = C.rank(n) - rank_of.get(n, 0) - rank_of.get(n + 1, 0)
@@ -1004,14 +1033,14 @@ def induced_map_on_homology(f: ChainMap, degree: int) -> Matrix:
                 ((i, c * x) for t, c in ops.items(rep) for i, x in enumerate(comp.column(t))),
             )
             cols.append(dst.reduce(img))
-        return Matrix.from_columns(ring, dst.dim, cols)
+        return Matrix.from_sparse(ring, dst.dim, [enumerate(c) for c in cols])
     if not (src.presentation.is_free and dst.presentation.is_free):
         raise NotImplementedError("integral induced maps require free homology on both sides")
     cols = []
     for rep in src.representatives:
         img = comp.apply(rep)
         cols.append(dst.reduce(img))
-    return Matrix.from_columns(ZZ, dst.presentation.free_rank, cols)
+    return Matrix.from_sparse(ZZ, dst.presentation.free_rank, [enumerate(c) for c in cols])
 
 
 def mapping_cone(f: ChainMap) -> ChainComplex:
@@ -1021,30 +1050,18 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
     the off-diagonal component.
     """
     C, D = f.source, f.target
-    ring = C.ring
     lo = min(C.bottom + 1, D.bottom)
     hi = max(C.top + 1, D.top)
     ranks = {n: D.rank(n) + C.rank(n - 1) for n in range(lo, hi + 1)}
-    diffs: dict[int, Matrix] = {}
+    diffs = {}
     for n in range(lo, hi + 1):
-        rows = ranks.get(n - 1, 0)
-        cols = ranks.get(n, 0)
-        if rows == 0 or cols == 0:
-            continue
-        dD = D.diff(n)
-        dC = C.diff(n - 1)
         fc = f.component(n - 1)
-        blk = Matrix.zeros(ring, rows, cols)
-        for i in range(dD.rows):
-            for j in range(dD.cols):
-                blk[i, j] = dD[i, j]
-        for i in range(fc.rows):
-            for j in range(fc.cols):
-                blk[i, dD.cols + j] = _coerce(ring, -fc[i, j])
+        shift = D.rank(n - 1)
+        cols = list(D.columns(n))
         # the shifted copy of the source carries a negated differential so
         # that the square vanishes in every characteristic, not just 2
-        for i in range(dC.rows):
-            for j in range(dC.cols):
-                blk[dD.rows + i, dD.cols + j] = _coerce(ring, -dC[i, j])
-        diffs[n] = blk
-    return ChainComplex(ring, ranks, diffs)
+        for j, col in enumerate(C.columns(n - 1)):
+            top = [(i, -x) for i, x in enumerate(fc.column(j)) if x]
+            cols.append(top + [(shift + i, -x) for i, x in col])
+        diffs[n] = cols
+    return ChainComplex(C.ring, ranks, diffs)

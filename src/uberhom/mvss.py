@@ -192,25 +192,15 @@ class DoubleComplex:
         Composes the sparse columns directly and raises ``ValueError``
         naming the identity and the bidegree where one fails.
         """
-        ops = vector_ops(self.ring)
-
-        def composite(first, second, sign=1):
-            # the columns of second∘first, as (row, coefficient) pairs
-            return [[(r, sign * a * b) for i, a in col for r, b in second[i]] for col in first]
-
         for (p, q) in self.cells():
             dv, dh = self.dv_sparse(p, q), self.dh_sparse(p, q)
-            commutator = zip(
-                composite(dv, self.dh_sparse(p, q - 1)),
-                composite(dh, self.dv_sparse(p - 1, q), sign=-1),
-            )
             identities = (
-                ("d_v∘d_v = 0", self.cell_dim(p, q - 2), composite(dv, self.dv_sparse(p, q - 1))),
-                ("d_h∘d_h = 0", self.cell_dim(p - 2, q), composite(dh, self.dh_sparse(p - 1, q))),
-                ("d_h∘d_v = d_v∘d_h", self.cell_dim(p - 1, q - 1), [u + v for u, v in commutator]),
+                ("d_v∘d_v = 0", [(dv, self.dv_sparse(p, q - 1), 1)]),
+                ("d_h∘d_h = 0", [(dh, self.dh_sparse(p - 1, q), 1)]),
+                ("d_h∘d_v = d_v∘d_h", [(dv, self.dh_sparse(p, q - 1), 1), (dh, self.dv_sparse(p - 1, q), -1)]),
             )
-            for name, size, cols in identities:
-                if not all(ops.is_zero(ops.from_items(size, col)) for col in cols):
+            for name, terms in identities:
+                if not algebra.composite_vanishes(self.ring, *terms):
                     raise ValueError(f"{name} fails at bidegree {(p, q)}")
 
 
@@ -379,24 +369,24 @@ class SpectralSequence:
                 if t_dim == 0:
                     if not ops.is_zero(img):
                         raise LiftFailure(f"differential escapes the complex at {cell}")
-                    cols.append([ops.sc_zero] * n_target_classes)
+                    cols.append([])
                     gen_combos.append({})
                     continue
                 span, gens = get_solver(target)
                 combo = span.solve(img)
                 if combo is None:
                     raise LiftFailure(f"page-{r} image fails to reduce at {target}")
-                coords = [ops.sc_zero] * n_target_classes
+                coords = []
                 gcombo: dict[int, object] = {}
                 for tag, c in combo.items():
                     if tag < len(gens):
                         gcombo[tag] = c
                     else:
-                        coords[tag - len(gens)] = c
+                        coords.append((tag - len(gens), c))
                 cols.append(coords)
                 gen_combos.append(gcombo)
             dr_data[cell] = (cols, gen_combos, images)
-            page.differentials[cell] = Matrix.from_columns(self.ring, n_target_classes, cols)
+            page.differentials[cell] = Matrix.from_sparse(self.ring, n_target_classes, cols)
 
         # pass 2: grow the dead subspaces by the fresh images
         new_boundary = {cell: list(gens) for cell, gens in self._boundary.items()}
@@ -420,7 +410,7 @@ class SpectralSequence:
             p, q = cell
             target = (p - r, q + r - 1)
             cols, gen_combos, _ = dr_data[cell]
-            kernel = nullspace(ops, [ops.from_list(c) for c in cols], len(xs))
+            kernel = nullspace(ops, [ops.from_items(n_target_classes, c) for c in cols], len(xs))
             target_gens = self._boundary.get(target, [])
             candidates = []
             for a in kernel:

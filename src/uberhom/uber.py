@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from . import algebra, complexes, graphs
+from . import algebra, graphs
 from .algebra import (
     AbelianGroupPresentation,
     ChainComplex,
@@ -34,7 +34,6 @@ from .algebra import (
     QQ,
     ZZ,
     column_rank,
-    matrix_rank,
     smith_normal_form,
     vector_ops,
 )
@@ -167,6 +166,8 @@ class HorizontalHomology:
     def __init__(self, X: SimplicialComplex, colouring: Sequence[int]):
         if len(colouring) != X.vertex_count:
             raise ValueError("colouring length must match the vertex count")
+        if any(c not in (0, 1) for c in colouring):
+            raise ValueError(f"colouring entries must be 0 or 1, got {tuple(colouring)}")
         self.X = X
         self.colouring = tuple(colouring)
         buckets: dict[tuple[int, int], list[Simplex]] = {}
@@ -193,19 +194,15 @@ class HorizontalHomology:
 
     def _build(self, k: int) -> ChainComplex:
         ranks = {i: len(self.basis(i, k)) for i in self.X.dims() if self.basis(i, k)}
-        diffs: dict[int, Matrix] = {}
-        for i in sorted(ranks):
+        diffs = {}
+        for i in ranks:
             if i - 1 not in ranks:
                 continue
-            src = self.basis(i, k)
             dst_index = {s: r for r, s in enumerate(self.basis(i - 1, k))}
-            d = Matrix.zeros(GF2, len(dst_index), len(src))
-            for c, s in enumerate(src):
-                for pos, v in enumerate(s):
-                    if self.colouring[v] == 1:
-                        face = s[:pos] + s[pos + 1 :]
-                        d[dst_index[face], c] = 1
-            diffs[i] = d
+            diffs[i] = [
+                [(dst_index[s[:pos] + s[pos + 1 :]], 1) for pos, v in enumerate(s) if self.colouring[v] == 1]
+                for s in self.basis(i, k)
+            ]
         return ChainComplex(GF2, ranks, diffs)
 
     def homology(self, i: int, k: int) -> HomologyBasis:
@@ -252,31 +249,27 @@ class UberComplex:
         self._nodes = [HorizontalHomology(X, _to_tuple(mask, m)) for mask in range(1 << m)]
         self._levels = _cube_levels(m)
         self._pairs = sorted({key for node in self._nodes for key in node._buckets})
-        self._mats: dict[tuple[int, int, int], Matrix] = {}
 
     def level_dim(self, j: int, i: int, k: int) -> int:
         return sum(self._nodes[mask].homology(i, k).dim for mask in self._levels[j])
 
     def differential(self, j: int, i: int, k: int) -> Matrix:
         """The level-j map of the (i, k) cochain complex."""
-        key = (j, i, k)
-        mat = self._mats.get(key)
-        if mat is not None:
-            return mat
-        src_nodes = self._levels[j]
-        dst_nodes = self._levels[j + 1] if j + 1 <= self.m else []
-
-        def node_dim(mask: int) -> int:
-            return self._nodes[mask].homology(i, k).dim
-
-        src_off, n_src = _level_offsets(src_nodes, node_dim)
-        dst_off, n_dst = _level_offsets(dst_nodes, node_dim)
-        mat = Matrix.zeros(GF2, n_dst, n_src)
+        rows = self.level_dim(j + 1, i, k) if j < self.m else 0
         ops = vector_ops(GF2)
-        for mask in src_nodes:
+        return Matrix.from_sparse(GF2, rows, [list(ops.items(c)) for c in self._columns(j, i, k)])
+
+    def _columns(self, j: int, i: int, k: int) -> list[int]:
+        """The level-j map of the (i, k) cochain complex as bitset columns."""
+        dst_nodes = self._levels[j + 1] if j < self.m else []
+        dst_off, n_dst = _level_offsets(dst_nodes, lambda mask: self._nodes[mask].homology(i, k).dim)
+        ops = vector_ops(GF2)
+        cols = []
+        for mask in self._levels[j]:
             src_h = self._nodes[mask].homology(i, k)
             if src_h.dim == 0:
                 continue
+            node_cols = [ops.zero(0)] * src_h.dim
             src_basis = self._nodes[mask].basis(i, k)
             for v in range(self.m):
                 if mask >> v & 1:
@@ -292,17 +285,17 @@ class UberComplex:
                         len(dst_basis), ((dst_basis[s], 1) for s in simplices if v not in s)
                     )
                     coords = dst_h.reduce(image)
-                    for r, val in enumerate(coords):
-                        if val:
-                            mat[dst_off[up] + r, src_off[mask] + c] = 1
-        self._mats[key] = mat
-        return mat
+                    block = ops.from_items(n_dst, ((dst_off[up] + r, val) for r, val in enumerate(coords)))
+                    node_cols[c] = ops.add(node_cols[c], block)
+            cols.extend(node_cols)
+        return cols
 
     def homology_dims(self) -> dict[tuple[int, int, int], int]:
         """Nonzero poset homology dimensions keyed by (level, weight, dimension)."""
+        ops = vector_ops(GF2)
         out: dict[tuple[int, int, int], int] = {}
         for (i, k) in self._pairs:
-            ranks = {j: matrix_rank(self.differential(j, i, k)) for j in range(self.m + 1)}
+            ranks = {j: column_rank(ops, self._columns(j, i, k)) for j in range(self.m + 1)}
             level_dims = [self.level_dim(j, i, k) for j in range(self.m + 1)]
             for j, h in enumerate(_cube_homology(level_dims, ranks)):
                 if h:
@@ -328,12 +321,22 @@ class _CubeNode:
 
     __slots__ = ("homology", "ambient_index")
 
-    def __init__(self, sub: SimplicialComplex, cc: ChainComplex, degree: int):
+    def __init__(self, basis: Sequence[Simplex], cc: ChainComplex, degree: int):
         self.homology = HomologyBasis(cc, degree)
-        ids = sub.original_ids or ()
-        self.ambient_index = {}
-        for r, s in enumerate(sub.simplices_of_dim(degree)):
-            self.ambient_index[tuple(ids[v] for v in s)] = r
+        self.ambient_index = {s: r for r, s in enumerate(basis)}
+
+
+def _cube_node_bases(X: SimplicialComplex) -> list[dict[int, tuple[Simplex, ...]]]:
+    """For each colouring mask, X's simplices on its 1-coloured vertices by
+    dimension, in X's ids and order: the induced subcomplex without its
+    renumbering, which is monotone and so would keep the same order."""
+    with_bits = [
+        (q, [(s, sum(1 << v for v in s)) for s in X.simplices_of_dim(q)]) for q in X.dims()
+    ]
+    return [
+        {q: tuple(s for s, bits in simplices if not bits & ~mask) for q, simplices in with_bits}
+        for mask in range(1 << X.vertex_count)
+    ]
 
 
 def _cube_edge_matrix(src: _CubeNode, dst: _CubeNode, ring: CoefficientRing):
@@ -367,14 +370,11 @@ def zero_degree_uber_table(
     max_degree = X.max_dim if not X.is_empty else -1
     ops = vector_ops(ring)
     levels = _cube_levels(m)
-    subs = [
-        complexes.induced_subcomplex(X, [v for v in range(m) if mask >> v & 1])
-        for mask in range(1 << m)
-    ]
-    chains = [algebra.simplicial_chain_complex(sub, ring) for sub in subs]
+    bases = _cube_node_bases(X)
+    chains = [algebra._boundary_complex(ring, b) for b in bases]
     out: dict[tuple[int, int], int] = {}
     for degree in range(max_degree + 1):
-        nodes = [_CubeNode(sub, cc, degree) for sub, cc in zip(subs, chains)]
+        nodes = [_CubeNode(b.get(degree, ()), cc, degree) for b, cc in zip(bases, chains)]
         dims = [node.homology.dim for node in nodes]
         ranks = {}
         for j in range(m):
@@ -389,13 +389,10 @@ def zero_degree_uber_table(
                     if mask >> v & 1:
                         continue
                     up = mask | 1 << v
-                    block = _cube_edge_matrix(src_node, nodes[up], ring)
                     sgn = signs(mask, v)
-                    for c in range(dims[mask]):
-                        for r, val in enumerate(block[c]):
-                            if val != ops.sc_zero:
-                                scaled = val if sgn == 1 else ops.sc_neg(val)
-                                entries[c].append((dst_off[up] + r, scaled))
+                    # from_items drops the zero coordinates and normalises the signs
+                    for c, coords in enumerate(_cube_edge_matrix(src_node, nodes[up], ring)):
+                        entries[c].extend((dst_off[up] + r, sgn * val) for r, val in enumerate(coords))
                 for c in range(dims[mask]):
                     columns.append(ops.from_items(total, entries[c]))
             ranks[j] = column_rank(ops, columns)
@@ -453,35 +450,27 @@ def bold_homology(
     check_vertex_guard(m, max_vertices)
     levels = _cube_levels(m)
     comps = {mask: _components_by_mask(G.adjacency, mask) for mask in range(1 << m)}
-
-    def comp_count(mask: int) -> int:
-        return len(comps[mask])
-
-    mats: dict[int, Matrix] = {}
-    for j in range(m):
-        src_masks, dst_masks = levels[j], levels[j + 1]
-        src_off, n_src = _level_offsets(src_masks, comp_count)
-        dst_off, n_dst = _level_offsets(dst_masks, comp_count)
-        d = Matrix.zeros(ring, n_dst, n_src)
-        for mask in src_masks:
-            for v in range(m):
-                if mask >> v & 1:
-                    continue
-                up = mask | 1 << v
-                sgn = signs(mask, v)
-                up_comps = comps[up]
-                for c, comp in enumerate(comps[mask]):
-                    anchor = comp & -comp
-                    r = next(t for t, uc in enumerate(up_comps) if uc & anchor)
-                    d[dst_off[up] + r, src_off[mask] + c] += sgn
-        mats[j] = d
     ranks: dict[int, int] = {}
     torsion: dict[int, tuple[int, ...]] = {}
-    for j, d in mats.items():
+    for j in range(m):
+        dst_off, n_dst = _level_offsets(levels[j + 1], lambda mask: len(comps[mask]))
+        cols = []
+        for mask in levels[j]:
+            for comp in comps[mask]:
+                anchor = comp & -comp
+                col = []
+                for v in range(m):
+                    if mask >> v & 1:
+                        continue
+                    up = mask | 1 << v
+                    r = next(t for t, uc in enumerate(comps[up]) if uc & anchor)
+                    col.append((dst_off[up] + r, signs(mask, v)))
+                cols.append(col)
         if ring.is_field:
-            ranks[j] = matrix_rank(d)
+            ops = vector_ops(ring)
+            ranks[j] = column_rank(ops, (ops.from_items(n_dst, col) for col in cols))
         else:
-            D, _, _ = smith_normal_form(d)
+            D, _, _ = smith_normal_form(Matrix.from_sparse(ring, n_dst, cols))
             diag = [D[t, t] for t in range(min(D.rows, D.cols)) if D[t, t] != 0]
             ranks[j] = len(diag)
             torsion[j + 1] = tuple(t for t in diag if abs(t) > 1)

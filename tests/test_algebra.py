@@ -250,6 +250,34 @@ def test_chain_complex_rejects_bad_shapes():
         al.ChainComplex(al.ZZ, {0: 2, 1: 1}, {1: al.Matrix.zeros(al.ZZ, 3, 1)})
 
 
+@pytest.mark.parametrize(
+    "differentials, message",
+    [
+        ({1: [[(0, 1)]]}, "1 columns, expected 2"),
+        ({1: [[(0, 1)], [(2, 1)]]}, "row 2, expected fewer than 2"),
+        ({1: [[(0, 1)], [(1, 1)]], 2: [[(0, 1)]]}, "does not square to zero at degree 2"),
+    ],
+    ids=["column-count", "row-range", "square"],
+)
+def test_column_form_chain_complex_rejects_malformed_differentials(differentials, message):
+    with pytest.raises(ValueError, match=message):
+        al.ChainComplex(al.QQ, {0: 2, 1: 2, 2: 1}, differentials)
+
+
+def test_boundary_columns_match_the_simplex_lists(corpus_complex):
+    X = corpus_complex
+    for ring in (al.ZZ, al.QQ, al.GF2, al.GF(3)):
+        cc = al.simplicial_chain_complex(X, ring)
+        assert cc.diff(0).to_lists() == []
+        for n in range(1, X.max_dim + 2):
+            expected = [[al._coerce(ring, x) for x in row] for row in oracles.boundary_rows(X, n)]
+            d = cc.diff(n)
+            assert (d.rows, d.cols) == (cc.rank(n - 1), cc.rank(n))
+            assert d.to_lists() == expected
+        augmentation = al.simplicial_chain_complex(X, ring, reduced=True).diff(0)
+        assert augmentation.to_lists() == [[al._coerce(ring, 1)] * cc.rank(0)]
+
+
 def test_field_homology_matches_oracle_on_corpus(corpus_complex):
     X = corpus_complex
     for ring in (al.QQ, al.GF2, al.GF(3)):
@@ -426,6 +454,15 @@ def test_chain_map_must_commute():
         al.ChainMap(
             c, d, {0: al.Matrix.from_rows(ring, [[1]]), 1: al.Matrix.from_rows(ring, [[1]])}
         )
+
+
+def test_chain_map_checks_the_square_next_to_an_omitted_component():
+    ring = al.QQ
+    interval = al.simplicial_chain_complex(cx.standard_simplex(2), ring)
+    two_points = al.simplicial_chain_complex(cx.boundary_of_simplex(2), ring)
+    # f_1 is omitted, so it is zero, but f_0 ∘ d_1 is not
+    with pytest.raises(ValueError, match="degree 1"):
+        al.ChainMap(interval, two_points, {0: al.Matrix.identity(ring, 2)})
 
 
 def test_induced_map_kills_the_coned_loop():

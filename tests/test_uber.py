@@ -5,11 +5,11 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import capped_square_complex, glued_triangles
+from conftest import PROJECTIVE_PLANE_FACETS, capped_square_complex, glued_triangles
 from uberhom import algebra as al
 from uberhom import complexes as cx
 from uberhom import graphs as gr
-from uberhom import uber
+from uberhom import mvss, uber
 from uberhom.errors import SizeGuardExceeded
 
 
@@ -81,6 +81,24 @@ def test_horizontal_complex_splits_by_weight():
                 1 for s in X.simplices_of_dim(n) if uber.weight(s, colouring) == k
             )
             assert C.rank(n) == expected
+
+
+@pytest.mark.parametrize("colouring", [(2, 0, 1), (0, -1, 1), (1, 1, 3)])
+def test_horizontal_homology_rejects_colourings_that_are_not_zero_one(colouring):
+    with pytest.raises(ValueError, match="0 or 1"):
+        uber.horizontal_homology(cx.boundary_of_simplex(3), colouring)
+
+
+def test_cube_nodes_are_the_induced_subcomplexes(corpus_complex):
+    X = corpus_complex
+    for ring in (al.ZZ, al.QQ, al.GF2, al.GF(3)):
+        for mask, bases in enumerate(uber._cube_node_bases(X)):
+            node = al._boundary_complex(ring, bases)
+            sub = cx.induced_subcomplex(X, [v for v in range(X.vertex_count) if mask >> v & 1])
+            ref = al.simplicial_chain_complex(sub, ring)
+            assert [node.rank(n) for n in X.dims()] == [ref.rank(n) for n in X.dims()]
+            for n in range(1, X.max_dim + 1):
+                assert node.diff(n) == ref.diff(n)
 
 
 def test_horizontal_dims_match_per_weight_homology():
@@ -242,3 +260,25 @@ def test_bold_torsion_is_reported_as_a_tuple(corpus_graph):
     for p in uber.bold_homology(corpus_graph).values():
         assert isinstance(p.torsion, tuple)
         assert all(t > 1 for t in p.torsion)
+
+
+def test_pipelines_build_no_dense_product(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense product or induced subcomplex built")
+
+    X = capped_square_complex()
+    with monkeypatch.context() as patch:
+        patch.setattr(cx, "induced_subcomplex", refuse)
+        for ring in (al.GF2, al.QQ, al.GF(3)):
+            assert uber.zero_degree_uber_table(X, ring)
+    monkeypatch.setattr(al.Matrix, "__mul__", refuse)
+    assert uber.uberhomology(X)
+    for ring in (al.GF2, al.QQ, al.GF(3)):
+        assert uber.zero_degree_uber_table(X, ring)
+    assert mvss.run_to_convergence(mvss.double_complex(X, ring=al.QQ)).infinity().dims == {}
+    assert mvss.verify_identification(X, al.QQ).ok
+    for ring in (al.QQ, al.ZZ):
+        assert uber.bold_homology(gr.grid_graph(3, 2), ring)
+    rp2 = al.simplicial_chain_complex(cx.build_complex(6, PROJECTIVE_PLANE_FACETS), al.ZZ)
+    assert al.homology_table(rp2)[1].presentation.torsion == (2,)
+    assert al.betti_numbers(al.simplicial_chain_complex(X, al.QQ)) == {0: 1, 1: 0, 2: 0}
