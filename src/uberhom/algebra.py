@@ -451,6 +451,11 @@ class Span:
     *independent* generators.  Pivoting is deterministic: each new
     independent vector is reduced against the existing pivots in insertion
     order and its lowest nonzero coordinate becomes the pivot.
+
+    ``copy()`` gives an independent span with the same pivots and tag
+    counter: it shares the pivot entries (never mutated after insertion),
+    so inserting into either one leaves the other unchanged, and the
+    copy's tags continue from the original's ``inserted``.
     """
 
     def __init__(self, ops, n: int):
@@ -466,6 +471,12 @@ class Span:
     @property
     def inserted(self) -> int:
         return self._count
+
+    def copy(self) -> "Span":
+        other = Span(self.ops, self.n)
+        other._pivots = list(self._pivots)
+        other._count = self._count
+        return other
 
     def _reduce(self, v):
         """Return (w, mu) with w = v - sum(mu[g] * generator_g)."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator, Sequence
 
 from . import algebra
-from .errors import NotConnectedError, StandardSimplexError, check_vertex_guard
+from .errors import NotConnectedError, StandardSimplexError, check_simplex_guard, check_vertex_guard
 
 Simplex = tuple[int, ...]
 
@@ -556,7 +556,12 @@ def complex_from_json(text: str) -> SimplicialComplex:
     doc = json.loads(text)
     if not isinstance(doc, dict) or "vertex_count" not in doc or "facets" not in doc:
         raise ValueError("complex JSON needs 'vertex_count' and 'facets'")
-    X = build_complex(int(doc["vertex_count"]), doc["facets"])
+    vertex_count = int(doc["vertex_count"])
+    facets = [_normalise_simplex(f) for f in doc["facets"]]
+    # a bound on the closure, checked before it is enumerated; capping the
+    # exponent keeps the number printable and the verdict unchanged
+    check_simplex_guard(vertex_count + sum(2 ** min(len(s), 64) - 1 for s in facets))
+    X = build_complex(vertex_count, facets)
     labels = doc.get("labels")
     if labels is not None:
         if len(labels) != X.vertex_count:

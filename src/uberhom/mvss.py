@@ -12,10 +12,11 @@ complex.
 Pages are computed over a field by a zig-zag lifting scheme: a page-r
 class at (p, q) is carried as a staircase of components in columns
 p .. p-r+1 whose total differential vanishes except at the bottom, where
-it computes d^r.  Quotient bookkeeping tracks, for each bidegree, a
-spanning set of "already dead" leading terms together with witnesses that
-let kernel elements be corrected into one-deeper staircases when the page
-turns.
+it computes d^r.  Each bidegree keeps one persistent span of "already
+dead" leading terms, each reduced once (page one's vertical boundaries,
+whose dependencies are the cycles one row up, then every page's fresh
+images), with witnesses that let kernel elements be corrected into
+one-deeper staircases when the page turns.
 """
 from __future__ import annotations
 
@@ -26,7 +27,6 @@ from typing import Iterable, Sequence
 from . import algebra, complexes, uber
 from .algebra import (
     CoefficientRing,
-    HomologyBasis,
     Matrix,
     QQ,
     Span,
@@ -249,18 +249,22 @@ class Page:
 class _Gen:
     """A spanning vector of the 'already dead' subspace at a bidegree.
 
-    Vertical generators remember the chain one row up whose vertical
-    boundary they are; horizontal generators remember the full staircase
-    of the class whose page differential produced them.
+    The vector itself lives in the bidegree's dead span under the
+    generator's tag.  Vertical generators remember the chain one row up
+    whose vertical boundary they are; horizontal generators remember the
+    full staircase of the class whose page differential produced them.
     """
 
-    vector: object
     kind: str  # "v" | "h"
     witness: object
 
 
 class SpectralSequence:
-    """Driver that turns pages of a double complex over a field."""
+    """Driver that turns pages of a double complex over a field.
+
+    Dead subspaces are persistent per-cell spans: tag g of ``_dead[cell]``
+    is generator g of ``_boundary[cell]``; solves and filters use copies.
+    """
 
     def __init__(self, dc: DoubleComplex):
         self.dc = dc
@@ -270,6 +274,7 @@ class SpectralSequence:
         self._pages: dict[int, Page] = {}
         self._classes: dict[tuple[int, int], list[dict[int, object]]] = {}
         self._boundary: dict[tuple[int, int], list[_Gen]] = {}
+        self._dead: dict[tuple[int, int], Span] = {}
         self._r = 0
 
     def _apply_dh(self, p: int, q: int, vec):
@@ -286,33 +291,28 @@ class SpectralSequence:
     def _first_page(self) -> Page:
         dc = self.dc
         ops = self.ops
+        # cells() climbs each column, so the span of (p, q - 1) has already
+        # found the cycles of (p, q); d_v is block-diagonal over the nerve
+        # simplices, so one span per cell gives the per-block classes in order
+        cycles: dict[tuple[int, int], list] = {}
         for cell in dc.cells():
             p, q = cell
-            gens: list[_Gen] = []
-            up = dc.cell_dim(p, q + 1)
-            if up:
-                cols = dc.dv_sparse(p, q + 1)
-                size = dc.cell_dim(p, q)
-                for t in range(up):
-                    vec = ops.from_items(size, cols[t])
-                    gens.append(_Gen(vec, "v", ops.unit(up, t)))
-            self._boundary[cell] = gens
-            self._classes[cell] = []
-        for p in range(dc.p_min, dc.p_max + 1):
-            for J in dc.column(p):
-                # block order must stay dc._blocks[J][q]: the cell offsets
-                # and dv_sparse index the same order
-                cc = algebra._boundary_complex(self.ring, dc._blocks[J])
-                for q in cc.degrees():
-                    hb = HomologyBasis(cc, q)
-                    if hb.dim == 0:
-                        continue
-                    cell = (p, q)
-                    csize = dc.cell_dim(p, q)
-                    offset = dc._cell(p, q)["offsets"][J]
-                    for rep in hb.representatives:
-                        vec = ops.from_items(csize, ((offset + i, c) for i, c in ops.items(rep)))
-                        self._classes[cell].append({p: vec})
+            if not algebra.composite_vanishes(self.ring, (dc.dv_sparse(p, q), dc.dv_sparse(p, q - 1), 1)):
+                raise ValueError(f"d_v∘d_v = 0 fails at bidegree {cell}")
+            size, up = dc.cell_dim(p, q), dc.cell_dim(p, q + 1)
+            span = Span(ops, size)
+            ups: list = []
+            for t, col in enumerate(dc.dv_sparse(p, q + 1)):
+                is_new, combo = span.insert(ops.from_items(size, col))
+                if not is_new:
+                    # a dependency among boundaries is a cycle one row up
+                    ups.append(ops.from_items(up, [(t, 1), *((g, -a) for g, a in combo.items())]))
+            cycles[(p, q + 1)] = ups
+            self._dead[cell] = span
+            self._boundary[cell] = [_Gen("v", ops.unit(up, t)) for t in range(up)]
+            homology = span.copy()
+            zs = cycles.pop(cell) if q else [ops.unit(size, t) for t in range(size)]
+            self._classes[cell] = [{p: z} for z in zs if homology.insert(z)[0]]
         dims = {cell: len(xs) for cell, xs in self._classes.items() if xs}
         page = Page(1, dims)
         self._pages[1] = page
@@ -334,10 +334,8 @@ class SpectralSequence:
             got = solvers.get(cell)
             if got is not None:
                 return got
-            span = Span(ops, dc.cell_dim(*cell))
-            gens = self._boundary.get(cell, [])
-            for g in gens:
-                span.insert(g.vector)
+            span = self._dead[cell].copy()
+            gens = self._boundary[cell]
             for x in self._classes.get(cell, []):
                 is_new, _ = span.insert(x[cell[0]])
                 if not is_new:
@@ -388,15 +386,16 @@ class SpectralSequence:
             dr_data[cell] = (cols, gen_combos, images)
             page.differentials[cell] = Matrix.from_sparse(self.ring, n_target_classes, cols)
 
-        # pass 2: grow the dead subspaces by the fresh images
-        new_boundary = {cell: list(gens) for cell, gens in self._boundary.items()}
+        # pass 2: grow the dead subspaces by the fresh images; generators are
+        # only appended, so the tags solved against in pass 1 keep naming them
         for cell, (cols, gen_combos, images) in dr_data.items():
             p, q = cell
             target = (p - r, q + r - 1)
             if dc.cell_dim(*target) == 0:
                 continue
             for x, img in zip(self._classes[cell], images):
-                new_boundary[target].append(_Gen(img, "h", x))
+                self._boundary[target].append(_Gen("h", x))
+                self._dead[target].insert(img)
 
         # pass 3: kernels become next-page classes, corrected one column deeper
         new_classes: dict[tuple[int, int], list[dict[int, object]]] = {
@@ -443,9 +442,7 @@ class SpectralSequence:
                     sign = ops.sc_one if (p - r) % 2 == 0 else minus_one
                     comps[p - r] = ops.scale(ops.sc_neg(sign), w_tot)
                 candidates.append(comps)
-            flt = Span(ops, dc.cell_dim(p, q))
-            for g in new_boundary.get(cell, []):
-                flt.insert(g.vector)
+            flt = self._dead[cell].copy()
             for comps in candidates:
                 lead = comps.get(p)
                 if lead is None or ops.is_zero(lead):
@@ -455,7 +452,6 @@ class SpectralSequence:
                     new_classes[cell].append(comps)
 
         self._classes = new_classes
-        self._boundary = new_boundary
         dims = {cell: len(xs) for cell, xs in new_classes.items() if xs}
         nxt = Page(r + 1, dims)
         self._pages[r + 1] = nxt

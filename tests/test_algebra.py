@@ -73,6 +73,38 @@ def test_span_combos_reconstruct_vectors(rows):
             assert acc == vec
 
 
+@pytest.mark.parametrize("ring", [al.QQ, al.GF(3), al.GF2], ids=str)
+def test_span_copy_leaves_the_original_alone_and_continues_its_tags(ring):
+    ops = al.vector_ops(ring)
+    base = [ops.from_list(xs) for xs in ([1, 1, 0, 0], [0, 1, 1, 0], [1, 2, 1, 0])]
+    span = al.Span(ops, 4)
+    assert [span.insert(v)[0] for v in base] == [True, True, False]
+    probes = [ops.from_list(xs) for xs in ([1, 1, 0, 0], [2, 3, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1])]
+    before = [span.solve(v) for v in probes]
+    assert before[2] is None
+
+    copy = span.copy()
+    assert (copy.dim, copy.inserted) == (span.dim, span.inserted) == (2, 3)
+    extra = [ops.from_list(xs) for xs in ([0, 0, 1, 1], [1, 1, 1, 1], [0, -1, -1, 0])]
+    assert copy.insert(extra[0]) == (True, None)
+    gens = base + extra[:1]
+    for v, tags in ((extra[1], {0, 3}), (extra[2], {1})):
+        is_new, combo = copy.insert(v)
+        assert not is_new and set(combo) == tags
+        acc = ops.zero(4)
+        for tag, c in combo.items():
+            acc = ops.add(acc, ops.scale(c, gens[tag]))
+        assert acc == v
+    assert (copy.dim, copy.inserted) == (3, 6)
+    assert set(copy.solve(probes[2])) == {3}
+
+    assert (span.dim, span.inserted) == (2, 3)
+    assert [span.solve(v) for v in probes] == before
+    # inserting into the original leaves the copy alone too
+    assert span.insert(probes[3]) == (True, None)
+    assert copy.solve(probes[3]) is None and copy.inserted == 6
+
+
 @given(
     st.lists(
         st.lists(st.integers(-4, 4), min_size=3, max_size=3),

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from uberhom import cli, graphs, uber
+from uberhom import cli, complexes, graphs, uber
 
 
 CIRCLE = {"vertex_count": 3, "facets": [[0, 1], [0, 2], [1, 2]]}
@@ -242,6 +242,23 @@ def test_malformed_json_is_an_input_error(capsys, tmp_path):
     path.write_text("{not json")
     code, _, err = run(capsys, ["homology", str(path)])
     assert code == cli.EXIT_INPUT
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"vertex_count": 30, "facets": [list(range(30))]}, {"vertex_count": 10**9, "facets": []}],
+    ids=["big-facet", "many-vertices"],
+)
+def test_oversized_json_complex_exits_on_the_guard(capsys, monkeypatch, tmp_path, doc):
+    def refuse(*args):
+        raise AssertionError("the closure was enumerated")
+
+    monkeypatch.setattr(complexes, "build_complex", refuse)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["homology", str(path)])
+    assert code == cli.EXIT_GUARD
+    assert out == "" and "simplices exceeds the guard" in err
 
 
 def test_unknown_coefficients_are_rejected_by_the_parser(capsys, circle_path):

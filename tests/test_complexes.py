@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,7 @@ import oracles
 from uberhom import algebra as al
 from uberhom import complexes as cx
 from uberhom import graphs as gr
-from uberhom.errors import StandardSimplexError
+from uberhom.errors import MAX_SIMPLICES, SizeGuardExceeded, StandardSimplexError, check_simplex_guard
 
 
 def _betti(X, ring=al.QQ, reduced=False):
@@ -53,6 +54,29 @@ def test_build_complex_rejects_bad_input():
 def test_json_round_trip(corpus_complex):
     X = corpus_complex
     assert cx.complex_from_json(cx.complex_to_json(X)) == X
+
+
+# one 30-vertex facet closes to 2^30 - 1 faces; 10^9 vertices to 10^9 singletons
+OVERSIZED_COMPLEX_DOCUMENTS = (
+    {"vertex_count": 30, "facets": [list(range(30))]},
+    {"vertex_count": 10**9, "facets": []},
+)
+
+
+@pytest.mark.parametrize("doc", OVERSIZED_COMPLEX_DOCUMENTS, ids=["big-facet", "many-vertices"])
+def test_json_complex_is_guarded_before_its_closure_is_built(monkeypatch, doc):
+    def refuse(*args):
+        raise AssertionError("the closure was enumerated")
+
+    monkeypatch.setattr(cx, "build_complex", refuse)
+    with pytest.raises(SizeGuardExceeded, match="simplices exceeds the guard"):
+        cx.complex_from_json(json.dumps(doc))
+
+
+def test_simplex_guard_allows_exactly_its_limit():
+    check_simplex_guard(MAX_SIMPLICES)
+    with pytest.raises(SizeGuardExceeded):
+        check_simplex_guard(MAX_SIMPLICES + 1)
 
 
 @given(st.integers(3, 6), st.integers(0, 30), st.data())

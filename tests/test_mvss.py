@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -62,6 +63,25 @@ def test_validate_raises_on_a_corrupted_differential(monkeypatch, name):
     monkeypatch.setattr(dc, name, corrupted)
     with pytest.raises(ValueError, match="fails at bidegree"):
         dc.validate()
+
+
+def test_first_page_checks_that_the_vertical_differential_squares_to_zero(monkeypatch):
+    dc = mvss.double_complex(cx.boundary_of_simplex(4), ring=al.QQ)
+    original = dc.dv_sparse
+
+    def corrupted(p, q):
+        # double the first entry of the first nonzero column
+        cols = [list(col) for col in original(p, q)]
+        for col in cols:
+            if col:
+                row, c = col[0]
+                col[0] = (row, 2 * c)
+                break
+        return cols
+
+    monkeypatch.setattr(dc, "dv_sparse", corrupted)
+    with pytest.raises(ValueError, match=r"d_v∘d_v = 0 fails at bidegree \(-1, 2\)"):
+        mvss.SpectralSequence(dc).page(1)
 
 
 def test_columns_are_indexed_by_nerve_simplices():
@@ -142,6 +162,63 @@ def test_page_dims_track_differential_ranks(corpus_complex):
             assert m.cols == cur.dim(p, q)
             assert m.rows == cur.dim(p - r, q + r - 1)
             assert cur.differential_rank(p, q) == ranks[(p, q)]
+
+
+# SHA-256 of every page's dims and differential matrices, recorded before the
+# dead subspaces became persistent spans: the representative bases (hence the
+# matrices) must not move.  Keys are (m, seed, ring, augmented) of the
+# anti-star sequence of random_connected_complex(m, seed); "star" is the plain
+# star-cover sequence of random_connected_complex(6, 3) over QQ.
+PINNED_PAGES = {
+    (5, 1, "Q", True): "f94d08248d273863bcd569529382b354850b0404943e88332aa5155b1529ce77",
+    (5, 1, "Q", False): "8ce537626daf7901e82a8fe93fd8bc7344d0a3670ff6cbb0d308df5d2775248e",
+    (5, 1, "F3", True): "d5531ccac47d59e1972f909ed8db408c69b48ebe9efdcf12dbaa1a66a021828f",
+    (5, 1, "F3", False): "5e1b7c52fc978c8e190118ff93e47e1fdecb238de1943787feea034a664bb36b",
+    (5, 1, "F2", True): "53b9ba78f50a5cf0b599880227532dd4949fb015780ed9ddb02ddb38b42f1d43",
+    (5, 1, "F2", False): "6d3628a28e4e3b39269357d45f9b9345c09351a3ae299af396947b301a75ddaa",
+    (5, 2, "Q", True): "b037b90168b57a1227f397d840e24ea29f8cdb0fc8a1f70fcecffd6f680c6619",
+    (5, 2, "Q", False): "ec392bd6fb6820f1737c2b933bb55a0bfc27d3eb7f949f4cd9fb66586d16dc38",
+    (5, 2, "F3", True): "5490c9ee75c5b62e9340181d4d81802786c56a44f43c164e02c78be332cb56ea",
+    (5, 2, "F3", False): "0ccd7cdc319e769e5dfe0ecc82a14b5be050c3a3af089e3719441a65d251c9aa",
+    (5, 2, "F2", True): "69dbc5f076047c6d935a5feec06e049e13ecd09fdb6408cca403e6d16c1080b2",
+    (5, 2, "F2", False): "3d2d4140acfc5b8142af03b6877c5a7899c6ac518c0a3653c40e6710bc3a9709",
+    (6, 1, "Q", True): "4a2537cac30a56b9a31fd87636fb6860457a0def12dc5004f91cab7965f89e46",
+    (6, 1, "Q", False): "c16a40b16d71888739b747f63f0372e68f62a34605a6e1e34fde82745e224932",
+    (6, 1, "F3", True): "eee2d743623262e09edd40f07add1446b36c72087a7b3dba4098a61d2a8a8ad5",
+    (6, 1, "F3", False): "90d3bca726b409dc92b8bdd78466b93d6ae43ed351189631544a6022b31a5502",
+    (6, 1, "F2", True): "fb2066d2433e8e51229af19dfea0cf5b05eae49d64bc8e886882ccec0ee7590e",
+    (6, 1, "F2", False): "dd111fa0d14bcf0a623362beb05a1e449a0d9fc2216f1119d60d564dfef89ffc",
+    (6, 2, "Q", True): "974b92e027f5d9f8e0830e837b6c380ee35b4f2a0337ca64e07bc5b3be9af3f8",
+    (6, 2, "Q", False): "8fe514177263e1b77d73807c68547ce493a53394d8abe9ea51942fdbd06c565b",
+    (6, 2, "F3", True): "abad08980252de1fbf37a7722488b8e3b46cbaee83e134fac0955087cbe0b0fc",
+    (6, 2, "F3", False): "10ad2b19ba4215d5cc28a26c4de01c022f667278a01b4c2df2913fa4107a842f",
+    (6, 2, "F2", True): "6f9a3c232c5408e2caaef067c59e5fcef31f60fe042c29bb2f26772c65eb25ad",
+    (6, 2, "F2", False): "df48552d916362527c4614e53e1ac952e897733c33ac79dd90b39268dbb81e0e",
+    "star": "9569e263553fd2d5eae99b7c4c9928490d8e7520999dcaae9ddd149103605c96",
+}
+
+
+def _pages_digest(ss):
+    digest = hashlib.sha256()
+    for r in range(1, ss.width + 2):
+        page = ss.page(r)
+        diffs = sorted((cell, mat.to_lists()) for cell, mat in page.differentials.items())
+        digest.update(repr((r, sorted(page.dims.items()), diffs)).encode())
+    return digest.hexdigest()
+
+
+def test_page_differentials_are_pinned():
+    rings = {ring.label(): ring for ring in FIELDS}
+    got = {}
+    for key in PINNED_PAGES:
+        if key == "star":
+            X = cx.random_connected_complex(6, 3)
+            dc = mvss.double_complex(X, cover=cx.star_cover(X), ring=al.QQ, augmented=False)
+        else:
+            m, seed, label, augmented = key
+            dc = mvss.double_complex(cx.random_connected_complex(m, seed), ring=rings[label], augmented=augmented)
+        got[key] = _pages_digest(mvss.run_to_convergence(dc))
+    assert got == PINNED_PAGES
 
 
 def test_pages_freeze_after_convergence():
