@@ -44,14 +44,31 @@ __all__ = [
 ]
 
 
+# Miller–Rabin with these bases is exact for every n below 3.18 * 10**23 (the
+# least strong pseudoprime to all twelve), so for every characteristic allowed
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MAX_CHARACTERISTIC = 1 << 64
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        d += 1
     return True
 
 
@@ -70,6 +87,8 @@ class CoefficientRing:
         if self.kind not in ("integers", "rationals", "prime_field"):
             raise ValueError(f"unknown ring kind {self.kind!r}")
         if self.kind == "prime_field":
+            if self.p is not None and self.p >= MAX_CHARACTERISTIC:
+                raise ValueError(f"prime field characteristic must be below 2**64, got {self.p}")
             if self.p is None or not _is_prime(self.p):
                 raise ValueError(f"prime field needs a prime, got {self.p!r}")
         elif self.p is not None:

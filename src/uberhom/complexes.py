@@ -224,21 +224,11 @@ def induced_subcomplex(X: SimplicialComplex, vertices: Iterable[int]) -> Simplic
     with each vertex's id in ``X`` recorded in ``original_ids``.  An empty selection
     gives the empty complex.
     """
-    keep = sorted(set(vertices))
+    keep = set(vertices)
     for v in keep:
         if v < 0 or v >= X.vertex_count:
             raise ValueError(f"vertex {v} not in the ambient complex")
-    present = [v for v in keep if X.contains((v,))]
-    if not present:
-        return EMPTY_COMPLEX
-    local = {v: i for i, v in enumerate(present)}
-    keep_set = set(present)
-    by_dim: list[list[Simplex]] = [[] for _ in X.dims()]
-    for q in X.dims():
-        for s in X.simplices_of_dim(q):
-            if all(v in keep_set for v in s):
-                by_dim[q].append(tuple(local[v] for v in s))
-    return SimplicialComplex(len(present), by_dim, original_ids=tuple(present))
+    return _renumbered([s for s in X.all_simplices() if keep.issuperset(s)])
 
 
 def anti_star(X: SimplicialComplex, v: int) -> SimplicialComplex:

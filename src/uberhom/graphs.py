@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import NotConnectedError, check_vertex_guard
+from .errors import NotConnectedError, check_simplex_guard, check_vertex_guard
 
 __all__ = [
     "Graph",
@@ -439,4 +439,7 @@ def graph_from_json(text: str) -> Graph:
     doc = json.loads(text)
     if not isinstance(doc, dict) or "vertex_count" not in doc or "edges" not in doc:
         raise ValueError("graph JSON needs 'vertex_count' and 'edges'")
-    return Graph(int(doc["vertex_count"]), [tuple(e) for e in doc["edges"]])
+    vertex_count = int(doc["vertex_count"])
+    # checked before the adjacency of vertex_count entries is allocated
+    check_simplex_guard(vertex_count + len(doc["edges"]))
+    return Graph(vertex_count, [tuple(e) for e in doc["edges"]])

@@ -14,9 +14,12 @@ A colouring assigns each vertex 0 or 1.  Three constructions live here:
   edges.  Its degree-zero row (components only) also works over the
   integers, where torsion can appear.
 
-The two GF(2) routes share no boundary, induced-map or reduction code,
-only the cube bookkeeping (levels, offsets, the rank formula) and the
-algebra layer, so they can be played against each other in tests.
+All three are the homology of a cube complex over the Boolean lattice of
+colourings and share its bookkeeping: the levels, the layout of each level
+map (``_cube_map``) and the rank formula (``_cube_homology``).  Each brings
+its own node bases, edge maps and reductions, so the two GF(2) routes share
+no boundary, induced-map or reduction code, only that bookkeeping and the
+algebra layer, and can be played against each other in tests.
 """
 from __future__ import annotations
 
@@ -117,22 +120,49 @@ def _cube_levels(m: int) -> list[list[int]]:
     return levels
 
 
-def _level_offsets(
-    masks: Sequence[int], size: Callable[[int], int]
-) -> tuple[dict[int, int], int]:
-    """Offset of each mask's block within a level, and the level's total size."""
+def _cube_map(
+    m: int, j: int, dims: Sequence[int], edge: Callable[[int, int], list]
+) -> tuple[int, list[list[tuple[int, object]]]]:
+    """Row count and (row, scalar) columns of the level-j map of a cube complex.
+
+    Node ``mask`` carries ``dims[mask]`` classes; ``edge(mask, v)`` lists,
+    class by class, the (row, scalar) image of each in node ``mask | 1 << v``.
+    Level j + 1 stacks its nodes' blocks in ascending mask order.
+    """
+    levels = _cube_levels(m)
     offsets = {}
-    total = 0
-    for mask in masks:
-        offsets[mask] = total
-        total += size(mask)
-    return offsets, total
+    rows = 0
+    for mask in levels[j + 1] if j < m else ():
+        offsets[mask] = rows
+        rows += dims[mask]
+    columns = []
+    for mask in levels[j]:
+        node = [[] for _ in range(dims[mask])]
+        for v in range(m):
+            up = mask | 1 << v
+            if mask >> v & 1 or not node or not dims[up]:
+                continue
+            for column, image in zip(node, edge(mask, v)):
+                column.extend((offsets[up] + r, x) for r, x in image)
+        columns += node
+    return rows, columns
 
 
-def _cube_homology(level_dims: Sequence[int], ranks: dict[int, int]) -> list[int]:
-    """Homology of a cube complex per level: its dimension minus the ranks
-    of the maps out of it (``ranks[j]``) and into it (``ranks[j - 1]``)."""
-    return [dim - ranks.get(j, 0) - ranks.get(j - 1, 0) for j, dim in enumerate(level_dims)]
+def _cube_homology(
+    m: int, dims: Sequence[int], edge: Callable[[int, int], list], rank: Callable[[int, int, list], int]
+) -> list[int]:
+    """Homology of a cube complex per level: its dimension minus
+    ``rank(j, rows, columns)`` of the map out of it and of the map into it."""
+    # ranks[j] is the rank of the map into level j; none enters level 0 or leaves level m
+    ranks = [0] + [rank(j, *_cube_map(m, j, dims, edge)) for j in range(m)] + [0]
+    levels = _cube_levels(m)
+    return [sum(dims[mask] for mask in levels[j]) - ranks[j] - ranks[j + 1] for j in range(m + 1)]
+
+
+def _field_rank(ring: CoefficientRing) -> Callable[[int, int, list], int]:
+    """``rank`` for :func:`_cube_homology` over a field."""
+    ops = vector_ops(ring)
+    return lambda j, rows, columns: column_rank(ops, (ops.from_items(rows, c) for c in columns))
 
 
 def verify_sign_assignment(m: int, signs: SignAssignment) -> bool:
@@ -247,57 +277,41 @@ class UberComplex:
         self.X = X
         self.m = m
         self._nodes = [HorizontalHomology(X, _to_tuple(mask, m)) for mask in range(1 << m)]
-        self._levels = _cube_levels(m)
         self._pairs = sorted({key for node in self._nodes for key in node._buckets})
 
     def level_dim(self, j: int, i: int, k: int) -> int:
-        return sum(self._nodes[mask].homology(i, k).dim for mask in self._levels[j])
+        return sum(self._nodes[mask].homology(i, k).dim for mask in _cube_levels(self.m)[j])
 
     def differential(self, j: int, i: int, k: int) -> Matrix:
         """The level-j map of the (i, k) cochain complex."""
-        rows = self.level_dim(j + 1, i, k) if j < self.m else 0
-        ops = vector_ops(GF2)
-        return Matrix.from_sparse(GF2, rows, [list(ops.items(c)) for c in self._columns(j, i, k)])
+        return Matrix.from_sparse(GF2, *_cube_map(self.m, j, self._dims(i, k), self._edge(i, k)))
 
-    def _columns(self, j: int, i: int, k: int) -> list[int]:
-        """The level-j map of the (i, k) cochain complex as bitset columns."""
-        dst_nodes = self._levels[j + 1] if j < self.m else []
-        dst_off, n_dst = _level_offsets(dst_nodes, lambda mask: self._nodes[mask].homology(i, k).dim)
+    def _dims(self, i: int, k: int) -> list[int]:
+        return [node.homology(i, k).dim for node in self._nodes]
+
+    def _edge(self, i: int, k: int) -> Callable[[int, int], list]:
+        """The map induced on (i, k) homology by raising vertex v of a colouring."""
         ops = vector_ops(GF2)
-        cols = []
-        for mask in self._levels[j]:
-            src_h = self._nodes[mask].homology(i, k)
-            if src_h.dim == 0:
-                continue
-            node_cols = [ops.zero(0)] * src_h.dim
-            src_basis = self._nodes[mask].basis(i, k)
-            for v in range(self.m):
-                if mask >> v & 1:
-                    continue
-                up = mask | 1 << v
-                dst_h = self._nodes[up].homology(i, k)
-                if dst_h.dim == 0:
-                    continue
-                dst_basis = {s: r for r, s in enumerate(self._nodes[up].basis(i, k))}
-                for c, rep in enumerate(src_h.representatives):
-                    simplices = (src_basis[pos] for pos, _ in ops.items(rep))
-                    image = ops.from_items(
-                        len(dst_basis), ((dst_basis[s], 1) for s in simplices if v not in s)
-                    )
-                    coords = dst_h.reduce(image)
-                    block = ops.from_items(n_dst, ((dst_off[up] + r, val) for r, val in enumerate(coords)))
-                    node_cols[c] = ops.add(node_cols[c], block)
-            cols.extend(node_cols)
-        return cols
+
+        def edge(mask: int, v: int) -> list:
+            src, dst = self._nodes[mask], self._nodes[mask | 1 << v]
+            src_basis, dst_h = src.basis(i, k), dst.homology(i, k)
+            dst_index = {s: r for r, s in enumerate(dst.basis(i, k))}
+            images = []
+            for rep in src.homology(i, k).representatives:
+                simplices = (src_basis[pos] for pos, _ in ops.items(rep))
+                image = ops.from_items(len(dst_index), ((dst_index[s], 1) for s in simplices if v not in s))
+                images.append([(r, x) for r, x in enumerate(dst_h.reduce(image)) if x])
+            return images
+
+        return edge
 
     def homology_dims(self) -> dict[tuple[int, int, int], int]:
         """Nonzero poset homology dimensions keyed by (level, weight, dimension)."""
-        ops = vector_ops(GF2)
+        rank = _field_rank(GF2)
         out: dict[tuple[int, int, int], int] = {}
         for (i, k) in self._pairs:
-            ranks = {j: column_rank(ops, self._columns(j, i, k)) for j in range(self.m + 1)}
-            level_dims = [self.level_dim(j, i, k) for j in range(self.m + 1)]
-            for j, h in enumerate(_cube_homology(level_dims, ranks)):
+            for j, h in enumerate(_cube_homology(self.m, self._dims(i, k), self._edge(i, k), rank)):
                 if h:
                     out[(j, k, i)] = h
         return out
@@ -368,36 +382,22 @@ def zero_degree_uber_table(
     m = X.vertex_count
     check_vertex_guard(m, max_vertices)
     max_degree = X.max_dim if not X.is_empty else -1
-    ops = vector_ops(ring)
-    levels = _cube_levels(m)
     bases = _cube_node_bases(X)
     chains = [algebra._boundary_complex(ring, b) for b in bases]
+    rank = _field_rank(ring)
     out: dict[tuple[int, int], int] = {}
     for degree in range(max_degree + 1):
         nodes = [_CubeNode(b.get(degree, ()), cc, degree) for b, cc in zip(bases, chains)]
+
+        def edge(mask: int, v: int) -> list:
+            sign = signs(mask, v)
+            return [
+                [(r, sign * x) for r, x in enumerate(coords) if x]
+                for coords in _cube_edge_matrix(nodes[mask], nodes[mask | 1 << v], ring)
+            ]
+
         dims = [node.homology.dim for node in nodes]
-        ranks = {}
-        for j in range(m):
-            dst_off, total = _level_offsets(levels[j + 1], dims.__getitem__)
-            columns = []
-            for mask in levels[j]:
-                if dims[mask] == 0:
-                    continue
-                src_node = nodes[mask]
-                entries: list[list[tuple[int, object]]] = [[] for _ in range(dims[mask])]
-                for v in range(m):
-                    if mask >> v & 1:
-                        continue
-                    up = mask | 1 << v
-                    sgn = signs(mask, v)
-                    # from_items drops the zero coordinates and normalises the signs
-                    for c, coords in enumerate(_cube_edge_matrix(src_node, nodes[up], ring)):
-                        entries[c].extend((dst_off[up] + r, sgn * val) for r, val in enumerate(coords))
-                for c in range(dims[mask]):
-                    columns.append(ops.from_items(total, entries[c]))
-            ranks[j] = column_rank(ops, columns)
-        level_dims = [sum(dims[mask] for mask in level) for level in levels]
-        for j, h in enumerate(_cube_homology(level_dims, ranks)):
+        for j, h in enumerate(_cube_homology(m, dims, edge, rank)):
             if h:
                 out[(j, degree)] = h
     return out
@@ -448,34 +448,23 @@ def bold_homology(
     G = obj if hasattr(obj, "adjacency") else graphs.one_skeleton(obj)
     m = G.vertex_count
     check_vertex_guard(m, max_vertices)
-    levels = _cube_levels(m)
-    comps = {mask: _components_by_mask(G.adjacency, mask) for mask in range(1 << m)}
-    ranks: dict[int, int] = {}
+    comps = [_components_by_mask(G.adjacency, mask) for mask in range(1 << m)]
     torsion: dict[int, tuple[int, ...]] = {}
-    for j in range(m):
-        dst_off, n_dst = _level_offsets(levels[j + 1], lambda mask: len(comps[mask]))
-        cols = []
-        for mask in levels[j]:
-            for comp in comps[mask]:
-                anchor = comp & -comp
-                col = []
-                for v in range(m):
-                    if mask >> v & 1:
-                        continue
-                    up = mask | 1 << v
-                    r = next(t for t, uc in enumerate(comps[up]) if uc & anchor)
-                    col.append((dst_off[up] + r, signs(mask, v)))
-                cols.append(col)
-        if ring.is_field:
-            ops = vector_ops(ring)
-            ranks[j] = column_rank(ops, (ops.from_items(n_dst, col) for col in cols))
-        else:
-            D, _, _ = smith_normal_form(Matrix.from_sparse(ring, n_dst, cols))
-            diag = [D[t, t] for t in range(min(D.rows, D.cols)) if D[t, t] != 0]
-            ranks[j] = len(diag)
-            torsion[j + 1] = tuple(t for t in diag if abs(t) > 1)
-    level_dims = [sum(len(comps[mask]) for mask in level) for level in levels]
-    free = _cube_homology(level_dims, ranks)
+
+    def edge(mask: int, v: int) -> list:
+        # a component lies inside exactly one component of the raised node
+        up = comps[mask | 1 << v]
+        sign = signs(mask, v)
+        return [[(next(r for r, uc in enumerate(up) if uc & comp), sign)] for comp in comps[mask]]
+
+    def smith_rank(j: int, rows: int, columns: list) -> int:
+        D, _, _ = smith_normal_form(Matrix.from_sparse(ring, rows, columns))
+        diag = [D[t, t] for t in range(min(D.rows, D.cols)) if D[t, t] != 0]
+        torsion[j + 1] = tuple(t for t in diag if abs(t) > 1)
+        return len(diag)
+
+    rank = _field_rank(ring) if ring.is_field else smith_rank
+    free = _cube_homology(m, [len(c) for c in comps], edge, rank)
     return {j: AbelianGroupPresentation(free[j], torsion.get(j, ())) for j in range(m + 1)}
 
 

@@ -5,7 +5,8 @@ from sympy or from a self-contained mod-p elimination, Smith normal forms
 from sympy, domination counts and chordality from networkx.  Simplicial
 complexes and graphs are consumed only through their plain data (simplex
 lists, edge lists).  ``DenseFieldOps`` is the package's former list-backed
-vector kernel over Q and F_p, kept to check the sparse kernel against.
+vector kernel over Q and F_p, kept to check the sparse kernel against, and
+``is_prime_by_trial_division`` its former primality test.
 """
 
 from __future__ import annotations
@@ -18,6 +19,17 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form as _sympy_snf
 
 from uberhom.algebra import _coerce
+
+
+def is_prime_by_trial_division(n: int) -> bool:
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
 
 
 # --------------------------------------------------------------------------

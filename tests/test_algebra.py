@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 import oracles
@@ -26,6 +29,31 @@ def test_ring_labels_round_trip():
         al.ring_from_label("gf(4)")
     with pytest.raises(ValueError):
         al.GF(6)
+
+
+def test_primality_agrees_with_trial_division_below_10_to_the_5():
+    assert [n for n in range(10**5) if al._is_prime(n)] == [
+        n for n in range(10**5) if oracles.is_prime_by_trial_division(n)
+    ]
+
+
+def test_primality_agrees_with_sympy_on_64_bit_numbers():
+    rng = random.Random(64)
+    numbers = [rng.getrandbits(64) | 1 for _ in range(3000)]
+    # strong pseudoprimes to the first four and the first nine prime bases
+    numbers += [3215031751, 3825123056546413051, 2**61 - 1, 2**64 - 59]
+    assert [n for n in numbers if al._is_prime(n)] == [n for n in numbers if sympy.isprime(n)]
+
+
+def test_large_prime_fields_are_built_at_once_and_bounded():
+    start = time.perf_counter()
+    assert al.GF(2**61 - 1).p == 2**61 - 1
+    assert time.perf_counter() - start < 1.0
+    for p in (6, 1, 0):
+        with pytest.raises(ValueError, match="needs a prime"):
+            al.GF(p)
+    with pytest.raises(ValueError, match="below 2\\*\\*64"):
+        al.GF(2**64 + 13)
 
 
 def test_presentation_validation():

@@ -266,6 +266,24 @@ def test_unknown_coefficients_are_rejected_by_the_parser(capsys, circle_path):
     assert code == 2
 
 
+def test_oversized_json_graph_exits_on_the_guard(capsys, monkeypatch, tmp_path):
+    def refuse(*args):
+        raise AssertionError("the graph was built")
+
+    monkeypatch.setattr(graphs, "Graph", refuse)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"vertex_count": 10**9, "edges": []}))
+    code, out, err = run(capsys, ["domination", str(path)])
+    assert code == cli.EXIT_GUARD
+    assert out == "" and "simplices exceeds the guard" in err
+
+
+def test_characteristics_from_2_to_the_64_are_rejected_by_the_parser(capsys, circle_path):
+    code, _, err = run(capsys, ["homology", circle_path, "--coeff", "p:18446744073709551629"])
+    assert code == 2
+    assert "below 2**64" in err
+
+
 def test_integer_coefficients_are_refused_where_fields_are_needed(
     capsys, circle_path
 ):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from conftest import capped_square_complex
 from uberhom import graphs as gr
-from uberhom.errors import NotConnectedError, SizeGuardExceeded
+from uberhom.errors import MAX_SIMPLICES, NotConnectedError, SizeGuardExceeded
 
 
 # --------------------------------------------------------------------------
@@ -49,6 +50,20 @@ def test_cartesian_product_builds_grids():
     assert sorted(prod.degree(v) for v in range(6)) == sorted(
         grid.degree(v) for v in range(6)
     )
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"vertex_count": 10**9, "edges": []}, {"vertex_count": MAX_SIMPLICES, "edges": [[0, 1]]}],
+    ids=["many-vertices", "vertices-and-edges"],
+)
+def test_json_graph_is_guarded_before_it_is_built(monkeypatch, doc):
+    def refuse(*args):
+        raise AssertionError("the graph was built")
+
+    monkeypatch.setattr(gr, "Graph", refuse)
+    with pytest.raises(SizeGuardExceeded, match="simplices exceeds the guard"):
+        gr.graph_from_json(json.dumps(doc))
 
 
 def test_json_round_trip(corpus_graph):

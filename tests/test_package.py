@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -39,3 +40,24 @@ def test_the_package_imports_only_the_standard_library():
                 if name != "__future__" and name.partition(".")[0] not in sys.stdlib_module_names
             ]
     assert found == []
+
+
+def test_bench_trace_targets_resolve():
+    # the benchmark traces these callables by name; a rename shows up here
+    # rather than only in a traced benchmark run
+    spans = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    tree = ast.parse(spans.read_text(encoding="utf-8"))
+    (targets,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TARGETS" for t in node.targets)
+    ]
+    assert targets
+    missing = []
+    for module, path in targets:
+        owner = importlib.import_module(f"uberhom.{module}")
+        for part in path.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module}.{path}")
+    assert missing == []

@@ -282,3 +282,39 @@ def test_pipelines_build_no_dense_product(monkeypatch):
     rp2 = al.simplicial_chain_complex(cx.build_complex(6, PROJECTIVE_PLANE_FACETS), al.ZZ)
     assert al.homology_table(rp2)[1].presentation.torsion == (2,)
     assert al.betti_numbers(al.simplicial_chain_complex(X, al.QQ)) == {0: 1, 1: 0, 2: 0}
+
+
+# --------------------------------------------------------------------------
+# pinned outputs of the three cube pipelines
+
+
+def _cube_outputs_digest():
+    import hashlib
+
+    h = hashlib.sha256()
+    sign_choices = (uber.STANDARD_SIGNS, uber.ALTERNATE_SIGNS)
+    for m, s in ((5, 1), (5, 2), (6, 1), (6, 2)):
+        X = cx.random_connected_complex(m, s)
+        h.update(repr(sorted(uber.uberhomology(X).items())).encode())
+        U = uber.UberComplex(X)
+        for i, k in U._pairs:
+            for j in range(m + 1):
+                d = U.differential(j, i, k)
+                h.update(repr((j, i, k, d.rows, d.cols, d.to_lists())).encode())
+        for ring in (al.QQ, al.GF2, al.GF(3)):
+            for signs in sign_choices:
+                table = uber.zero_degree_uber_table(X, ring, signs)
+                h.update(repr(sorted(table.items())).encode())
+    for G in (gr.grid_graph(3, 2), gr.cycle_graph(6), gr.random_connected_graph(7, 0.4, 1)):
+        for ring in (al.ZZ, al.QQ, al.GF2):
+            for signs in sign_choices:
+                table = uber.bold_homology(G, ring, signs)
+                h.update(repr([(j, p.free_rank, p.torsion) for j, p in sorted(table.items())]).encode())
+    return h.hexdigest()
+
+
+def test_cube_outputs_are_pinned():
+    # überhomology with every level map, the weight-zero table and bold
+    # homology, hashed; the digest was recorded before the three pipelines
+    # shared one level-map assembler
+    assert _cube_outputs_digest() == "8462c7937c488ddd524f993f87fb9a1a7e3a34e73d46b45123a5a8d4433694ab"
