@@ -105,9 +105,11 @@ def _component_mask(adjacency: Sequence[int], start: int, within: int) -> int:
     frontier = seen
     while frontier:
         grown = 0
-        for v in _bits(frontier):
-            grown |= adjacency[v] & within
-        frontier = grown & ~seen
+        while frontier:
+            low = frontier & -frontier
+            grown |= adjacency[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grown & within & ~seen
         seen |= frontier
     return seen
 

@@ -37,7 +37,7 @@ from .algebra import (
     QQ,
     ZZ,
     column_rank,
-    smith_normal_form,
+    invariant_factors,
     vector_ops,
 )
 from .complexes import SimplicialComplex, Simplex
@@ -179,6 +179,12 @@ def verify_sign_assignment(m: int, signs: SignAssignment) -> bool:
                 if one + two != 0:
                     return False
     return True
+
+
+def _check_signs(m: int, signs: SignAssignment) -> None:
+    """Refuse signs under which the cube maps would not compose to zero."""
+    if not verify_sign_assignment(m, signs):
+        raise ValueError(f"sign assignment {signs.name!r} does not anticommute on the {m}-cube")
 
 
 # --------------------------------------------------------------------------
@@ -376,11 +382,13 @@ def zero_degree_uber_table(
     Keys are (level j, dimension i); values are dimensions over ``ring``.
     Built from scratch on the colouring cube: no boundary, induced-map or
     reduction code is shared with the GF(2) horizontal-homology pipeline.
+    Raises ``ValueError`` if ``signs`` do not anticommute.
     """
-    if not ring.is_field:
-        raise ValueError("the weight-zero slice needs field coefficients")
     m = X.vertex_count
     check_vertex_guard(m, max_vertices)
+    _check_signs(m, signs)
+    if not ring.is_field:
+        raise ValueError("the weight-zero slice needs field coefficients")
     max_degree = X.max_dim if not X.is_empty else -1
     bases = _cube_node_bases(X)
     chains = [algebra._boundary_complex(ring, b) for b in bases]
@@ -442,12 +450,16 @@ def bold_homology(
     subgraphs of the 1-skeleton.
 
     Accepts a graph or a simplicial complex.  Over the integers the chain
-    groups are free on components, so torsion (if any) is reported through
-    Smith normal form; over a field the torsion list is always empty.
+    groups are free on components and the torsion (if any) comes from the
+    invariant factors of each level map: sparse elimination of its unit
+    entries first, then the Smith normal form of the block that is left
+    (:func:`algebra.invariant_factors`).  Over a field the torsion list is
+    always empty.  Raises ``ValueError`` if ``signs`` do not anticommute.
     """
     G = obj if hasattr(obj, "adjacency") else graphs.one_skeleton(obj)
     m = G.vertex_count
     check_vertex_guard(m, max_vertices)
+    _check_signs(m, signs)
     comps = [_components_by_mask(G.adjacency, mask) for mask in range(1 << m)]
     torsion: dict[int, tuple[int, ...]] = {}
 
@@ -458,10 +470,9 @@ def bold_homology(
         return [[(next(r for r, uc in enumerate(up) if uc & comp), sign)] for comp in comps[mask]]
 
     def smith_rank(j: int, rows: int, columns: list) -> int:
-        D, _, _ = smith_normal_form(Matrix.from_sparse(ring, rows, columns))
-        diag = [D[t, t] for t in range(min(D.rows, D.cols)) if D[t, t] != 0]
-        torsion[j + 1] = tuple(t for t in diag if abs(t) > 1)
-        return len(diag)
+        factors = invariant_factors(rows, columns)
+        torsion[j + 1] = tuple(t for t in factors if t > 1)
+        return len(factors)
 
     rank = _field_rank(ring) if ring.is_field else smith_rank
     free = _cube_homology(m, [len(c) for c in comps], edge, rank)

@@ -294,6 +294,55 @@ def test_smith_normal_form_empty_shapes():
         assert (V.rows, V.cols) == (n, n)
 
 
+# entries 2, 3, 4 and 6 leave a block for the dense Smith form and bring torsion
+SMITH_ENTRIES = st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3, 4, 6))
+
+
+@given(st.integers(0, 6), st.integers(0, 6), st.data())
+@settings(max_examples=150, deadline=None)
+def test_invariant_factors_match_the_dense_smith_form_and_sympy(m, n, data):
+    rows = [data.draw(st.lists(SMITH_ENTRIES, min_size=n, max_size=n)) for _ in range(m)]
+    columns = [[(i, rows[i][j]) for i in range(m) if rows[i][j]] for j in range(n)]
+    factors = al.invariant_factors(m, columns)
+    D, _, _ = al.smith_normal_form(al.Matrix.from_rows(al.ZZ, rows) if m else al.Matrix.zeros(al.ZZ, 0, n))
+    assert factors == [D[t, t] for t in range(min(m, n)) if D[t, t]]
+    if m and n:
+        expected = sympy.matrices.normalforms.invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)
+        assert factors == [abs(int(d)) for d in expected if d]
+    else:
+        assert factors == []
+    assert all(d > 0 for d in factors)
+    assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+
+
+def test_invariant_factors_of_empty_and_zero_columns():
+    assert al.invariant_factors(0, []) == []
+    assert al.invariant_factors(3, []) == []
+    assert al.invariant_factors(0, [[], []]) == []
+    assert al.invariant_factors(4, [[], [(2, 0)], []]) == []
+    assert al.invariant_factors(3, [[(0, 2)], [], [(1, -4), (2, 6)]]) == [2, 2]
+    with pytest.raises(ValueError, match="row index 3"):
+        al.invariant_factors(3, [[(3, 1)]])
+
+
+def test_invariant_factors_send_only_the_leftover_block_to_the_smith_form(monkeypatch):
+    shapes = []
+    dense = al.smith_normal_form
+
+    def spy(A):
+        shapes.append((A.rows, A.cols))
+        return dense(A)
+
+    monkeypatch.setattr(al, "smith_normal_form", spy)
+    # a unit pivot on row 0 clears it; rows 1 and 2 of columns 1 and 2 remain
+    columns = [[(0, 1), (1, 5)], [(0, 3), (1, 17), (2, 4)], [(1, 4), (2, 6)]]
+    assert al.invariant_factors(3, columns) == [1, 2, 2]
+    assert shapes == [(2, 2)]
+    shapes.clear()
+    assert al.invariant_factors(2, [[(0, 1), (1, -1)], [(1, 1)]]) == [1, 1]
+    assert shapes == []
+
+
 # --------------------------------------------------------------------------
 # chain complexes and homology
 

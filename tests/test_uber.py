@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from conftest import PROJECTIVE_PLANE_FACETS, capped_square_complex, glued_triangles
 from uberhom import algebra as al
 from uberhom import complexes as cx
@@ -54,6 +55,27 @@ def test_constant_plus_one_signs_fail_to_anticommute():
     bad = uber.SignAssignment("constant", lambda mask, v: 1)
     assert not uber.verify_sign_assignment(2, bad)
     assert not uber.verify_sign_assignment(4, bad)
+
+
+ALL_PLUS = uber.SignAssignment("all-plus", lambda mask, v: 1)
+
+
+@pytest.mark.parametrize("ring", [al.ZZ, al.QQ], ids=str)
+def test_bold_homology_refuses_signs_that_do_not_anticommute(ring):
+    # with all-plus signs the level maps do not compose to zero, and the
+    # rank formula would give degree 3 of the 4-cycle free rank -1 and
+    # torsion (2,)
+    with pytest.raises(ValueError, match="does not anticommute"):
+        uber.bold_homology(gr.cycle_graph(4), ring, signs=ALL_PLUS)
+
+
+@pytest.mark.parametrize("ring", [al.ZZ, al.QQ], ids=str)
+def test_zero_degree_table_refuses_signs_that_do_not_anticommute(ring):
+    # over Q the rank formula would give the dimension -1 at (3, 0); over Z
+    # the sign check comes before the refusal of non-field coefficients
+    X = cx.complex_from_graph(gr.cycle_graph(4))
+    with pytest.raises(ValueError, match="does not anticommute"):
+        uber.zero_degree_uber_table(X, ring, signs=ALL_PLUS)
 
 
 def test_tables_do_not_depend_on_the_sign_assignment(corpus_complex):
@@ -282,6 +304,32 @@ def test_pipelines_build_no_dense_product(monkeypatch):
     rp2 = al.simplicial_chain_complex(cx.build_complex(6, PROJECTIVE_PLANE_FACETS), al.ZZ)
     assert al.homology_table(rp2)[1].presentation.torsion == (2,)
     assert al.betti_numbers(al.simplicial_chain_complex(X, al.QQ)) == {0: 1, 1: 0, 2: 0}
+
+
+def test_integral_bold_homology_of_every_connected_graph_on_at_most_7_vertices(monkeypatch):
+    """Bold homology over Z of the 996 connected atlas graphs with 1-7 vertices.
+
+    The free ranks agree with the rational ranks, which ``column_rank``
+    computes without invariant factors.  Every level map reduces to nothing
+    by unit pivots, so the dense Smith form is never reached, and no graph in
+    the sweep has torsion.  The last is an observation on these graphs, not a
+    theorem.
+    """
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense Smith normal form reached")
+
+    atlas = oracles.connected_atlas_graphs(7)
+    assert len(atlas) == 996
+    # uber too, in case it ever binds the name itself
+    for module in (al, uber):
+        monkeypatch.setattr(module, "smith_normal_form", refuse, raising=False)
+    for nxg in atlas:
+        G = gr.Graph(nxg.number_of_nodes(), nxg.edges())
+        integral = uber.bold_homology(G, al.ZZ)
+        rational = uber.bold_homology(G, al.QQ)
+        assert {j: p.free_rank for j, p in integral.items()} == {j: p.free_rank for j, p in rational.items()}
+        assert all(p.torsion == () for p in integral.values()), G.edges
 
 
 # --------------------------------------------------------------------------
