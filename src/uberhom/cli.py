@@ -122,11 +122,7 @@ def cmd_homology(args) -> int:
     lines = []
     prefix = "reduced H" if args.reduced else "H"
     for n in sorted(table):
-        basis = table[n]
-        if ring.kind == "integers":
-            entry = _group_doc(basis.presentation)
-        else:
-            entry = {"rank": basis.dim, "torsion": [], "group": basis.presentation.describe()}
+        entry = _group_doc(table[n].presentation)
         entry["degree"] = n
         groups.append(entry)
         lines.append(f"{prefix}_{n} = {entry['group']}")

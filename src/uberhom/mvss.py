@@ -9,14 +9,16 @@ chains of the whole complex as a p = -1 column, making every row exact
 and the abutment zero; the plain variant abuts to the homology of the
 complex.
 
-Pages are computed over a field by a zig-zag lifting scheme: a page-r
-class at (p, q) is carried as a staircase of components in columns
+Pages are computed over a field by the zig-zag (staircase) description
+of page classes (McCleary, *A User's Guide to Spectral Sequences*, 2.2):
+a page-r class at (p, q) is a staircase of components in columns
 p .. p-r+1 whose total differential vanishes except at the bottom, where
 it computes d^r.  Each bidegree keeps one persistent span of "already
-dead" leading terms, each reduced once (page one's vertical boundaries,
-whose dependencies are the cycles one row up, then every page's fresh
-images), with witnesses that let kernel elements be corrected into
-one-deeper staircases when the page turns.
+dead" vectors, each reduced once (page one's vertical boundaries, whose
+dependencies are the cycles one row up, then every page's fresh images),
+and beside each the staircase whose total differential it is.  When the
+page turns, a kernel element becomes a one-deeper staircase by
+subtracting the staircases of the dead vectors its image is made of.
 """
 from __future__ import annotations
 
@@ -245,25 +247,21 @@ class Page:
         return any(not d.is_zero() for d in self.differentials.values())
 
 
-@dataclass(frozen=True)
-class _Gen:
-    """A spanning vector of the 'already dead' subspace at a bidegree.
-
-    The vector itself lives in the bidegree's dead span under the
-    generator's tag.  Vertical generators remember the chain one row up
-    whose vertical boundary they are; horizontal generators remember the
-    full staircase of the class whose page differential produced them.
-    """
-
-    kind: str  # "v" | "h"
-    witness: object
-
-
 class SpectralSequence:
     """Driver that turns pages of a double complex over a field.
 
-    Dead subspaces are persistent per-cell spans: tag g of ``_dead[cell]``
-    is generator g of ``_boundary[cell]``; solves and filters use copies.
+    Everything is carried as a staircase: a ``{column: vector}`` dict of
+    components of one total degree, whose total differential is
+    D = d_h + (-1)^c d_v on the component in column c.  A page-r class at
+    (p, q) is a staircase whose D vanishes in columns p .. p-r+1; its
+    component in column p - r is d^r of the class.
+
+    Each cell keeps a persistent span of dead vectors: tag g of
+    ``_dead[cell]`` is D, in the cell's column, of staircase g of
+    ``_boundary[cell]``, whose D vanishes above that column.  Page one
+    seeds it with {p: (-1)^p e_t} for the chains e_t one row up; each page
+    turn appends the classes that die there.  Solves and filters use
+    copies of the spans.
     """
 
     def __init__(self, dc: DoubleComplex):
@@ -273,7 +271,7 @@ class SpectralSequence:
         self.width = dc.p_max - dc.p_min
         self._pages: dict[int, Page] = {}
         self._classes: dict[tuple[int, int], list[dict[int, object]]] = {}
-        self._boundary: dict[tuple[int, int], list[_Gen]] = {}
+        self._boundary: dict[tuple[int, int], list[dict[int, object]]] = {}
         self._dead: dict[tuple[int, int], Span] = {}
         self._r = 0
 
@@ -285,6 +283,14 @@ class SpectralSequence:
             self.dc.cell_dim(p - 1, q),
             ((row, ops.sc_mul(c, ic)) for idx, c in ops.items(vec) for row, ic in cols[idx]),
         )
+
+    def _add_scaled(self, into: dict[int, object], c, staircase: dict[int, object]) -> None:
+        """Add c times a staircase to ``into``, column by column."""
+        ops = self.ops
+        for col, v in staircase.items():
+            cur = into.get(col)
+            add = ops.scale(c, v)
+            into[col] = add if cur is None else ops.add(cur, add)
 
     # -- page one ----------------------------------------------------------------
 
@@ -309,7 +315,8 @@ class SpectralSequence:
                     ups.append(ops.from_items(up, [(t, 1), *((g, -a) for g, a in combo.items())]))
             cycles[(p, q + 1)] = ups
             self._dead[cell] = span
-            self._boundary[cell] = [_Gen("v", ops.unit(up, t)) for t in range(up)]
+            sign = -1 if p % 2 else 1
+            self._boundary[cell] = [{p: ops.from_items(up, [(t, sign)])} for t in range(up)]
             homology = span.copy()
             zs = cycles.pop(cell) if q else [ops.unit(size, t) for t in range(size)]
             self._classes[cell] = [{p: z} for z in zs if homology.insert(z)[0]]
@@ -322,29 +329,25 @@ class SpectralSequence:
     # -- turning -----------------------------------------------------------------
 
     def _turn(self) -> Page:
-        if self._r == 0:
-            self._first_page()
         r = self._r
         ops = self.ops
         dc = self.dc
         page = self._pages[r]
-        solvers: dict[tuple[int, int], tuple[Span, list[_Gen]]] = {}
+        solvers: dict[tuple[int, int], Span] = {}
 
-        def get_solver(cell: tuple[int, int]) -> tuple[Span, list[_Gen]]:
-            got = solvers.get(cell)
-            if got is not None:
-                return got
-            span = self._dead[cell].copy()
-            gens = self._boundary[cell]
-            for x in self._classes.get(cell, []):
-                is_new, _ = span.insert(x[cell[0]])
-                if not is_new:
-                    raise LiftFailure(f"page-{r} class dependent at {cell}")
-            solvers[cell] = (span, gens)
-            return span, gens
+        def get_solver(cell: tuple[int, int]) -> Span:
+            span = solvers.get(cell)
+            if span is None:
+                span = self._dead[cell].copy()
+                for x in self._classes.get(cell, []):
+                    is_new, _ = span.insert(x[cell[0]])
+                    if not is_new:
+                        raise LiftFailure(f"page-{r} class dependent at {cell}")
+                solvers[cell] = span
+            return span
 
-        # pass 1: differentials of the current page
-        dr_data: dict[tuple[int, int], tuple[list[list], list[dict[int, object]], list]] = {}
+        # pass 1: differentials of the current page and their kernels
+        dr_data: dict[tuple[int, int], tuple[list, list[dict[int, object]], list]] = {}
         for cell in sorted(self._classes):
             xs = self._classes[cell]
             if not xs:
@@ -357,12 +360,10 @@ class SpectralSequence:
             gen_combos: list[dict[int, object]] = []
             images: list = []
             n_target_classes = len(self._classes.get(target, [])) if t_dim else 0
+            n_gens = len(self._boundary.get(target, []))
             for x in xs:
                 xlow = x.get(low)
-                if xlow is None:
-                    img = self.ops.zero(t_dim)
-                else:
-                    img = self._apply_dh(low, p + q - low, xlow)
+                img = ops.zero(t_dim) if xlow is None else self._apply_dh(low, p + q - low, xlow)
                 images.append(img)
                 if t_dim == 0:
                     if not ops.is_zero(img):
@@ -370,85 +371,50 @@ class SpectralSequence:
                     cols.append([])
                     gen_combos.append({})
                     continue
-                span, gens = get_solver(target)
-                combo = span.solve(img)
+                combo = get_solver(target).solve(img)
                 if combo is None:
                     raise LiftFailure(f"page-{r} image fails to reduce at {target}")
-                coords = []
-                gcombo: dict[int, object] = {}
-                for tag, c in combo.items():
-                    if tag < len(gens):
-                        gcombo[tag] = c
-                    else:
-                        coords.append((tag - len(gens), c))
-                cols.append(coords)
-                gen_combos.append(gcombo)
-            dr_data[cell] = (cols, gen_combos, images)
+                cols.append([(tag - n_gens, c) for tag, c in combo.items() if tag >= n_gens])
+                gen_combos.append({tag: c for tag, c in combo.items() if tag < n_gens})
+            kernel = nullspace(ops, [ops.from_items(n_target_classes, c) for c in cols], len(xs))
+            dr_data[cell] = (kernel, gen_combos, images)
             page.differentials[cell] = Matrix.from_sparse(self.ring, n_target_classes, cols)
 
         # pass 2: grow the dead subspaces by the fresh images; generators are
         # only appended, so the tags solved against in pass 1 keep naming them
-        for cell, (cols, gen_combos, images) in dr_data.items():
+        for cell, (_, _, images) in dr_data.items():
             p, q = cell
             target = (p - r, q + r - 1)
             if dc.cell_dim(*target) == 0:
                 continue
             for x, img in zip(self._classes[cell], images):
-                self._boundary[target].append(_Gen("h", x))
+                self._boundary[target].append(x)
                 self._dead[target].insert(img)
 
-        # pass 3: kernels become next-page classes, corrected one column deeper
+        # pass 3: kernels become next-page classes, one column deeper: D of
+        # a kernel combination in column p - r is a combination of dead
+        # vectors, and subtracting the same combination of their staircases
+        # clears it without touching the columns above
         new_classes: dict[tuple[int, int], list[dict[int, object]]] = {
             cell: [] for cell in self._classes
         }
-        minus_one = ops.sc_neg(ops.sc_one)
-        for cell in sorted(self._classes):
-            xs = self._classes[cell]
-            if not xs:
-                continue
+        for cell, (kernel, gen_combos, _) in dr_data.items():
             p, q = cell
-            target = (p - r, q + r - 1)
-            cols, gen_combos, _ = dr_data[cell]
-            kernel = nullspace(ops, [ops.from_items(n_target_classes, c) for c in cols], len(xs))
-            target_gens = self._boundary.get(target, [])
-            candidates = []
+            xs = self._classes[cell]
+            target_gens = self._boundary.get((p - r, q + r - 1), [])
+            flt = self._dead[cell].copy()
             for a in kernel:
                 comps: dict[int, object] = {}
                 gtotal: dict[int, object] = {}
-                for i in range(len(xs)):
-                    ai = ops.coeff(a, i)
-                    if ai == ops.sc_zero:
-                        continue
-                    for c, v in xs[i].items():
-                        cur = comps.get(c)
-                        add = ops.scale(ai, v)
-                        comps[c] = add if cur is None else ops.add(cur, add)
+                for i, ai in ops.items(a):
+                    self._add_scaled(comps, ai, xs[i])
                     for g, val in gen_combos[i].items():
                         gtotal[g] = ops.sc_add(gtotal.get(g, ops.sc_zero), ops.sc_mul(ai, val))
-                w_tot = None
                 for g, val in gtotal.items():
-                    if val == ops.sc_zero:
-                        continue
-                    gen = target_gens[g]
-                    if gen.kind == "v":
-                        add = ops.scale(val, gen.witness)
-                        w_tot = add if w_tot is None else ops.add(w_tot, add)
-                    else:
-                        for c, v in gen.witness.items():
-                            cur = comps.get(c)
-                            sub = ops.scale(ops.sc_neg(val), v)
-                            comps[c] = sub if cur is None else ops.add(cur, sub)
-                if w_tot is not None and not ops.is_zero(w_tot):
-                    sign = ops.sc_one if (p - r) % 2 == 0 else minus_one
-                    comps[p - r] = ops.scale(ops.sc_neg(sign), w_tot)
-                candidates.append(comps)
-            flt = self._dead[cell].copy()
-            for comps in candidates:
+                    if val != ops.sc_zero:
+                        self._add_scaled(comps, ops.sc_neg(val), target_gens[g])
                 lead = comps.get(p)
-                if lead is None or ops.is_zero(lead):
-                    continue
-                is_new, _ = flt.insert(lead)
-                if is_new:
+                if lead is not None and not ops.is_zero(lead) and flt.insert(lead)[0]:
                     new_classes[cell].append(comps)
 
         self._classes = new_classes

@@ -167,6 +167,8 @@ def _field_rank(ring: CoefficientRing) -> Callable[[int, int, list], int]:
 
 def verify_sign_assignment(m: int, signs: SignAssignment) -> bool:
     """Check that every square of the m-dimensional lattice anticommutes."""
+    # one call per edge; each square then reads four of them
+    edge = [[0 if mask >> v & 1 else signs(mask, v) for v in range(m)] for mask in range(1 << m)]
     for mask in range(1 << m):
         for i in range(m):
             if mask >> i & 1:
@@ -174,15 +176,22 @@ def verify_sign_assignment(m: int, signs: SignAssignment) -> bool:
             for j in range(i + 1, m):
                 if mask >> j & 1:
                     continue
-                one = signs(mask, i) * signs(mask | 1 << i, j)
-                two = signs(mask, j) * signs(mask | 1 << j, i)
-                if one + two != 0:
+                if edge[mask][i] * edge[mask | 1 << i][j] + edge[mask][j] * edge[mask | 1 << j][i] != 0:
                     return False
     return True
 
 
 def _check_signs(m: int, signs: SignAssignment) -> None:
-    """Refuse signs under which the cube maps would not compose to zero."""
+    """Refuse signs other than the integers +-1, which the integer
+    elimination needs, and signs under which the cube maps would not
+    compose to zero."""
+    for mask in range(1 << m):
+        for v in range(m):
+            if mask >> v & 1:
+                continue
+            sign = signs(mask, v)
+            if not (isinstance(sign, int) and sign in (1, -1)):
+                raise ValueError(f"sign assignment {signs.name!r} gives {sign!r} on edge {(mask, v)}, not +1 or -1")
     if not verify_sign_assignment(m, signs):
         raise ValueError(f"sign assignment {signs.name!r} does not anticommute on the {m}-cube")
 
@@ -284,9 +293,6 @@ class UberComplex:
         self.m = m
         self._nodes = [HorizontalHomology(X, _to_tuple(mask, m)) for mask in range(1 << m)]
         self._pairs = sorted({key for node in self._nodes for key in node._buckets})
-
-    def level_dim(self, j: int, i: int, k: int) -> int:
-        return sum(self._nodes[mask].homology(i, k).dim for mask in _cube_levels(self.m)[j])
 
     def differential(self, j: int, i: int, k: int) -> Matrix:
         """The level-j map of the (i, k) cochain complex."""
@@ -449,12 +455,15 @@ def bold_homology(
     """Degree-zero poset homology: the cube of components of the induced
     subgraphs of the 1-skeleton.
 
-    Accepts a graph or a simplicial complex.  Over the integers the chain
-    groups are free on components and the torsion (if any) comes from the
-    invariant factors of each level map: sparse elimination of its unit
-    entries first, then the Smith normal form of the block that is left
-    (:func:`algebra.invariant_factors`).  Over a field the torsion list is
-    always empty.  Raises ``ValueError`` if ``signs`` do not anticommute.
+    Accepts a graph or a simplicial complex.  The chain groups are free on
+    components and every level map has entries +-1, so every ring reads
+    its ranks off the invariant factors over Z of the same maps: sparse
+    elimination of their unit entries first, then the Smith normal form of
+    the block that is left (:func:`algebra.invariant_factors`).  Over Q
+    each factor counts, over F_p each factor that p does not divide, and
+    over Z the factors above 1 are the torsion; over a field the torsion
+    list is empty.  Raises ``ValueError`` if ``signs`` are not +-1 or do
+    not anticommute.
     """
     G = obj if hasattr(obj, "adjacency") else graphs.one_skeleton(obj)
     m = G.vertex_count
@@ -469,12 +478,12 @@ def bold_homology(
         sign = signs(mask, v)
         return [[(next(r for r, uc in enumerate(up) if uc & comp), sign)] for comp in comps[mask]]
 
-    def smith_rank(j: int, rows: int, columns: list) -> int:
+    def rank(j: int, rows: int, columns: list) -> int:
         factors = invariant_factors(rows, columns)
-        torsion[j + 1] = tuple(t for t in factors if t > 1)
-        return len(factors)
+        if not ring.is_field:
+            torsion[j + 1] = tuple(t for t in factors if t > 1)
+        return sum(1 for t in factors if not ring.p or t % ring.p)
 
-    rank = _field_rank(ring) if ring.is_field else smith_rank
     free = _cube_homology(m, [len(c) for c in comps], edge, rank)
     return {j: AbelianGroupPresentation(free[j], torsion.get(j, ())) for j in range(m + 1)}
 

@@ -7,6 +7,8 @@ complexes and graphs are consumed only through their plain data (simplex
 lists, edge lists).  ``DenseFieldOps`` is the package's former list-backed
 vector kernel over Q and F_p, kept to check the sparse kernel against, and
 ``is_prime_by_trial_division`` its former primality test.
+``bold_free_ranks_by_column_rank`` is bold homology's former route over a
+field: each level map ranked over the field itself by ``column_rank``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import networkx as nx
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as _sympy_snf
 
-from uberhom.algebra import _coerce
+from uberhom.algebra import _coerce, column_rank, vector_ops
+from uberhom.uber import STANDARD_SIGNS
 
 
 def is_prime_by_trial_division(n: int) -> bool:
@@ -178,6 +181,42 @@ def connected_atlas_graphs(max_vertices: int = 6):
         if 1 <= n <= max_vertices and nx.is_connected(g):
             out.append(nx.convert_node_labels_to_integers(g, ordering="sorted"))
     return out
+
+
+def bold_free_ranks_by_column_rank(G, ring) -> dict[int, int]:
+    """Free ranks of bold homology over a field, {level: rank}.
+
+    The nodes are the components of the induced subgraphs (from
+    networkx), the edges carry the standard signs, and each level map is
+    ranked over ``ring`` by ``column_rank``, with no invariant factors.
+    """
+    ops = vector_ops(ring)
+    g = to_networkx(G)
+    m = G.vertex_count
+    comps = []
+    for mask in range(1 << m):
+        induced = g.subgraph(v for v in range(m) if mask >> v & 1)
+        comps.append(sorted((frozenset(c) for c in nx.connected_components(induced)), key=min))
+    levels = [[mask for mask in range(1 << m) if mask.bit_count() == j] for j in range(m + 1)]
+    dims = [sum(len(comps[mask]) for mask in level) for level in levels]
+    ranks = [0] * (m + 2)  # ranks[j] is the rank of the map into level j
+    for j in range(m):
+        offset, row = {}, 0
+        for mask in levels[j + 1]:
+            offset[mask] = row
+            row += len(comps[mask])
+        columns = []
+        for mask in levels[j]:
+            for comp in comps[mask]:
+                entries = []
+                for v in range(m):
+                    if not mask >> v & 1:
+                        up = mask | 1 << v
+                        r = next(r for r, c in enumerate(comps[up]) if comp <= c)
+                        entries.append((offset[up] + r, STANDARD_SIGNS(mask, v)))
+                columns.append(ops.from_items(row, entries))
+        ranks[j + 1] = column_rank(ops, columns)
+    return {j: dims[j] - ranks[j] - ranks[j + 1] for j in range(m + 1)}
 
 
 def euler_characteristic_oracle(X) -> int:

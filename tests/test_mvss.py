@@ -221,6 +221,40 @@ def test_page_differentials_are_pinned():
     assert got == PINNED_PAGES
 
 
+def _total_differential_in_column(dc, x, n, c):
+    """Nonzero entries, in column c, of D = d_h + (-1)^c d_v applied to a
+    staircase x of total degree n."""
+    ops = al.vector_ops(dc.ring)
+    acc = {}
+    for col, sparse, sign in ((c + 1, dc.dh_sparse, 1), (c, dc.dv_sparse, (-1) ** c)):
+        if col in x:
+            columns = sparse(col, n - col)
+            for idx, a in ops.items(x[col]):
+                for row, b in columns[idx]:
+                    acc[row] = acc.get(row, 0) + sign * a * b
+    p = dc.ring.p
+    return {row: v for row, v in acc.items() if (v % p if p else v)}
+
+
+@pytest.mark.parametrize("augmented", [True, False])
+@pytest.mark.parametrize("ring", FIELDS, ids=str)
+def test_every_page_class_is_a_staircase_whose_total_differential_vanishes_above_its_target(ring, augmented):
+    # a page-r class at (p, q) has D = 0 in columns p - r + 1 .. p; its
+    # component in column p - r is d^r
+    checked = 0
+    for m, seed in ((5, 1), (5, 2), (6, 1), (6, 2)):
+        dc = mvss.double_complex(cx.random_connected_complex(m, seed), ring=ring, augmented=augmented)
+        ss = mvss.SpectralSequence(dc)
+        for r in range(1, ss.width + 2):
+            ss.page(r)
+            for (p, q), xs in ss._classes.items():
+                for x in xs:
+                    for c in range(p - r + 1, p + 1):
+                        assert _total_differential_in_column(dc, x, p + q, c) == {}, (m, seed, r, (p, q), c)
+                        checked += 1
+    assert checked
+
+
 def test_pages_freeze_after_convergence():
     X = cx.boundary_of_simplex(4)
     ss = mvss.run_to_convergence(mvss.double_complex(X, ring=al.QQ, augmented=True))

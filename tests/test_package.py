@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -61,3 +62,28 @@ def test_bench_trace_targets_resolve():
         if not callable(owner):
             missing.append(f"{module}.{path}")
     assert missing == []
+
+
+def test_every_definition_in_the_package_is_referenced():
+    # a def or class that no code names is dead; names in string constants
+    # count, since the benchmark traces callables listed as strings
+    root = Path(__file__).resolve().parents[1]
+    used: set[str] = set()
+    for folder in ("src", "tests", "bench"):
+        for path in (root / folder).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    used.update(re.findall(r"\w+", node.value))
+    unused = [
+        f"{path.name}:{node.lineno}:{node.name}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in used
+    ]
+    assert unused == []

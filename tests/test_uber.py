@@ -309,8 +309,9 @@ def test_pipelines_build_no_dense_product(monkeypatch):
 def test_integral_bold_homology_of_every_connected_graph_on_at_most_7_vertices(monkeypatch):
     """Bold homology over Z of the 996 connected atlas graphs with 1-7 vertices.
 
-    The free ranks agree with the rational ranks, which ``column_rank``
-    computes without invariant factors.  Every level map reduces to nothing
+    The free ranks agree with the rational ranks, which count the same
+    invariant factors; the field ranks are checked against ``column_rank``
+    on the graphs with at most 6 vertices below.  Every level map reduces to nothing
     by unit pivots, so the dense Smith form is never reached, and no graph in
     the sweep has torsion.  The last is an observation on these graphs, not a
     theorem.
@@ -330,6 +331,34 @@ def test_integral_bold_homology_of_every_connected_graph_on_at_most_7_vertices(m
         rational = uber.bold_homology(G, al.QQ)
         assert {j: p.free_rank for j, p in integral.items()} == {j: p.free_rank for j, p in rational.items()}
         assert all(p.torsion == () for p in integral.values()), G.edges
+
+
+@pytest.mark.parametrize("ring", [al.QQ, al.GF2, al.GF(3)], ids=str)
+def test_bold_free_ranks_over_fields_match_the_column_rank_oracle(ring):
+    # over a field the ranks come from the invariant factors over Z; the
+    # oracle ranks the same level maps over the field itself
+    atlas = oracles.connected_atlas_graphs(6)
+    assert len(atlas) == 143
+    for nxg in atlas:
+        G = gr.Graph(nxg.number_of_nodes(), nxg.edges())
+        got = uber.bold_homology(G, ring)
+        oracle = oracles.bold_free_ranks_by_column_rank(G, ring)
+        assert {j: p.free_rank for j, p in got.items()} == oracle, G.edges
+        assert all(p.torsion == () for p in got.values())
+
+
+DOUBLED = uber.SignAssignment("doubled", lambda mask, v: 2 * uber.STANDARD_SIGNS(mask, v))
+
+
+@pytest.mark.parametrize("ring", [al.ZZ, al.QQ, al.GF(3)], ids=str)
+def test_cube_pipelines_refuse_signs_that_are_not_plus_or_minus_one(ring):
+    # twice the standard signs still anticommute, but the integer
+    # elimination behind bold homology pivots on entries +-1 only
+    assert uber.verify_sign_assignment(4, DOUBLED)
+    with pytest.raises(ValueError, match="not \\+1 or -1"):
+        uber.bold_homology(gr.cycle_graph(4), ring, signs=DOUBLED)
+    with pytest.raises(ValueError, match="not \\+1 or -1"):
+        uber.zero_degree_uber_table(cx.complex_from_graph(gr.cycle_graph(4)), ring, signs=DOUBLED)
 
 
 # --------------------------------------------------------------------------
