@@ -2,10 +2,11 @@
 
 Provides the arithmetic core used by every other module: chain complexes
 with checked differentials stored as sparse (row, scalar) columns, homology
-with chosen representatives, Smith normal form with explicit unimodular
-transforms, invariant factors by sparse elimination of unit pivots, induced
-maps on homology, and mapping cones.  Dense exact matrices are built only at
-the public edge and for the Smith normal form.
+with chosen representatives over a field, the Smith normal form, and
+invariant factors by sparse elimination of unit pivots.  Integral homology
+is read off the invariant factors of the adjacent differentials, so it
+carries a group presentation but no representatives.  Dense exact matrices
+are built only at the public edge and for the Smith normal form.
 
 No floating point anywhere.  Scalars are Python ints (integers and prime
 fields) or ``fractions.Fraction`` (rationals).  Over GF(2) the internal
@@ -33,7 +34,6 @@ __all__ = [
     "Span",
     "vector_ops",
     "ChainComplex",
-    "ChainMap",
     "AbelianGroupPresentation",
     "HomologyBasis",
     "simplicial_chain_complex",
@@ -41,8 +41,6 @@ __all__ = [
     "betti_numbers",
     "smith_normal_form",
     "invariant_factors",
-    "induced_map_on_homology",
-    "mapping_cone",
 ]
 
 
@@ -233,15 +231,6 @@ class Matrix:
                 acc = sum(ri[k] * other._d[k][j] for k in range(self.cols))
                 out._d[i][j] = _coerce(self.ring, acc)
         return out
-
-    def apply(self, vec: Sequence) -> list:
-        """Matrix-vector product, vector given and returned as a plain list."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        return [
-            _coerce(self.ring, sum(self._d[i][k] * vec[k] for k in range(self.cols)))
-            for i in range(self.rows)
-        ]
 
     def is_zero(self) -> bool:
         zero = _coerce(self.ring, 0)
@@ -662,37 +651,6 @@ class ChainComplex:
         return f"ChainComplex({self.ring.label()}; {parts})"
 
 
-@dataclass
-class ChainMap:
-    """A degree-preserving map of chain complexes, checked to commute.
-
-    A degree left out of ``components`` is the zero map; the squares on
-    both sides of every given component are checked."""
-
-    source: ChainComplex
-    target: ChainComplex
-    components: dict[int, Matrix]
-
-    def __post_init__(self) -> None:
-        ring = self.source.ring
-        if self.target.ring != ring:
-            raise ValueError("chain map across different rings")
-        for n, f in self.components.items():
-            if f.rows != self.target.rank(n) or f.cols != self.source.rank(n):
-                raise ValueError(f"component at degree {n} has wrong shape")
-        for n in sorted({n + e for n in self.components for e in (0, 1)}):
-            left = self.target.diff(n) * self.component(n)
-            right = self.component(n - 1) * self.source.diff(n)
-            if left != right:
-                raise ValueError(f"chain map fails to commute at degree {n}")
-
-    def component(self, n: int) -> Matrix:
-        f = self.components.get(n)
-        if f is None:
-            return Matrix.zeros(self.source.ring, self.target.rank(n), self.source.rank(n))
-        return f
-
-
 def _boundary_complex(
     ring: CoefficientRing, bases: dict[int, Sequence[tuple[int, ...]]]
 ) -> ChainComplex:
@@ -774,9 +732,11 @@ class HomologyBasis:
 
     Over a field this carries chosen cycle representatives together with a
     ``reduce`` method writing any cycle in those representatives modulo
-    boundaries.  Over the integers it carries an
-    :class:`AbelianGroupPresentation`; representatives and ``reduce`` are
-    available only when the group is free.
+    boundaries.  Over the integers it carries only an
+    :class:`AbelianGroupPresentation`, read off the invariant factors of
+    the differentials into and out of the degree (Munkres, *Elements of
+    Algebraic Topology*, §11): ``representatives`` is None and ``reduce``
+    raises :class:`NotImplementedError`.
     """
 
     def __init__(self, complex_: ChainComplex, degree: int):
@@ -787,7 +747,7 @@ class HomologyBasis:
             self._init_field(complex_, degree)
             self.presentation = AbelianGroupPresentation(self.dim)
         else:
-            self._init_integral(complex_.diff(degree), complex_.diff(degree + 1))
+            self._init_integral(complex_, degree)
 
     # field case -------------------------------------------------------------
 
@@ -829,9 +789,7 @@ class HomologyBasis:
 
     def _reduce_full(self, cycle):
         if not self.ring.is_field:
-            if not self.presentation.is_free:
-                raise NotImplementedError("reduce over Z with torsion present")
-            return self._reduce_integral(cycle), None
+            raise NotImplementedError("reduce needs field coefficients; over Z only the presentation is computed")
         ops = self._ops
         for i, _ in ops.items(cycle):
             if i >= self.ambient_rank:
@@ -853,72 +811,21 @@ class HomologyBasis:
 
     # integral case ------------------------------------------------------------
 
-    def _init_integral(self, d_here: Matrix, d_above: Matrix) -> None:
-        n = self.ambient_rank
-        D1, _, V1 = smith_normal_form(d_here)
-        r1 = sum(1 for i in range(min(D1.rows, D1.cols)) if D1[i, i] != 0)
-        kernel_basis = [V1.column(j) for j in range(r1, n)]  # integral basis of the cycle lattice
-        k = len(kernel_basis)
-        self.cycle_rank = k
-        # boundary columns in kernel coordinates (the kernel basis spans a
-        # direct summand, so the coordinates are integral)
-        self._lattice = _lattice_span(n, kernel_basis)
-        rel_cols = [_integer_coords(self._lattice, d_above.column(t)) for t in range(d_above.cols)]
-        M = Matrix.from_sparse(ZZ, k, [enumerate(c) for c in rel_cols])
-        D2, U2, _ = smith_normal_form(M)
-        divisors = [D2[i, i] for i in range(min(D2.rows, D2.cols)) if D2[i, i] != 0]
-        self.boundary_rank = len(divisors)
-        torsion = tuple(int(d) for d in divisors if abs(d) > 1)
-        free_rank = k - len(divisors)
-        self.presentation = AbelianGroupPresentation(free_rank, torsion)
-        self.dim = free_rank
-        self._U2 = U2
-        if self.presentation.is_free:
-            # the columns of U2^-1 are the solutions of U2 x = e_t
-            u2 = _lattice_span(k, [U2.column(j) for j in range(k)])
-            reps = []
-            for t in range(len(divisors), k):
-                coords = _integer_coords(u2, [int(i == t) for i in range(k)])
-                rep = [sum(kernel_basis[j][i] * coords[j] for j in range(k)) for i in range(n)]
-                reps.append(rep)
-            self.representatives = reps
-        else:
-            self.representatives = None
-
-    def _reduce_integral(self, cycle) -> list:
-        # every divisor is 1 in the free case, so the leading coordinates
-        # are boundaries and the trailing ones are the class
-        y = self._U2.apply(_integer_coords(self._lattice, cycle))
-        return y[self.cycle_rank - self.presentation.free_rank :]
+    def _init_integral(self, complex_: ChainComplex, degree: int) -> None:
+        # H_n = Z^(c_n - r_n - r_{n+1}) + the sum of Z/d over the invariant
+        # factors d > 1 of the differential out of degree n + 1
+        here = invariant_factors(complex_.rank(degree - 1), complex_.columns(degree))
+        above = invariant_factors(self.ambient_rank, complex_.columns(degree + 1))
+        self.cycle_rank = self.ambient_rank - len(here)
+        self.boundary_rank = len(above)
+        self.dim = self.cycle_rank - len(above)
+        self.presentation = AbelianGroupPresentation(self.dim, tuple(d for d in above if d > 1))
+        self.representatives = None
 
     def __repr__(self) -> str:
         if self.ring.is_field:
             return f"H_{self.degree}({self.ring.label()}) dim {self.dim}"
         return f"H_{self.degree}(Z) = {self.presentation.describe()}"
-
-
-def _lattice_span(n: int, columns: Sequence[Sequence[int]]) -> Span:
-    """Span over QQ of independent integer columns; column j keeps tag j."""
-    ops = vector_ops(QQ)
-    span = Span(ops, n)
-    for col in columns:
-        span.insert(ops.from_list(col))
-    return span
-
-
-def _integer_coords(lattice: Span, vector: Sequence) -> list[int]:
-    """Coordinates of ``vector`` against a lattice basis; they must be integral."""
-    if len(vector) != lattice.n:
-        raise ValueError(f"vector has {len(vector)} entries, expected {lattice.n}")
-    combo = lattice.solve(lattice.ops.from_list(vector))
-    if combo is None:
-        raise SolveFailure("vector outside the lattice")
-    coords = [0] * lattice.inserted
-    for j, c in combo.items():
-        if c.denominator != 1:
-            raise SolveFailure("non-integral coordinates against an integral basis")
-        coords[j] = int(c)
-    return coords
 
 
 def homology(C: ChainComplex, n: int, ring: CoefficientRing | None = None) -> HomologyBasis:
@@ -1102,62 +1009,3 @@ def invariant_factors(rows: int, columns: Iterable[Iterable[tuple[int, int]]]) -
         D, _, _ = smith_normal_form(block)
         factors += [D[t, t] for t in range(min(D.rows, D.cols)) if D[t, t]]
     return factors
-
-
-# --------------------------------------------------------------------------
-# Induced maps and cones
-
-
-def induced_map_on_homology(f: ChainMap, degree: int) -> Matrix:
-    """The map induced on homology in one degree by a chain map.
-
-    Over a field the columns are the coordinates of f(representative) in
-    the target's representative basis; over Z both sides must be free.
-    Raises :class:`SolveFailure` if an image fails to reduce (which would
-    mean ``f`` is not a chain map; the constructor already guards this).
-    """
-    src = HomologyBasis(f.source, degree)
-    dst = HomologyBasis(f.target, degree)
-    ring = f.source.ring
-    comp = f.component(degree)
-    if ring.is_field:
-        ops = vector_ops(ring)
-        cols = []
-        for rep in src.representatives:
-            img = ops.from_items(
-                comp.rows,
-                ((i, c * x) for t, c in ops.items(rep) for i, x in enumerate(comp.column(t))),
-            )
-            cols.append(dst.reduce(img))
-        return Matrix.from_sparse(ring, dst.dim, [enumerate(c) for c in cols])
-    if not (src.presentation.is_free and dst.presentation.is_free):
-        raise NotImplementedError("integral induced maps require free homology on both sides")
-    cols = []
-    for rep in src.representatives:
-        img = comp.apply(rep)
-        cols.append(dst.reduce(img))
-    return Matrix.from_sparse(ZZ, dst.presentation.free_rank, [enumerate(c) for c in cols])
-
-
-def mapping_cone(f: ChainMap) -> ChainComplex:
-    """Mapping cone of a chain map: Cone(f)_n = target_n + source_{n-1}.
-
-    The differential is the usual block triangular matrix with a sign on
-    the off-diagonal component.
-    """
-    C, D = f.source, f.target
-    lo = min(C.bottom + 1, D.bottom)
-    hi = max(C.top + 1, D.top)
-    ranks = {n: D.rank(n) + C.rank(n - 1) for n in range(lo, hi + 1)}
-    diffs = {}
-    for n in range(lo, hi + 1):
-        fc = f.component(n - 1)
-        shift = D.rank(n - 1)
-        cols = list(D.columns(n))
-        # the shifted copy of the source carries a negated differential so
-        # that the square vanishes in every characteristic, not just 2
-        for j, col in enumerate(C.columns(n - 1)):
-            top = [(i, -x) for i, x in enumerate(fc.column(j)) if x]
-            cols.append(top + [(shift + i, -x) for i, x in col])
-        diffs[n] = cols
-    return ChainComplex(C.ring, ranks, diffs)

@@ -121,15 +121,16 @@ def _cube_levels(m: int) -> list[list[int]]:
 
 
 def _cube_map(
-    m: int, j: int, dims: Sequence[int], edge: Callable[[int, int], list]
+    levels: list[list[int]], j: int, dims: Sequence[int], edge: Callable[[int, int], list]
 ) -> tuple[int, list[list[tuple[int, object]]]]:
     """Row count and (row, scalar) columns of the level-j map of a cube complex.
 
-    Node ``mask`` carries ``dims[mask]`` classes; ``edge(mask, v)`` lists,
-    class by class, the (row, scalar) image of each in node ``mask | 1 << v``.
-    Level j + 1 stacks its nodes' blocks in ascending mask order.
+    ``levels`` is ``_cube_levels(m)``.  Node ``mask`` carries ``dims[mask]``
+    classes; ``edge(mask, v)`` lists, class by class, the (row, scalar)
+    image of each in node ``mask | 1 << v``.  Level j + 1 stacks its nodes'
+    blocks in ascending mask order.
     """
-    levels = _cube_levels(m)
+    m = len(levels) - 1
     offsets = {}
     rows = 0
     for mask in levels[j + 1] if j < m else ():
@@ -154,8 +155,8 @@ def _cube_homology(
     """Homology of a cube complex per level: its dimension minus
     ``rank(j, rows, columns)`` of the map out of it and of the map into it."""
     # ranks[j] is the rank of the map into level j; none enters level 0 or leaves level m
-    ranks = [0] + [rank(j, *_cube_map(m, j, dims, edge)) for j in range(m)] + [0]
     levels = _cube_levels(m)
+    ranks = [0] + [rank(j, *_cube_map(levels, j, dims, edge)) for j in range(m)] + [0]
     return [sum(dims[mask] for mask in levels[j]) - ranks[j] - ranks[j + 1] for j in range(m + 1)]
 
 
@@ -296,7 +297,7 @@ class UberComplex:
 
     def differential(self, j: int, i: int, k: int) -> Matrix:
         """The level-j map of the (i, k) cochain complex."""
-        return Matrix.from_sparse(GF2, *_cube_map(self.m, j, self._dims(i, k), self._edge(i, k)))
+        return Matrix.from_sparse(GF2, *_cube_map(_cube_levels(self.m), j, self._dims(i, k), self._edge(i, k)))
 
     def _dims(self, i: int, k: int) -> list[int]:
         return [node.homology(i, k).dim for node in self._nodes]

@@ -1,26 +1,53 @@
 """Independent re-computations used as oracles by the test suite.
 
-Everything here deliberately avoids the library's linear algebra: ranks come
+Most of this deliberately avoids the library's linear algebra: ranks come
 from sympy or from a self-contained mod-p elimination, Smith normal forms
 from sympy, domination counts and chordality from networkx.  Simplicial
 complexes and graphs are consumed only through their plain data (simplex
 lists, edge lists).  ``DenseFieldOps`` is the package's former list-backed
 vector kernel over Q and F_p, kept to check the sparse kernel against, and
 ``is_prime_by_trial_division`` its former primality test.
-``bold_free_ranks_by_column_rank`` is bold homology's former route over a
-field: each level map ranked over the field itself by ``column_rank``.
+
+The rest are retired library routes, kept as references, and they do reuse
+library pieces:
+
+* ``bold_free_ranks_by_column_rank`` is bold homology's former route over
+  a field: each level map ranked over the field itself by ``column_rank``.
+* ``LatticeHomology`` is integral homology's former route: two full Smith
+  forms with their unimodular transforms (``smith_normal_form``) and
+  lattice solves on a ``Span`` over Q, giving integral representatives
+  and ``reduce`` when the group is free.  The library now reads only the
+  presentation off ``invariant_factors``.
+* ``ChainMap``, ``induced_map_on_homology`` and ``mapping_cone`` are the
+  former chain-map API, built on the library's ``Matrix``,
+  ``ChainComplex`` and (over a field) ``HomologyBasis``; over Z the
+  induced map uses ``LatticeHomology``.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
 import networkx as nx
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as _sympy_snf
 
-from uberhom.algebra import _coerce, column_rank, vector_ops
+from uberhom.algebra import (
+    QQ,
+    ZZ,
+    AbelianGroupPresentation,
+    ChainComplex,
+    HomologyBasis,
+    Matrix,
+    Span,
+    _coerce,
+    column_rank,
+    smith_normal_form,
+    vector_ops,
+)
+from uberhom.errors import SolveFailure
 from uberhom.uber import STANDARD_SIGNS
 
 
@@ -350,3 +377,177 @@ class DenseFieldOps:
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
         return pow(a, p - 2, p)
+
+
+# --------------------------------------------------------------------------
+# the retired lattice route to integral homology
+
+
+def _apply(mat: Matrix, vec) -> list:
+    """Matrix-vector product, vector given and returned as a plain list."""
+    if len(vec) != mat.cols:
+        raise ValueError("vector length mismatch")
+    return [_coerce(mat.ring, sum(mat[i, k] * vec[k] for k in range(mat.cols))) for i in range(mat.rows)]
+
+
+def _lattice_span(n: int, columns) -> Span:
+    """Span over QQ of independent integer columns; column j keeps tag j."""
+    ops = vector_ops(QQ)
+    span = Span(ops, n)
+    for col in columns:
+        span.insert(ops.from_list(col))
+    return span
+
+
+def _integer_coords(lattice: Span, vector) -> list[int]:
+    """Coordinates of ``vector`` against a lattice basis; they must be integral."""
+    if len(vector) != lattice.n:
+        raise ValueError(f"vector has {len(vector)} entries, expected {lattice.n}")
+    combo = lattice.solve(lattice.ops.from_list(vector))
+    if combo is None:
+        raise SolveFailure("vector outside the lattice")
+    coords = [0] * lattice.inserted
+    for j, c in combo.items():
+        if c.denominator != 1:
+            raise SolveFailure("non-integral coordinates against an integral basis")
+        coords[j] = int(c)
+    return coords
+
+
+class LatticeHomology:
+    """Integral homology in one degree from two full Smith forms with transforms.
+
+    The cycle lattice is spanned by the trailing columns of V for the
+    differential out of the degree; the boundaries, written in that basis,
+    get a second Smith form whose U gives integral representatives when
+    the group is free, and ``reduce`` writes a cycle in them.
+    """
+
+    def __init__(self, complex_: ChainComplex, degree: int):
+        if complex_.ring != ZZ:
+            raise ValueError("the lattice route is integral")
+        self.degree = degree
+        self.ring = ZZ
+        n = self.ambient_rank = complex_.rank(degree)
+        d_above = complex_.diff(degree + 1)
+        D1, _, V1 = smith_normal_form(complex_.diff(degree))
+        r1 = sum(1 for i in range(min(D1.rows, D1.cols)) if D1[i, i] != 0)
+        kernel_basis = [V1.column(j) for j in range(r1, n)]  # integral basis of the cycle lattice
+        k = self.cycle_rank = len(kernel_basis)
+        # boundary columns in kernel coordinates (the kernel basis spans a
+        # direct summand, so the coordinates are integral)
+        self._lattice = _lattice_span(n, kernel_basis)
+        rel_cols = [_integer_coords(self._lattice, d_above.column(t)) for t in range(d_above.cols)]
+        D2, U2, _ = smith_normal_form(Matrix.from_sparse(ZZ, k, [enumerate(c) for c in rel_cols]))
+        divisors = [D2[i, i] for i in range(min(D2.rows, D2.cols)) if D2[i, i] != 0]
+        self.boundary_rank = len(divisors)
+        free_rank = self.dim = k - len(divisors)
+        self.presentation = AbelianGroupPresentation(free_rank, tuple(int(d) for d in divisors if abs(d) > 1))
+        self._U2 = U2
+        self.representatives = None
+        if self.presentation.is_free:
+            # the columns of U2^-1 are the solutions of U2 x = e_t
+            u2 = _lattice_span(k, [U2.column(j) for j in range(k)])
+            self.representatives = []
+            for t in range(len(divisors), k):
+                coords = _integer_coords(u2, [int(i == t) for i in range(k)])
+                self.representatives.append([sum(kernel_basis[j][i] * coords[j] for j in range(k)) for i in range(n)])
+
+    def reduce(self, cycle) -> list:
+        """Coordinates of a cycle in the representatives, modulo boundaries."""
+        if not self.presentation.is_free:
+            raise NotImplementedError("reduce over Z with torsion present")
+        # every divisor is 1 in the free case, so the leading coordinates
+        # are boundaries and the trailing ones are the class
+        y = _apply(self._U2, _integer_coords(self._lattice, cycle))
+        return y[self.cycle_rank - self.dim :]
+
+
+def lattice_homology_table(C: ChainComplex) -> dict[int, LatticeHomology]:
+    return {n: LatticeHomology(C, n) for n in C.degrees()}
+
+
+# --------------------------------------------------------------------------
+# the retired chain-map API: chain maps, induced maps and mapping cones
+
+
+@dataclass
+class ChainMap:
+    """A degree-preserving map of chain complexes, checked to commute.
+
+    A degree left out of ``components`` is the zero map; the squares on
+    both sides of every given component are checked."""
+
+    source: ChainComplex
+    target: ChainComplex
+    components: dict[int, Matrix]
+
+    def __post_init__(self) -> None:
+        ring = self.source.ring
+        if self.target.ring != ring:
+            raise ValueError("chain map across different rings")
+        for n, f in self.components.items():
+            if f.rows != self.target.rank(n) or f.cols != self.source.rank(n):
+                raise ValueError(f"component at degree {n} has wrong shape")
+        for n in sorted({n + e for n in self.components for e in (0, 1)}):
+            left = self.target.diff(n) * self.component(n)
+            right = self.component(n - 1) * self.source.diff(n)
+            if left != right:
+                raise ValueError(f"chain map fails to commute at degree {n}")
+
+    def component(self, n: int) -> Matrix:
+        f = self.components.get(n)
+        if f is None:
+            return Matrix.zeros(self.source.ring, self.target.rank(n), self.source.rank(n))
+        return f
+
+
+def induced_map_on_homology(f: ChainMap, degree: int) -> Matrix:
+    """The map induced on homology in one degree by a chain map.
+
+    Over a field the columns are the coordinates of f(representative) in
+    the target's representative basis (from ``HomologyBasis``); over Z both
+    sides must be free, and the bases come from :class:`LatticeHomology`.
+    """
+    ring = f.source.ring
+    comp = f.component(degree)
+    if ring.is_field:
+        src, dst = HomologyBasis(f.source, degree), HomologyBasis(f.target, degree)
+        ops = vector_ops(ring)
+        cols = []
+        for rep in src.representatives:
+            img = ops.from_items(
+                comp.rows,
+                ((i, c * x) for t, c in ops.items(rep) for i, x in enumerate(comp.column(t))),
+            )
+            cols.append(dst.reduce(img))
+        return Matrix.from_sparse(ring, dst.dim, [enumerate(c) for c in cols])
+    src, dst = LatticeHomology(f.source, degree), LatticeHomology(f.target, degree)
+    if not (src.presentation.is_free and dst.presentation.is_free):
+        raise NotImplementedError("integral induced maps require free homology on both sides")
+    cols = [dst.reduce(_apply(comp, rep)) for rep in src.representatives]
+    return Matrix.from_sparse(ZZ, dst.dim, [enumerate(c) for c in cols])
+
+
+def mapping_cone(f: ChainMap) -> ChainComplex:
+    """Mapping cone of a chain map: Cone(f)_n = target_n + source_{n-1}.
+
+    The differential is the usual block triangular matrix with a sign on
+    the off-diagonal component.
+    """
+    C, D = f.source, f.target
+    lo = min(C.bottom + 1, D.bottom)
+    hi = max(C.top + 1, D.top)
+    ranks = {n: D.rank(n) + C.rank(n - 1) for n in range(lo, hi + 1)}
+    diffs = {}
+    for n in range(lo, hi + 1):
+        fc = f.component(n - 1)
+        shift = D.rank(n - 1)
+        cols = list(D.columns(n))
+        # the shifted copy of the source carries a negated differential so
+        # that the square vanishes in every characteristic, not just 2
+        for j, col in enumerate(C.columns(n - 1)):
+            top = [(i, -x) for i, x in enumerate(fc.column(j)) if x]
+            cols.append(top + [(shift + i, -x) for i, x in col])
+        diffs[n] = cols
+    return ChainComplex(C.ring, ranks, diffs)

@@ -43,6 +43,19 @@ def test_the_package_imports_only_the_standard_library():
     assert found == []
 
 
+def test_every_public_name_resolves():
+    # a stale ``__all__`` entry breaks ``from uberhom.<module> import *``
+    missing = []
+    exported = 0
+    for path in sorted(SOURCE.glob("*.py")):
+        module = importlib.import_module("uberhom" if path.stem == "__init__" else f"uberhom.{path.stem}")
+        names = getattr(module, "__all__", ())
+        exported += len(names)
+        missing += [f"{path.stem}.{name}" for name in names if not hasattr(module, name)]
+    assert exported
+    assert missing == []
+
+
 def test_bench_trace_targets_resolve():
     # the benchmark traces these callables by name; a rename shows up here
     # rather than only in a traced benchmark run
