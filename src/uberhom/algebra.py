@@ -8,12 +8,15 @@ is read off the invariant factors of the adjacent differentials, so it
 carries a group presentation but no representatives.  Dense exact matrices
 are built only at the public edge and for the Smith normal form.
 
-No floating point anywhere.  Scalars are Python ints (integers and prime
-fields) or ``fractions.Fraction`` (rationals).  Over GF(2) the internal
-vector layer stores a vector as a single int used as a bitset, which keeps
-the heavy enumerative computations (cube complexes, spectral sequence
-pages) cheap; every other field stores a sparse dict from index to
-nonzero scalar.
+No floating point anywhere.  Scalars are Python ints over the integers
+and prime fields.  Over the rationals the public edge (``Matrix``, the
+chain complexes' columns) holds ``fractions.Fraction``, while the vector
+kernel keeps a scalar an int while it is integral and a ``Fraction`` only
+otherwise, so elimination on +-1 boundary entries is integer work.  Over
+GF(2) the vector kernel stores a vector, and each ``Span`` combination of
+tags, as a single int used as a bitset, which keeps the heavy enumerative
+computations (cube complexes, spectral sequence pages) cheap; every other
+field stores a sparse dict from index to nonzero scalar.
 """
 from __future__ import annotations
 
@@ -148,6 +151,15 @@ def _coerce(ring: CoefficientRing, x) -> object:
     return int(x) % ring.p  # type: ignore[operator]
 
 
+def _rational(x):
+    """Canonical rational scalar: an int when integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 # --------------------------------------------------------------------------
 # Matrices
 
@@ -170,18 +182,6 @@ class Matrix:
             self._d = [[_coerce(ring, x) for x in row] for row in data]
 
     # construction helpers -------------------------------------------------
-
-    @classmethod
-    def zeros(cls, ring: CoefficientRing, rows: int, cols: int) -> "Matrix":
-        return cls(ring, rows, cols)
-
-    @classmethod
-    def identity(cls, ring: CoefficientRing, n: int) -> "Matrix":
-        m = cls(ring, n, n)
-        one = _coerce(ring, 1)
-        for i in range(n):
-            m._d[i][i] = one
-        return m
 
     @classmethod
     def from_rows(cls, ring: CoefficientRing, rows: Sequence[Sequence]) -> "Matrix":
@@ -261,6 +261,8 @@ class Matrix:
 # GF(2) vectors are ints-as-bitsets, everything else is a sparse dict.
 # Code outside this module builds vectors with ``from_items``/``from_list``
 # and reads them with ``items``/``coeff``, never by their representation.
+# The ``combo_*`` methods hold the format of ``Span``'s tag combinations
+# the same way: a bitset over GF(2), a dict elsewhere.
 
 
 class _Gf2Ops:
@@ -346,12 +348,34 @@ class _Gf2Ops:
             return 1
         raise ZeroDivisionError("inverse of 0 in GF(2)")
 
+    # combinations of Span tags: a bitset of tags, like a vector
+    @staticmethod
+    def combo_zero() -> int:
+        return 0
+
+    @staticmethod
+    def combo_addmul(mu: int, c: int, combo: int) -> int:
+        return mu ^ combo if c & 1 else mu
+
+    @staticmethod
+    def combo_pivot(mu: int, inv: int, tag: int) -> int:
+        return mu ^ 1 << tag
+
+    @staticmethod
+    def combo_dict(mu: int) -> dict[int, int]:
+        return dict(_Gf2Ops.items(mu))
+
 
 class _FieldOps:
     """Sparse vectors over Q or F_p (p odd): dicts from index to nonzero scalar.
 
-    One normaliser chosen at construction (to ``Fraction`` over Q, ``x % p``
-    over F_p) keeps every scalar canonical, so equal vectors are equal dicts.
+    One normaliser chosen at construction keeps every scalar canonical, so
+    equal vectors are equal dicts: over F_p it is ``x % p``; over Q it is
+    :func:`_rational`, which keeps a scalar an ``int`` while it is integral
+    and a ``Fraction`` (denominator above 1) otherwise.  Boundary entries
+    are +-1, so nearly all the arithmetic stays on ints.
+
+    A combination of ``Span`` tags is a ``{tag: scalar}`` dict.
     """
 
     def __init__(self, ring: CoefficientRing):
@@ -359,8 +383,7 @@ class _FieldOps:
             raise ValueError("vector kernel requires a field")
         self.ring = ring
         p = ring.p
-        # Fraction arithmetic already returns Fractions: convert only the rest
-        self._norm = (lambda x: x % p) if p else (lambda x: x if type(x) is Fraction else Fraction(x))
+        self._norm = (lambda x: x % p) if p else _rational
         self.sc_zero = self._norm(0)
         self.sc_one = self._norm(1)
 
@@ -433,8 +456,35 @@ class _FieldOps:
         if not a:
             raise ZeroDivisionError("inverse of 0")
         if self.ring.kind == "rationals":
-            return 1 / a
+            return _rational(Fraction(1, a))
         return pow(a, -1, self.ring.p)
+
+    # combinations of Span tags: {tag: nonzero scalar}
+    @staticmethod
+    def combo_zero() -> dict:
+        return {}
+
+    def combo_addmul(self, mu: dict, c, combo: dict) -> dict:
+        """``mu + c * combo``, updating ``mu`` in place."""
+        norm = self._norm
+        for g, a in combo.items():
+            s = norm(mu.get(g, 0) + c * a)
+            if s:
+                mu[g] = s
+            else:
+                del mu[g]
+        return mu
+
+    def combo_pivot(self, mu: dict, inv, tag: int) -> dict:
+        """``inv * (e_tag - mu)``, the combination of a new pivot vector."""
+        norm = self._norm
+        combo = {g: norm(-inv * a) for g, a in mu.items()}
+        combo[tag] = inv
+        return combo
+
+    @staticmethod
+    def combo_dict(mu: dict) -> dict:
+        return mu
 
 
 _GF2_OPS = _Gf2Ops()
@@ -460,7 +510,9 @@ class Span:
     coefficient}`` dict expressing the vector over the previously inserted
     *independent* generators.  Pivoting is deterministic: each new
     independent vector is reduced against the existing pivots in insertion
-    order and its lowest nonzero coordinate becomes the pivot.
+    order and its lowest nonzero coordinate becomes the pivot.  Each pivot
+    keeps its combination in the format of the vector kernel (a bitset of
+    tags over GF(2), a dict elsewhere), turned into a dict only on return.
 
     ``copy()`` gives an independent span with the same pivots and tag
     counter: it shares the pivot entries (never mutated after insertion),
@@ -471,7 +523,7 @@ class Span:
     def __init__(self, ops, n: int):
         self.ops = ops
         self.n = n
-        self._pivots: list[tuple[int, object, dict]] = []
+        self._pivots: list[tuple[int, object, object]] = []
         self._count = 0
 
     @property
@@ -489,20 +541,17 @@ class Span:
         return other
 
     def _reduce(self, v):
-        """Return (w, mu) with w = v - sum(mu[g] * generator_g)."""
+        """Return (w, mu) with w = v - sum(mu[g] * generator_g), mu in the
+        ops' combination format."""
         ops = self.ops
+        coeff, sub, scale, addmul = ops.coeff, ops.sub, ops.scale, ops.combo_addmul
         w = v
-        mu: dict[int, object] = {}
+        mu = ops.combo_zero()
         for piv, pvec, pcombo in self._pivots:
-            c = ops.coeff(w, piv)
-            if c != ops.sc_zero:
-                w = ops.sub(w, ops.scale(c, pvec))
-                for g, a in pcombo.items():
-                    acc = ops.sc_add(mu.get(g, ops.sc_zero), ops.sc_mul(c, a))
-                    if acc == ops.sc_zero:
-                        mu.pop(g, None)
-                    else:
-                        mu[g] = acc
+            c = coeff(w, piv)
+            if c:
+                w = sub(w, scale(c, pvec))
+                mu = addmul(mu, c, pcombo)
         return w, mu
 
     def insert(self, v) -> tuple[bool, dict | None]:
@@ -516,20 +565,17 @@ class Span:
         self._count += 1
         w, mu = self._reduce(v)
         if ops.is_zero(w):
-            return False, mu
+            return False, ops.combo_dict(mu)
         piv = ops.pivot(w)
         inv = ops.sc_inv(ops.coeff(w, piv))
-        w = ops.scale(inv, w)
-        combo = {g: ops.sc_neg(ops.sc_mul(inv, a)) for g, a in mu.items()}
-        combo[tag] = inv
-        self._pivots.append((piv, w, combo))
+        self._pivots.append((piv, ops.scale(inv, w), ops.combo_pivot(mu, inv, tag)))
         return True, None
 
     def solve(self, v) -> dict | None:
         """Combination of generators equal to ``v``, or None if outside."""
         w, mu = self._reduce(v)
         if self.ops.is_zero(w):
-            return mu
+            return self.ops.combo_dict(mu)
         return None
 
 

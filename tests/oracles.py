@@ -5,8 +5,10 @@ from sympy or from a self-contained mod-p elimination, Smith normal forms
 from sympy, domination counts and chordality from networkx.  Simplicial
 complexes and graphs are consumed only through their plain data (simplex
 lists, edge lists).  ``DenseFieldOps`` is the package's former list-backed
-vector kernel over Q and F_p, kept to check the sparse kernel against, and
-``is_prime_by_trial_division`` its former primality test.
+vector kernel over Q and F_p (with ``Fraction`` scalars throughout), kept to
+check the sparse kernel against, ``ScanSpan`` its former span, which keeps
+every tag combination as a dict, and ``is_prime_by_trial_division`` its
+former primality test.
 
 The rest are retired library routes, kept as references, and they do reuse
 library pieces:
@@ -378,6 +380,85 @@ class DenseFieldOps:
             raise ZeroDivisionError("inverse of 0")
         return pow(a, p - 2, p)
 
+    # Span tag combinations: {tag: nonzero scalar}
+    def combo_zero(self) -> dict:
+        return {}
+
+    def combo_addmul(self, mu: dict, c, combo: dict) -> dict:
+        for g, a in combo.items():
+            acc = self.sc_add(mu.get(g, self.sc_zero), self.sc_mul(c, a))
+            if acc == self.sc_zero:
+                mu.pop(g, None)
+            else:
+                mu[g] = acc
+        return mu
+
+    def combo_pivot(self, mu: dict, inv, tag: int) -> dict:
+        combo = {g: self.sc_neg(self.sc_mul(inv, a)) for g, a in mu.items()}
+        combo[tag] = inv
+        return combo
+
+    def combo_dict(self, mu: dict) -> dict:
+        return mu
+
+
+# --------------------------------------------------------------------------
+# the retired scanning span
+
+
+class ScanSpan:
+    """The library's former ``Span``: the same pivots, but every tag
+    combination is a ``{tag: scalar}`` dict updated through the kernel's
+    scalar helpers, so it bypasses the kernel's own combination format."""
+
+    def __init__(self, ops, n: int):
+        self.ops = ops
+        self.n = n
+        self._pivots: list[tuple[int, object, dict]] = []
+        self._count = 0
+
+    @property
+    def dim(self) -> int:
+        return len(self._pivots)
+
+    @property
+    def inserted(self) -> int:
+        return self._count
+
+    def _reduce(self, v):
+        ops = self.ops
+        w = v
+        mu: dict = {}
+        for piv, pvec, pcombo in self._pivots:
+            c = ops.coeff(w, piv)
+            if c != ops.sc_zero:
+                w = ops.sub(w, ops.scale(c, pvec))
+                for g, a in pcombo.items():
+                    acc = ops.sc_add(mu.get(g, ops.sc_zero), ops.sc_mul(c, a))
+                    if acc == ops.sc_zero:
+                        mu.pop(g, None)
+                    else:
+                        mu[g] = acc
+        return w, mu
+
+    def insert(self, v) -> tuple[bool, dict | None]:
+        ops = self.ops
+        tag = self._count
+        self._count += 1
+        w, mu = self._reduce(v)
+        if ops.is_zero(w):
+            return False, mu
+        piv = ops.pivot(w)
+        inv = ops.sc_inv(ops.coeff(w, piv))
+        combo = {g: ops.sc_neg(ops.sc_mul(inv, a)) for g, a in mu.items()}
+        combo[tag] = inv
+        self._pivots.append((piv, ops.scale(inv, w), combo))
+        return True, None
+
+    def solve(self, v) -> dict | None:
+        w, mu = self._reduce(v)
+        return mu if self.ops.is_zero(w) else None
+
 
 # --------------------------------------------------------------------------
 # the retired lattice route to integral homology
@@ -471,6 +552,11 @@ def lattice_homology_table(C: ChainComplex) -> dict[int, LatticeHomology]:
 # the retired chain-map API: chain maps, induced maps and mapping cones
 
 
+def identity(ring, n: int) -> Matrix:
+    """The n x n identity matrix over ``ring``."""
+    return Matrix(ring, n, n, [[int(i == j) for j in range(n)] for i in range(n)])
+
+
 @dataclass
 class ChainMap:
     """A degree-preserving map of chain complexes, checked to commute.
@@ -498,7 +584,7 @@ class ChainMap:
     def component(self, n: int) -> Matrix:
         f = self.components.get(n)
         if f is None:
-            return Matrix.zeros(self.source.ring, self.target.rank(n), self.source.rank(n))
+            return Matrix(self.source.ring, self.target.rank(n), self.source.rank(n))
         return f
 
 

@@ -14,6 +14,7 @@ import oracles
 from uberhom import algebra as al
 from uberhom import complexes as cx
 from uberhom import graphs as gr
+from uberhom import mvss
 from uberhom.errors import SolveFailure
 
 
@@ -215,6 +216,23 @@ def test_sparse_kernel_agrees_with_the_dense_oracle(ring, n, data):
     assert all(same(sk, dk) for sk, dk in zip(s_kernel, d_kernel))
 
 
+@given(ring=st.sampled_from((al.GF2, al.GF(3), al.QQ)), n=st.integers(1, 5), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_span_agrees_with_the_scanning_oracle(ring, n, data):
+    ops = al.vector_ops(ring)
+    steps = data.draw(
+        st.lists(st.tuples(st.booleans(), st.lists(_scalars(ring), min_size=n, max_size=n)), max_size=12)
+    )
+    span, scan = al.Span(ops, n), oracles.ScanSpan(ops, n)
+    for is_insert, xs in steps:
+        v = ops.from_list(xs)
+        if is_insert:
+            assert span.insert(v) == scan.insert(v)
+        else:
+            assert span.solve(v) == scan.solve(v)
+    assert (span.dim, span.inserted) == (scan.dim, scan.inserted)
+
+
 @given(ring=st.sampled_from(SPARSE_KERNEL_RINGS), data=st.data())
 @settings(max_examples=80, deadline=None)
 def test_sparse_kernel_stores_only_canonical_nonzero_scalars(ring, data):
@@ -239,10 +257,46 @@ def test_sparse_kernel_stores_only_canonical_nonzero_scalars(ring, data):
     for w in results:
         for _, x in ops.items(w):
             if ring == al.QQ:
-                assert type(x) is Fraction and x != 0
+                # an int exactly when integral, otherwise a Fraction with
+                # denominator above 1; never a float
+                assert type(x) in (int, Fraction) and x != 0
+                assert (type(x) is int) == (x.denominator == 1)
             else:
                 assert type(x) is int and 1 <= x < ring.p
     assert ops.sub(ops.add(u, v), v) == u
+
+
+def test_rational_inverse_is_canonical():
+    inv = al.vector_ops(al.QQ).sc_inv
+    for a, expected in ((1, 1), (-1, -1), (Fraction(1, 3), 3), (Fraction(-1, 5), -5)):
+        assert type(inv(a)) is int and inv(a) == expected
+    for a, expected in ((2, Fraction(1, 2)), (Fraction(-2, 3), Fraction(-3, 2))):
+        assert type(inv(a)) is Fraction and inv(a) == expected
+    with pytest.raises(ZeroDivisionError):
+        inv(0)
+
+
+def test_rational_kernel_keeps_boundary_scalars_integral():
+    X = cx.random_connected_complex(7, 1)
+    ops = al.vector_ops(al.QQ)
+    cc = al.simplicial_chain_complex(X, al.QQ)
+    scalars, dependencies = [], 0
+    for n in cc.degrees():
+        span = al.Span(ops, cc.rank(n - 1))
+        for col in cc.columns(n):
+            is_new, combo = span.insert(ops.from_items(cc.rank(n - 1), col))
+            if not is_new:
+                dependencies += 1
+                scalars += combo.values()
+        for _, vec, combo in span._pivots:
+            scalars += [x for _, x in ops.items(vec)]
+            scalars += combo.values()
+    assert dependencies and scalars
+    assert all(type(x) is int for x in scalars)
+    # the public edge stays Fraction
+    ss = mvss.SpectralSequence(mvss.double_complex(X, ring=al.QQ, augmented=True))
+    entries = [x for r in (1, 2) for mat in ss.differentials(r).values() for row in mat.to_lists() for x in row]
+    assert any(entries) and all(type(x) is Fraction for x in entries)
 
 
 def test_matrix_rank_works_over_every_ring():
@@ -287,7 +341,7 @@ def test_smith_normal_form_golden():
 
 def test_smith_normal_form_empty_shapes():
     for m, n in ((0, 3), (3, 0), (0, 0)):
-        A = al.Matrix.zeros(al.ZZ, m, n)
+        A = al.Matrix(al.ZZ, m, n)
         D, U, V = al.smith_normal_form(A)
         assert (D.rows, D.cols) == (m, n)
         assert (U.rows, U.cols) == (m, m)
@@ -304,7 +358,7 @@ def test_invariant_factors_match_the_dense_smith_form_and_sympy(m, n, data):
     rows = [data.draw(st.lists(SMITH_ENTRIES, min_size=n, max_size=n)) for _ in range(m)]
     columns = [[(i, rows[i][j]) for i in range(m) if rows[i][j]] for j in range(n)]
     factors = al.invariant_factors(m, columns)
-    D, _, _ = al.smith_normal_form(al.Matrix.from_rows(al.ZZ, rows) if m else al.Matrix.zeros(al.ZZ, 0, n))
+    D, _, _ = al.smith_normal_form(al.Matrix.from_rows(al.ZZ, rows) if m else al.Matrix(al.ZZ, 0, n))
     assert factors == [D[t, t] for t in range(min(m, n)) if D[t, t]]
     if m and n:
         expected = sympy.matrices.normalforms.invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)
@@ -356,7 +410,7 @@ def test_chain_complex_rejects_non_squaring_differential():
 
 def test_chain_complex_rejects_bad_shapes():
     with pytest.raises(ValueError):
-        al.ChainComplex(al.ZZ, {0: 2, 1: 1}, {1: al.Matrix.zeros(al.ZZ, 3, 1)})
+        al.ChainComplex(al.ZZ, {0: 2, 1: 1}, {1: al.Matrix(al.ZZ, 3, 1)})
 
 
 @pytest.mark.parametrize(
@@ -609,7 +663,7 @@ def _inclusion_of_square_into_its_cone(ring):
     dst = al.simplicial_chain_complex(disc, ring)
     comps = {}
     for n in range(loop.max_dim + 1):
-        mat = al.Matrix.zeros(ring, dst.rank(n), src.rank(n))
+        mat = al.Matrix(ring, dst.rank(n), src.rank(n))
         for j, s in enumerate(loop.simplices_of_dim(n)):
             mat[disc.index_of(n, s), j] = 1
         comps[n] = mat
@@ -632,7 +686,7 @@ def test_chain_map_checks_the_square_next_to_an_omitted_component():
     two_points = al.simplicial_chain_complex(cx.boundary_of_simplex(2), ring)
     # f_1 is omitted, so it is zero, but f_0 ∘ d_1 is not
     with pytest.raises(ValueError, match="degree 1"):
-        oracles.ChainMap(interval, two_points, {0: al.Matrix.identity(ring, 2)})
+        oracles.ChainMap(interval, two_points, {0: oracles.identity(ring, 2)})
 
 
 def test_induced_map_kills_the_coned_loop():
@@ -648,7 +702,7 @@ def test_mapping_cone_of_identity_is_acyclic():
     ring = al.GF2
     cc = al.simplicial_chain_complex(X, ring)
     ident = oracles.ChainMap(
-        cc, cc, {n: al.Matrix.identity(ring, cc.rank(n)) for n in cc.degrees()}
+        cc, cc, {n: oracles.identity(ring, cc.rank(n)) for n in cc.degrees()}
     )
     cone = oracles.mapping_cone(ident)
     assert all(d == 0 for d in al.betti_numbers(cone).values())

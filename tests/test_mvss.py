@@ -336,6 +336,11 @@ def test_identification_on_corpus(corpus_complex):
         assert report.render().endswith("PASS")
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_identification_over_the_rationals_at_eight_vertices(seed):
+    assert mvss.verify_identification(cx.random_connected_complex(8, seed), al.QQ).ok
+
+
 def test_identification_on_a_complex_that_carries_original_ids():
     X = cx.induced_subcomplex(cx.complex_from_graph(gr.cycle_graph(7)), [1, 2, 3, 4, 5])
     assert X.original_ids == (1, 2, 3, 4, 5)
