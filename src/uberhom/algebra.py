@@ -39,6 +39,7 @@ __all__ = [
     "ChainComplex",
     "AbelianGroupPresentation",
     "HomologyBasis",
+    "faces",
     "simplicial_chain_complex",
     "homology",
     "betti_numbers",
@@ -697,6 +698,12 @@ class ChainComplex:
         return f"ChainComplex({self.ring.label()}; {parts})"
 
 
+def faces(s: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+    """The codimension-one faces of a simplex, each with its sign in the
+    simplicial boundary: deleting vertex k gives the sign (-1)^k."""
+    return [(s[:k] + s[k + 1 :], -1 if k % 2 else 1) for k in range(len(s))]
+
+
 def _boundary_complex(
     ring: CoefficientRing, bases: dict[int, Sequence[tuple[int, ...]]]
 ) -> ChainComplex:
@@ -713,10 +720,7 @@ def _boundary_complex(
         if q - 1 not in ranks:
             continue
         index = {s: i for i, s in enumerate(bases[q - 1])}
-        diffs[q] = [
-            [(index[s[:k] + s[k + 1 :]], -1 if k % 2 else 1) for k in range(len(s))]
-            for s in bases[q]
-        ]
+        diffs[q] = [[(index[f], c) for f, c in faces(s)] for s in bases[q]]
     return ChainComplex(ring, ranks, diffs)
 
 

@@ -30,7 +30,8 @@ from concurrent.futures import ProcessPoolExecutor
 from . import algebra, complexes, graphs, mvss, uber
 from .algebra import CoefficientRing, ring_from_label
 from .complexes import SimplicialComplex
-from .errors import NotConnectedError, SizeGuardExceeded, StandardSimplexError, check_vertex_guard
+from .errors import NotConnectedError, SizeGuardExceeded, StandardSimplexError
+from .errors import check_simplex_guard, check_vertex_guard
 from .graphs import Graph
 
 EXIT_OK = 0
@@ -526,43 +527,64 @@ def cmd_generate(args) -> int:
         if len(params) != n:
             raise InputError(f"family {family!r} expects {usage}")
         try:
-            return [int(x) for x in params]
+            values = [int(x) for x in params]
         except ValueError as exc:
             raise InputError(f"family {family!r} expects integer parameters") from exc
+        if any(x < 0 for x in values):
+            raise InputError(f"family {family!r} expects nonnegative parameters")
+        return values
 
+    # every family checks its vertex-plus-simplex count before it is built
     if family == "path":
         (m,) = _need(1, "one parameter: vertex count")
+        check_simplex_guard(2 * m)
         out = graphs.graph_to_json(graphs.path_graph(m))
     elif family == "cycle":
         (m,) = _need(1, "one parameter: vertex count")
+        check_simplex_guard(2 * m)
         out = graphs.graph_to_json(graphs.cycle_graph(m))
     elif family == "complete":
         (m,) = _need(1, "one parameter: vertex count")
+        check_simplex_guard(m + m * (m - 1) // 2)
         out = graphs.graph_to_json(graphs.complete_graph(m))
     elif family == "grid":
         rows, cols = _need(2, "two parameters: rows cols")
+        check_simplex_guard(3 * rows * cols)
         out = graphs.graph_to_json(graphs.grid_graph(rows, cols))
     elif family == "simplex_boundary":
         (d,) = _need(1, "one parameter: simplex dimension")
         if d < 1:
             raise InputError("simplex dimension must be at least 1")
+        # capping the exponent keeps the number printable and the verdict unchanged
+        check_simplex_guard(d + 2 ** min(d + 1, 64))
         out = complexes.complex_to_json(complexes.boundary_of_simplex(d + 1))
     elif family in ("cone_of", "suspension_of"):
         if len(params) != 1:
             raise InputError(f"family {family!r} expects one parameter: an input path")
         X = _as_complex(_load_object(_read_text(params[0])))
-        built = complexes.cone(X) if family == "cone_of" else complexes.suspension(X)
-        out = complexes.complex_to_json(built)
+        apexes, build = (1, complexes.cone) if family == "cone_of" else (2, complexes.suspension)
+        # each apex adds itself, as a vertex and a simplex, and its join with every simplex
+        check_simplex_guard(X.vertex_count + 2 * apexes + (apexes + 1) * sum(X.f_vector()))
+        out = complexes.complex_to_json(build(X))
     elif family == "random":
         if len(params) != 2:
             raise InputError("family 'random' expects two parameters: vertex-count edge-probability")
         try:
-            m = int(params[0])
-            p = float(params[1])
+            m, p = int(params[0]), float(params[1])
         except ValueError as exc:
             raise InputError("family 'random' expects an integer and a float") from exc
-        G = graphs.random_connected_graph(m, p, seed=seed)
+        if m < 0:
+            raise InputError("family 'random' expects a nonnegative vertex count")
+        # a draw costs one coin per vertex pair
+        check_simplex_guard(m + m * (m - 1) // 2)
+        try:
+            G = graphs.random_connected_graph(m, p, seed=seed)
+        except RuntimeError as exc:
+            raise InputError(str(exc)) from exc
         if args.flag:
+            # a clique is its least vertex and a set of that vertex's larger neighbours
+            forward = [(a >> (v + 1)).bit_count() for v, a in enumerate(G.adjacency)]
+            check_simplex_guard(m + sum(2 ** min(k, 64) for k in forward))
             out = complexes.complex_to_json(complexes.flag_complex(G))
         else:
             out = graphs.graph_to_json(G)

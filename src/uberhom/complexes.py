@@ -323,11 +323,7 @@ def star_cover(X: SimplicialComplex) -> Cover:
 
 
 def _intersection_simplices(cover: Cover, subset: Sequence[int]) -> frozenset[Simplex]:
-    sets = [cover.element_simplices(i) for i in subset]
-    out = sets[0]
-    for s in sets[1:]:
-        out &= s
-    return out
+    return frozenset.intersection(*(cover.element_simplices(i) for i in subset))
 
 
 def cover_intersection(cover: Cover, subset: Sequence[int]) -> SimplicialComplex:
@@ -345,27 +341,32 @@ def cover_intersection(cover: Cover, subset: Sequence[int]) -> SimplicialComplex
     return _renumbered(_intersection_simplices(cover, idx))
 
 
+def _nerve_intersections(cover: Cover) -> dict[Simplex, frozenset[Simplex]]:
+    """The non-empty intersections of the cover, keyed by the nerve simplex
+    (sorted element indices) that selects them, by dimension and then
+    lexicographically.  Each is grown from its prefix, so every element's
+    simplices are computed once."""
+    n = len(cover.elements)
+    element_sets = [cover.element_simplices(i) for i in range(n)]
+    frontier = {(i,): element_sets[i] for i in range(n)}
+    out: dict[Simplex, frozenset[Simplex]] = {}
+    while frontier:
+        out.update(frontier)
+        nxt = {}
+        for subset, inter in frontier.items():
+            for j in range(subset[-1] + 1, n):
+                meet = inter & element_sets[j]
+                if meet:
+                    nxt[subset + (j,)] = meet
+        frontier = nxt
+    return out
+
+
 def nerve(cover: Cover) -> SimplicialComplex:
     """The nerve: one vertex per cover element, a simplex per subset with
     non-empty intersection."""
-    n = len(cover.elements)
-    element_sets = [cover.element_simplices(i) for i in range(n)]
-    present: list[list[Simplex]] = [[(i,) for i in range(n)]]
-    frontier: dict[Simplex, frozenset] = {(i,): element_sets[i] for i in range(n)}
-    while frontier:
-        nxt: dict[Simplex, frozenset] = {}
-        for subset, inter in frontier.items():
-            for j in range(subset[-1] + 1, n):
-                grown = subset + (j,)
-                if grown in nxt:
-                    continue
-                meet = inter & element_sets[j]
-                if meet:
-                    nxt[grown] = meet
-        if nxt:
-            present.append(sorted(nxt))
-        frontier = nxt
-    return SimplicialComplex(n, present)
+    by_dim = [list(bucket) for _, bucket in itertools.groupby(_nerve_intersections(cover), key=len)]
+    return SimplicialComplex(len(cover.elements), by_dim)
 
 
 def link(X: SimplicialComplex, simplex: Iterable[int]) -> SimplicialComplex:

@@ -7,7 +7,9 @@ blockwise; the horizontal one is the alternating sum of the inclusions
 into the one-smaller intersections.  The augmented variant appends the
 chains of the whole complex as a p = -1 column, making every row exact
 and the abutment zero; the plain variant abuts to the homology of the
-complex.
+complex.  The blocks are the intersections that the nerve is grown from,
+each cell is one index of (nerve simplex, simplex) pairs, and both
+differentials take the faces of one side of a pair by ``algebra.faces``.
 
 Pages are computed over a field by the zig-zag (staircase) description
 of page classes (McCleary, *A User's Guide to Spectral Sequences*, 2.2):
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 from . import algebra, complexes, uber
 from .algebra import (
@@ -32,6 +33,7 @@ from .algebra import (
     Matrix,
     QQ,
     Span,
+    faces,
     matrix_rank,
     nullspace,
     vector_ops,
@@ -57,11 +59,10 @@ __all__ = [
 class DoubleComplex:
     """Chains of all cover intersections, arranged by (nerve degree, chain degree).
 
-    Column p >= 0 holds one block per p-simplex of the nerve; the augmented
-    variant adds a single block for the whole complex at p = -1.  Basis
-    elements are (nerve simplex, ambient simplex) pairs; blocks are ordered
-    by nerve simplex (lexicographically), simplices lexicographically
-    within a block.
+    Column p >= 0 holds one block per p-simplex J of the nerve, the chains
+    of the intersection of the elements in J; the augmented variant adds
+    the block J = () of the whole complex at p = -1.  Cell (p, q) is one
+    index ``{(J, s): row}``, J lexicographic and then s lexicographic.
     """
 
     def __init__(self, X: SimplicialComplex, cover: Cover, ring: CoefficientRing, augmented: bool = True):
@@ -73,119 +74,55 @@ class DoubleComplex:
         self.cover = cover
         self.ring = ring
         self.augmented = augmented
-        self.nerve = complexes.nerve(cover)
         self.p_min = -1 if augmented else 0
-        self.p_max = self.nerve.max_dim
-        blocks: dict[tuple[int, ...], dict[int, tuple[Simplex, ...]]] = {}
+        # the blocks come by nerve dimension, then lexicographically
+        blocks = complexes._nerve_intersections(cover)
         if augmented:
-            blocks[()] = {q: X.simplices_of_dim(q) for q in X.dims()}
-        for p in self.nerve.dims():
-            for J in self.nerve.simplices_of_dim(p):
-                inter = complexes._intersection_simplices(cover, J)
-                by_q: dict[int, list[Simplex]] = {}
-                for s in inter:
-                    by_q.setdefault(len(s) - 1, []).append(s)
-                blocks[J] = {q: tuple(sorted(v)) for q, v in by_q.items()}
-        self._blocks = blocks
-        self._block_index: dict[tuple[tuple[int, ...], int], dict[Simplex, int]] = {}
-        self._columns: dict[int, tuple[tuple[int, ...], ...]] = {}
-        if augmented:
-            self._columns[-1] = ((),)
-        for p in self.nerve.dims():
-            self._columns[p] = self.nerve.simplices_of_dim(p)
-        self._cells: dict[tuple[int, int], dict] = {}
+            blocks = {(): X.simplex_set(), **blocks}
+        self._cells: dict[tuple[int, int], dict[tuple[tuple[int, ...], Simplex], int]] = {}
+        for J, inter in blocks.items():
+            for s in sorted(inter):
+                cell = self._cells.setdefault((len(J) - 1, len(s) - 1), {})
+                cell[J, s] = len(cell)
+        self.p_max = max(p for p, _ in self._cells)
         self._dv: dict[tuple[int, int], list] = {}
         self._dh: dict[tuple[int, int], list] = {}
 
     # -- cell bookkeeping ------------------------------------------------------
 
-    def q_max(self) -> int:
-        return max((max(b) for b in self._blocks.values() if b), default=-1)
-
     def column(self, p: int) -> tuple[tuple[int, ...], ...]:
-        return self._columns.get(p, ())
-
-    def _cell(self, p: int, q: int) -> dict:
-        key = (p, q)
-        cell = self._cells.get(key)
-        if cell is None:
-            offsets = {}
-            total = 0
-            for J in self.column(p):
-                offsets[J] = total
-                total += len(self._blocks[J].get(q, ()))
-            cell = {"offsets": offsets, "size": total}
-            self._cells[key] = cell
-        return cell
+        """The nerve simplices of column p; each block has vertices."""
+        return tuple(dict.fromkeys(J for J, _ in self._cells.get((p, 0), ())))
 
     def cell_dim(self, p: int, q: int) -> int:
-        if q < 0 or p < self.p_min or p > self.p_max:
-            return 0
-        return self._cell(p, q)["size"]
+        return len(self._cells.get((p, q), ()))
 
     def cells(self) -> list[tuple[int, int]]:
         """All occupied bidegrees, column-major, rows ascending."""
-        out = []
-        for p in range(self.p_min, self.p_max + 1):
-            for q in range(self.q_max() + 1):
-                if self.cell_dim(p, q):
-                    out.append((p, q))
-        return out
-
-    def _index_in_block(self, J: tuple[int, ...], q: int, s: Simplex) -> int:
-        key = (J, q)
-        idx = self._block_index.get(key)
-        if idx is None:
-            idx = {t: i for i, t in enumerate(self._blocks[J].get(q, ()))}
-            self._block_index[key] = idx
-        return idx[s]
-
-    def basis(self, p: int, q: int) -> list[tuple[tuple[int, ...], Simplex]]:
-        out = []
-        for J in self.column(p):
-            for s in self._blocks[J].get(q, ()):
-                out.append((J, s))
-        return out
+        return sorted(self._cells)
 
     # -- sparse differentials ----------------------------------------------------
 
     def dv_sparse(self, p: int, q: int) -> list[tuple[tuple[int, int], ...]]:
         """Per-basis columns of the vertical (simplicial) differential into (p, q-1)."""
-        key = (p, q)
-        cols = self._dv.get(key)
-        if cols is not None:
-            return cols
-        cols = []
-        target = self._cell(p, q - 1) if q >= 1 else None
-        for J, s in self.basis(p, q):
-            entries = []
-            if target is not None and len(s) >= 2:
-                off = target["offsets"][J]
-                for k in range(len(s)):
-                    face = s[:k] + s[k + 1 :]
-                    entries.append((off + self._index_in_block(J, q - 1, face), -1 if k % 2 else 1))
-            cols.append(tuple(entries))
-        self._dv[key] = cols
+        cols = self._dv.get((p, q))
+        if cols is None:
+            below = self._cells.get((p, q - 1), {})
+            cols = self._dv[p, q] = [
+                tuple((below[J, f], c) for f, c in faces(s)) if below else ()
+                for J, s in self._cells.get((p, q), ())
+            ]
         return cols
 
     def dh_sparse(self, p: int, q: int) -> list[tuple[tuple[int, int], ...]]:
         """Per-basis columns of the horizontal (nerve) differential into (p-1, q)."""
-        key = (p, q)
-        cols = self._dh.get(key)
-        if cols is not None:
-            return cols
-        cols = []
-        has_target = p - 1 >= self.p_min
-        target = self._cell(p - 1, q) if has_target else None
-        for J, s in self.basis(p, q):
-            entries = []
-            if target is not None:
-                for k in range(len(J)):
-                    J2 = J[:k] + J[k + 1 :]
-                    off = target["offsets"][J2]
-                    entries.append((off + self._index_in_block(J2, q, s), -1 if k % 2 else 1))
-            cols.append(tuple(entries))
-        self._dh[key] = cols
+        cols = self._dh.get((p, q))
+        if cols is None:
+            left = self._cells.get((p - 1, q), {})
+            cols = self._dh[p, q] = [
+                tuple((left[f, s], c) for f, c in faces(J)) if left else ()
+                for J, s in self._cells.get((p, q), ())
+            ]
         return cols
 
     def validate(self) -> None:

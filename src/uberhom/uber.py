@@ -166,35 +166,41 @@ def _field_rank(ring: CoefficientRing) -> Callable[[int, int, list], int]:
     return lambda j, rows, columns: column_rank(ops, (ops.from_items(rows, c) for c in columns))
 
 
+def _sign_table(m: int, signs: SignAssignment) -> list[list[int]]:
+    """``signs(mask, v)`` on each edge of the m-cube, one call per edge;
+    0 where vertex v of ``mask`` is already 1."""
+    return [[0 if mask >> v & 1 else signs(mask, v) for v in range(m)] for mask in range(1 << m)]
+
+
+def _anticommutes(m: int, edge: list[list[int]]) -> bool:
+    """Whether every square of the m-cube anticommutes under a sign table."""
+    return all(
+        edge[mask][i] * edge[mask | 1 << i][j] + edge[mask][j] * edge[mask | 1 << j][i] == 0
+        for mask in range(1 << m)
+        for i in range(m)
+        if not mask >> i & 1
+        for j in range(i + 1, m)
+        if not mask >> j & 1
+    )
+
+
 def verify_sign_assignment(m: int, signs: SignAssignment) -> bool:
     """Check that every square of the m-dimensional lattice anticommutes."""
-    # one call per edge; each square then reads four of them
-    edge = [[0 if mask >> v & 1 else signs(mask, v) for v in range(m)] for mask in range(1 << m)]
-    for mask in range(1 << m):
-        for i in range(m):
-            if mask >> i & 1:
-                continue
-            for j in range(i + 1, m):
-                if mask >> j & 1:
-                    continue
-                if edge[mask][i] * edge[mask | 1 << i][j] + edge[mask][j] * edge[mask | 1 << j][i] != 0:
-                    return False
-    return True
+    return _anticommutes(m, _sign_table(m, signs))
 
 
-def _check_signs(m: int, signs: SignAssignment) -> None:
-    """Refuse signs other than the integers +-1, which the integer
-    elimination needs, and signs under which the cube maps would not
-    compose to zero."""
-    for mask in range(1 << m):
-        for v in range(m):
-            if mask >> v & 1:
-                continue
-            sign = signs(mask, v)
-            if not (isinstance(sign, int) and sign in (1, -1)):
+def _check_signs(m: int, signs: SignAssignment) -> list[list[int]]:
+    """The sign table of the m-cube, once checked: signs other than the
+    integers +-1, which the integer elimination needs, and signs under
+    which the cube maps would not compose to zero are refused."""
+    table = _sign_table(m, signs)
+    for mask, row in enumerate(table):
+        for v, sign in enumerate(row):
+            if not mask >> v & 1 and not (isinstance(sign, int) and sign in (1, -1)):
                 raise ValueError(f"sign assignment {signs.name!r} gives {sign!r} on edge {(mask, v)}, not +1 or -1")
-    if not verify_sign_assignment(m, signs):
+    if not _anticommutes(m, table):
         raise ValueError(f"sign assignment {signs.name!r} does not anticommute on the {m}-cube")
+    return table
 
 
 # --------------------------------------------------------------------------
@@ -393,7 +399,7 @@ def zero_degree_uber_table(
     """
     m = X.vertex_count
     check_vertex_guard(m, max_vertices)
-    _check_signs(m, signs)
+    sign_table = _check_signs(m, signs)
     if not ring.is_field:
         raise ValueError("the weight-zero slice needs field coefficients")
     max_degree = X.max_dim if not X.is_empty else -1
@@ -405,7 +411,7 @@ def zero_degree_uber_table(
         nodes = [_CubeNode(b.get(degree, ()), cc, degree) for b, cc in zip(bases, chains)]
 
         def edge(mask: int, v: int) -> list:
-            sign = signs(mask, v)
+            sign = sign_table[mask][v]
             return [
                 [(r, sign * x) for r, x in enumerate(coords) if x]
                 for coords in _cube_edge_matrix(nodes[mask], nodes[mask | 1 << v], ring)
@@ -469,14 +475,14 @@ def bold_homology(
     G = obj if hasattr(obj, "adjacency") else graphs.one_skeleton(obj)
     m = G.vertex_count
     check_vertex_guard(m, max_vertices)
-    _check_signs(m, signs)
+    sign_table = _check_signs(m, signs)
     comps = [_components_by_mask(G.adjacency, mask) for mask in range(1 << m)]
     torsion: dict[int, tuple[int, ...]] = {}
 
     def edge(mask: int, v: int) -> list:
         # a component lies inside exactly one component of the raised node
         up = comps[mask | 1 << v]
-        sign = signs(mask, v)
+        sign = sign_table[mask][v]
         return [[(next(r for r, uc in enumerate(up) if uc & comp), sign)] for comp in comps[mask]]
 
     def rank(j: int, rows: int, columns: list) -> int:

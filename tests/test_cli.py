@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from uberhom import cli, complexes, graphs, uber
+from uberhom import cli, complexes, errors, graphs, uber
 
 
 CIRCLE = {"vertex_count": 3, "facets": [[0, 1], [0, 2], [1, 2]]}
@@ -96,6 +96,49 @@ def test_generate_suspension_of_circle_is_a_two_sphere(capsys, tmp_path, circle_
 def test_generate_rejects_unknown_family(capsys):
     code, _, err = run(capsys, ["generate", "dodecahedron", "5"])
     assert code == cli.EXIT_INPUT
+
+
+def test_generate_reports_an_exhausted_sampler_as_an_input_error(capsys):
+    # with edge probability 0 no draw on five vertices is connected
+    code, out, err = run(capsys, ["generate", "random", "5", "0"])
+    assert code == cli.EXIT_INPUT
+    assert out == "" and "no connected graph found" in err
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the family was built")
+
+
+@pytest.mark.parametrize(
+    "argv, module, builder",
+    [
+        (["path", "1048576"], graphs, "path_graph"),
+        (["cycle", "1048576"], graphs, "cycle_graph"),
+        (["complete", "1449"], graphs, "complete_graph"),
+        (["grid", "1000", "1000"], graphs, "grid_graph"),
+        (["simplex_boundary", "24"], complexes, "boundary_of_simplex"),
+        (["simplex_boundary", "1000000000"], complexes, "boundary_of_simplex"),
+        (["random", "1449", "0.5"], graphs, "random_connected_graph"),
+        (["random", "21", "1", "--flag"], complexes, "flag_complex"),
+    ],
+    ids=lambda x: "-".join(x) if isinstance(x, list) else None,
+)
+def test_generate_exits_on_the_guard_before_building(capsys, monkeypatch, argv, module, builder):
+    monkeypatch.setattr(module, builder, _refuse)
+    code, out, err = run(capsys, ["generate", *argv])
+    assert code == cli.EXIT_GUARD
+    assert out == "" and "simplices exceeds the guard" in err
+
+
+@pytest.mark.parametrize("family, builder", [("cone_of", "cone"), ("suspension_of", "suspension")])
+def test_generate_guards_cones_and_suspensions_of_inputs(capsys, monkeypatch, circle_path, family, builder):
+    # the circle passes a guard of 12 (3 vertices and 3 edges of 2**2 - 1
+    # faces each), and its cone (4 vertices, 13 simplices) does not
+    monkeypatch.setattr(errors, "MAX_SIMPLICES", 12)
+    monkeypatch.setattr(complexes, builder, _refuse)
+    code, out, err = run(capsys, ["generate", family, circle_path])
+    assert code == cli.EXIT_GUARD
+    assert out == "" and "simplices exceeds the guard" in err
 
 
 # --------------------------------------------------------------------------

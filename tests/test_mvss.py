@@ -93,6 +93,72 @@ def test_columns_are_indexed_by_nerve_simplices():
         assert sorted(dc.column(p)) == sorted(N.simplices_of_dim(p))
 
 
+def _dense(columns, rows):
+    out = [[0] * len(columns) for _ in range(rows)]
+    for c, col in enumerate(columns):
+        for r, x in col:
+            assert 0 <= r < rows
+            out[r][c] += x
+    return out
+
+
+@pytest.mark.parametrize("cover_of", [cx.anti_star_cover, cx.star_cover], ids=["anti-star", "star"])
+@pytest.mark.parametrize("augmented", [True, False], ids=["augmented", "plain"])
+def test_blocks_of_the_differentials_are_the_intersection_boundaries(corpus_complex, cover_of, augmented):
+    X = corpus_complex
+    if X.is_standard_simplex():
+        return
+    cover = cover_of(X)
+    dc = mvss.DoubleComplex(X, cover, al.QQ, augmented=augmented)
+
+    def basis(p, q):
+        # (J, s) with s in ambient ids: the renumbering is monotone, so the order is kept
+        out = []
+        for J in dc.column(p):
+            inter = cx.cover_intersection(cover, J)
+            ids = inter.original_ids or range(X.vertex_count)
+            out += [(J, tuple(ids[v] for v in s)) for s in inter.simplices_of_dim(q)]
+        return out
+
+    for p, q in dc.cells():
+        # each block of d_v is the boundary of the renumbered intersection
+        dv, col0, row0 = dc.dv_sparse(p, q), 0, 0
+        for J in dc.column(p):
+            inter = cx.cover_intersection(cover, J)
+            size, low = len(inter.simplices_of_dim(q)), len(inter.simplices_of_dim(q - 1))
+            block = [[(r - row0, x) for r, x in col] for col in dv[col0 : col0 + size]]
+            if q:
+                assert _dense(block, low) == oracles.boundary_rows(inter, q)
+            else:
+                assert all(not col for col in block)
+            col0, row0 = col0 + size, row0 + low
+        assert col0 == dc.cell_dim(p, q) == len(dv)
+        # the column of (J, s) in d_h has the entries (J minus element k, s), sign (-1)^k
+        left = {key: row for row, key in enumerate(basis(p - 1, q))} if p > dc.p_min else None
+        dh = dc.dh_sparse(p, q)
+        assert len(dh) == dc.cell_dim(p, q)
+        for (J, s), col in zip(basis(p, q), dh):
+            expected = {} if left is None else {left[J[:k] + J[k + 1 :], s]: (-1) ** k for k in range(len(J))}
+            assert len(col) == len(expected) and dict(col) == expected
+
+
+def test_the_double_complex_reads_each_cover_element_once(monkeypatch):
+    X = cx.random_connected_complex(7, 1)
+    cover = cx.anti_star_cover(X)
+    original = cx.Cover.element_simplices
+    calls = []
+
+    def spy(self, i):
+        calls.append(i)
+        return original(self, i)
+
+    monkeypatch.setattr(cx.Cover, "element_simplices", spy)
+    for augmented in (True, False):
+        calls.clear()
+        mvss.DoubleComplex(X, cover, al.GF2, augmented=augmented)
+        assert len(calls) <= len(cover)
+
+
 # --------------------------------------------------------------------------
 # the first page
 

@@ -361,6 +361,27 @@ def test_cube_pipelines_refuse_signs_that_are_not_plus_or_minus_one(ring):
         uber.zero_degree_uber_table(cx.complex_from_graph(gr.cycle_graph(4)), ring, signs=DOUBLED)
 
 
+def test_each_cube_call_reads_the_sign_rule_once_per_edge():
+    # the sign check, the anticommutation check and the edge maps share one table
+    calls = []
+
+    def rule(mask, v):
+        calls.append((mask, v))
+        return uber.STANDARD_SIGNS(mask, v)
+
+    signs = uber.SignAssignment("counted", rule)
+    X = cx.random_connected_complex(6, 1)
+    for run in (
+        lambda: uber.bold_homology(gr.cycle_graph(6), signs=signs),
+        lambda: uber.zero_degree_uber_table(X, al.QQ, signs=signs),
+        lambda: uber.verify_sign_assignment(6, signs),
+    ):
+        calls.clear()
+        run()
+        assert len(calls) == 6 * 2**5
+        assert len(set(calls)) == len(calls)
+
+
 # --------------------------------------------------------------------------
 # pinned outputs of the three cube pipelines
 
