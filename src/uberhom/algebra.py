@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator, Sequence
 
 from .errors import SolveFailure
@@ -262,8 +263,8 @@ class Matrix:
 # GF(2) vectors are ints-as-bitsets, everything else is a sparse dict.
 # Code outside this module builds vectors with ``from_items``/``from_list``
 # and reads them with ``items``/``coeff``, never by their representation.
-# The ``combo_*`` methods hold the format of ``Span``'s tag combinations
-# the same way: a bitset over GF(2), a dict elsewhere.
+# ``reduce`` and the ``combo_*`` methods hold the format of ``Span``'s tag
+# combinations the same way: a bitset over GF(2), a dict elsewhere.
 
 
 class _Gf2Ops:
@@ -351,12 +352,17 @@ class _Gf2Ops:
 
     # combinations of Span tags: a bitset of tags, like a vector
     @staticmethod
-    def combo_zero() -> int:
-        return 0
-
-    @staticmethod
-    def combo_addmul(mu: int, c: int, combo: int) -> int:
-        return mu ^ combo if c & 1 else mu
+    def reduce(v: int, pivots: dict, index: int) -> tuple[int, int]:
+        """``Span``'s reduce: clear the hits ``v & index`` lowest first,
+        each by XOR with its pivot vector, collecting the combinations."""
+        mu = 0
+        hits = v & index
+        while hits:
+            pvec, pcombo = pivots[(hits & -hits).bit_length() - 1]
+            v ^= pvec
+            mu ^= pcombo
+            hits = v & index
+        return v, mu
 
     @staticmethod
     def combo_pivot(mu: int, inv: int, tag: int) -> int:
@@ -461,20 +467,45 @@ class _FieldOps:
         return pow(a, -1, self.ring.p)
 
     # combinations of Span tags: {tag: nonzero scalar}
-    @staticmethod
-    def combo_zero() -> dict:
-        return {}
+    def reduce(self, v: dict, pivots: dict, index: int) -> tuple[dict, dict]:
+        """``Span``'s reduce: pop the pivot coordinates ``v`` meets from a
+        min-heap and subtract there, in place on one copy of ``v``.
 
-    def combo_addmul(self, mu: dict, c, combo: dict) -> dict:
-        """``mu + c * combo``, updating ``mu`` in place."""
+        A pivot vector is zero below its pivot, so a subtraction only adds
+        hits above the one it clears; the hits are found by membership in
+        ``pivots`` (``index`` serves the bitset kernel)."""
+        mu: dict = {}
+        heap = [i for i in v if i in pivots]
+        if not heap:
+            return v, mu
+        heapify(heap)
+        w = dict(v)
         norm = self._norm
-        for g, a in combo.items():
-            s = norm(mu.get(g, 0) + c * a)
-            if s:
-                mu[g] = s
-            else:
-                del mu[g]
-        return mu
+        while heap:
+            i = heappop(heap)
+            c = w.get(i)
+            if c is None:
+                continue  # cancelled by an earlier subtraction
+            pvec, pcombo = pivots[i]
+            for j, a in pvec.items():
+                s = w.get(j)
+                if s is None:
+                    w[j] = norm(-c * a)
+                    if j in pivots:
+                        heappush(heap, j)
+                else:
+                    s = norm(s - c * a)
+                    if s:
+                        w[j] = s
+                    else:
+                        del w[j]
+            for g, a in pcombo.items():
+                s = norm(mu.get(g, 0) + c * a)
+                if s:
+                    mu[g] = s
+                else:
+                    del mu[g]
+        return w, mu
 
     def combo_pivot(self, mu: dict, inv, tag: int) -> dict:
         """``inv * (e_tag - mu)``, the combination of a new pivot vector."""
@@ -509,11 +540,18 @@ class Span:
     Vectors are inserted one at a time and receive consecutive integer tags
     0, 1, 2, ...  A dependent insert (and ``solve``) returns a ``{tag:
     coefficient}`` dict expressing the vector over the previously inserted
-    *independent* generators.  Pivoting is deterministic: each new
-    independent vector is reduced against the existing pivots in insertion
-    order and its lowest nonzero coordinate becomes the pivot.  Each pivot
-    keeps its combination in the format of the vector kernel (a bitset of
-    tags over GF(2), a dict elsewhere), turned into a dict only on return.
+    *independent* generators.  Pivoting is deterministic: a new independent
+    vector is reduced, scaled to 1 at its lowest nonzero coordinate, and
+    stored under that coordinate, its pivot, with its combination in the
+    format of the vector kernel (a bitset of tags over GF(2), a dict
+    elsewhere), turned into a dict only on return.
+
+    The store is ``{pivot coordinate: (vector, combination)}``, with the
+    bitset of its keys beside it.  A reduce (the ops' ``reduce``) subtracts
+    only at the pivot coordinates the running vector meets, smallest first.
+    Its result does not depend on the order of the subtractions: the
+    reduced vector is the one vector that differs from the input by an
+    element of the span and is zero at every pivot coordinate.
 
     ``copy()`` gives an independent span with the same pivots and tag
     counter: it shares the pivot entries (never mutated after insertion),
@@ -524,7 +562,8 @@ class Span:
     def __init__(self, ops, n: int):
         self.ops = ops
         self.n = n
-        self._pivots: list[tuple[int, object, object]] = []
+        self._pivots: dict[int, tuple[object, object]] = {}
+        self._index = 0
         self._count = 0
 
     @property
@@ -537,23 +576,10 @@ class Span:
 
     def copy(self) -> "Span":
         other = Span(self.ops, self.n)
-        other._pivots = list(self._pivots)
+        other._pivots = dict(self._pivots)
+        other._index = self._index
         other._count = self._count
         return other
-
-    def _reduce(self, v):
-        """Return (w, mu) with w = v - sum(mu[g] * generator_g), mu in the
-        ops' combination format."""
-        ops = self.ops
-        coeff, sub, scale, addmul = ops.coeff, ops.sub, ops.scale, ops.combo_addmul
-        w = v
-        mu = ops.combo_zero()
-        for piv, pvec, pcombo in self._pivots:
-            c = coeff(w, piv)
-            if c:
-                w = sub(w, scale(c, pvec))
-                mu = addmul(mu, c, pcombo)
-        return w, mu
 
     def insert(self, v) -> tuple[bool, dict | None]:
         """Insert a vector; return (is_new, combo).
@@ -564,17 +590,18 @@ class Span:
         ops = self.ops
         tag = self._count
         self._count += 1
-        w, mu = self._reduce(v)
+        w, mu = ops.reduce(v, self._pivots, self._index)
         if ops.is_zero(w):
             return False, ops.combo_dict(mu)
         piv = ops.pivot(w)
         inv = ops.sc_inv(ops.coeff(w, piv))
-        self._pivots.append((piv, ops.scale(inv, w), ops.combo_pivot(mu, inv, tag)))
+        self._pivots[piv] = (ops.scale(inv, w), ops.combo_pivot(mu, inv, tag))
+        self._index |= 1 << piv
         return True, None
 
     def solve(self, v) -> dict | None:
         """Combination of generators equal to ``v``, or None if outside."""
-        w, mu = self._reduce(v)
+        w, mu = self.ops.reduce(v, self._pivots, self._index)
         if self.ops.is_zero(w):
             return self.ops.combo_dict(mu)
         return None

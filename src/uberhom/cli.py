@@ -27,7 +27,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from . import algebra, complexes, graphs, mvss, uber
+from . import algebra, complexes, errors, graphs, mvss, uber
 from .algebra import CoefficientRing, ring_from_label
 from .complexes import SimplicialComplex
 from .errors import NotConnectedError, SizeGuardExceeded, StandardSimplexError
@@ -575,10 +575,13 @@ def cmd_generate(args) -> int:
             raise InputError("family 'random' expects an integer and a float") from exc
         if m < 0:
             raise InputError("family 'random' expects a nonnegative vertex count")
-        # a draw costs one coin per vertex pair
-        check_simplex_guard(m + m * (m - 1) // 2)
+        # a draw costs one coin per vertex pair, and the retries together
+        # stay inside the same guard
+        draw = m + m * (m - 1) // 2
+        check_simplex_guard(draw)
+        attempts = max(1, min(2000, errors.MAX_SIMPLICES // max(draw, 1)))
         try:
-            G = graphs.random_connected_graph(m, p, seed=seed)
+            G = graphs.random_connected_graph(m, p, seed=seed, max_attempts=attempts)
         except RuntimeError as exc:
             raise InputError(str(exc)) from exc
         if args.flag:

@@ -381,8 +381,16 @@ class DenseFieldOps:
         return pow(a, p - 2, p)
 
     # Span tag combinations: {tag: nonzero scalar}
-    def combo_zero(self) -> dict:
-        return {}
+    def reduce(self, v: list, pivots: dict, index: int) -> tuple[list, dict]:
+        """One ascending pass over the pivot coordinates."""
+        w, mu = v, {}
+        for piv in sorted(pivots):
+            c = w[piv]
+            if c != self.sc_zero:
+                pvec, pcombo = pivots[piv]
+                w = self.sub(w, self.scale(c, pvec))
+                mu = self.combo_addmul(mu, c, pcombo)
+        return w, mu
 
     def combo_addmul(self, mu: dict, c, combo: dict) -> dict:
         for g, a in combo.items():
@@ -407,9 +415,10 @@ class DenseFieldOps:
 
 
 class ScanSpan:
-    """The library's former ``Span``: the same pivots, but every tag
-    combination is a ``{tag: scalar}`` dict updated through the kernel's
-    scalar helpers, so it bypasses the kernel's own combination format."""
+    """The library's former ``Span``: the same pivots, but a reduce scans
+    every pivot in insertion order, and every tag combination is a
+    ``{tag: scalar}`` dict updated through the kernel's scalar helpers, so
+    it bypasses the kernel's own reduce and combination format."""
 
     def __init__(self, ops, n: int):
         self.ops = ops

@@ -220,17 +220,31 @@ def test_sparse_kernel_agrees_with_the_dense_oracle(ring, n, data):
 @settings(max_examples=80, deadline=None)
 def test_span_agrees_with_the_scanning_oracle(ring, n, data):
     ops = al.vector_ops(ring)
+    kinds = st.sampled_from(("insert", "solve", "copy"))
     steps = data.draw(
-        st.lists(st.tuples(st.booleans(), st.lists(_scalars(ring), min_size=n, max_size=n)), max_size=12)
+        st.lists(st.tuples(kinds, st.lists(_scalars(ring), min_size=n, max_size=n)), max_size=12)
     )
+    vectors = [ops.from_list(xs) for _, xs in steps]
     span, scan = al.Span(ops, n), oracles.ScanSpan(ops, n)
-    for is_insert, xs in steps:
-        v = ops.from_list(xs)
-        if is_insert:
+    originals = []
+    for (kind, _), v in zip(steps, vectors):
+        if kind == "insert":
             assert span.insert(v) == scan.insert(v)
-        else:
+        elif kind == "solve":
             assert span.solve(v) == scan.solve(v)
+        else:
+            # later inserts go into the copy; the original must not see them
+            originals.append((span, span.dim, span.inserted, [span.solve(u) for u in vectors]))
+            span = span.copy()
+        # the reduce relies on this: each key of the store is its vector's
+        # lowest nonzero coordinate, with scalar 1 there
+        for piv, (vec, _) in span._pivots.items():
+            assert ops.pivot(vec) == piv and ops.coeff(vec, piv) == ops.sc_one
+        assert span._index == sum(1 << piv for piv in span._pivots)
     assert (span.dim, span.inserted) == (scan.dim, scan.inserted)
+    for original, dim, inserted, answers in originals:
+        assert (original.dim, original.inserted) == (dim, inserted)
+        assert [original.solve(u) for u in vectors] == answers
 
 
 @given(ring=st.sampled_from(SPARSE_KERNEL_RINGS), data=st.data())
@@ -288,7 +302,7 @@ def test_rational_kernel_keeps_boundary_scalars_integral():
             if not is_new:
                 dependencies += 1
                 scalars += combo.values()
-        for _, vec, combo in span._pivots:
+        for vec, combo in span._pivots.values():
             scalars += [x for _, x in ops.items(vec)]
             scalars += combo.values()
     assert dependencies and scalars

@@ -105,6 +105,26 @@ def test_generate_reports_an_exhausted_sampler_as_an_input_error(capsys):
     assert out == "" and "no connected graph found" in err
 
 
+@pytest.mark.parametrize("m", [0, 1, 5, 31, 32, 100, 1000, 1447])
+def test_generate_bounds_the_samplers_retries_by_the_guard(capsys, monkeypatch, m):
+    # every retry flips a coin per vertex pair, so the retries together
+    # must stay inside the guard that one draw is checked against
+    calls = []
+
+    def spy(m, edge_probability, seed, max_attempts=2000):
+        calls.append(max_attempts)
+        raise RuntimeError("no connected graph found")
+
+    monkeypatch.setattr(graphs, "random_connected_graph", spy)
+    code, _, _ = run(capsys, ["generate", "random", str(m), "0.5"])
+    assert code == cli.EXIT_INPUT
+    (attempts,) = calls
+    assert attempts >= 1
+    assert attempts * (m + m * (m - 1) // 2) <= errors.MAX_SIMPLICES
+    if m <= 31:
+        assert attempts == 2000
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("the family was built")
 

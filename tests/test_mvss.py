@@ -407,6 +407,12 @@ def test_identification_over_the_rationals_at_eight_vertices(seed):
     assert mvss.verify_identification(cx.random_connected_complex(8, seed), al.QQ).ok
 
 
+@pytest.mark.parametrize("ring", [al.GF2, al.GF(3)], ids=["GF2", "GF3"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_identification_over_finite_fields_at_eight_vertices(ring, seed):
+    assert mvss.verify_identification(cx.random_connected_complex(8, seed), ring).ok
+
+
 def test_identification_on_a_complex_that_carries_original_ids():
     X = cx.induced_subcomplex(cx.complex_from_graph(gr.cycle_graph(7)), [1, 2, 3, 4, 5])
     assert X.original_ids == (1, 2, 3, 4, 5)
