@@ -16,7 +16,9 @@ otherwise, so elimination on +-1 boundary entries is integer work.  Over
 GF(2) the vector kernel stores a vector, and each ``Span`` combination of
 tags, as a single int used as a bitset, which keeps the heavy enumerative
 computations (cube complexes, spectral sequence pages) cheap; every other
-field stores a sparse dict from index to nonzero scalar.
+field stores a sparse dict from index to nonzero scalar.  A combination
+keeps that format from end to end: ``Span`` returns it as it is, and a
+kernel vector of ``nullspace`` is one.
 """
 from __future__ import annotations
 
@@ -263,8 +265,9 @@ class Matrix:
 # GF(2) vectors are ints-as-bitsets, everything else is a sparse dict.
 # Code outside this module builds vectors with ``from_items``/``from_list``
 # and reads them with ``items``/``coeff``, never by their representation.
-# ``reduce`` and the ``combo_*`` methods hold the format of ``Span``'s tag
-# combinations the same way: a bitset over GF(2), a dict elsewhere.
+# A ``Span`` tag combination is a vector of the same kernel, indexed by
+# tag: a bitset over GF(2), a dict elsewhere.  ``reduce`` and
+# ``combo_pivot`` build combinations, and callers read them with ``items``.
 
 
 class _Gf2Ops:
@@ -367,10 +370,6 @@ class _Gf2Ops:
     @staticmethod
     def combo_pivot(mu: int, inv: int, tag: int) -> int:
         return mu ^ 1 << tag
-
-    @staticmethod
-    def combo_dict(mu: int) -> dict[int, int]:
-        return dict(_Gf2Ops.items(mu))
 
 
 class _FieldOps:
@@ -514,10 +513,6 @@ class _FieldOps:
         combo[tag] = inv
         return combo
 
-    @staticmethod
-    def combo_dict(mu: dict) -> dict:
-        return mu
-
 
 _GF2_OPS = _Gf2Ops()
 _OPS_CACHE: dict[CoefficientRing, object] = {}
@@ -538,13 +533,13 @@ class Span:
     """Incrementally echelonised span of vectors, with combination tracking.
 
     Vectors are inserted one at a time and receive consecutive integer tags
-    0, 1, 2, ...  A dependent insert (and ``solve``) returns a ``{tag:
-    coefficient}`` dict expressing the vector over the previously inserted
-    *independent* generators.  Pivoting is deterministic: a new independent
-    vector is reduced, scaled to 1 at its lowest nonzero coordinate, and
-    stored under that coordinate, its pivot, with its combination in the
-    format of the vector kernel (a bitset of tags over GF(2), a dict
-    elsewhere), turned into a dict only on return.
+    0, 1, 2, ...  A dependent insert (and ``solve``) returns the combination
+    expressing the vector over the previously inserted *independent*
+    generators, as a vector of the kernel indexed by tag (a bitset of tags
+    over GF(2), a ``{tag: coefficient}`` dict elsewhere): read it with
+    ``ops.items``.  Pivoting is deterministic: a new independent vector is
+    reduced, scaled to 1 at its lowest nonzero coordinate, and stored under
+    that coordinate, its pivot, with its combination in the same format.
 
     The store is ``{pivot coordinate: (vector, combination)}``, with the
     bitset of its keys beside it.  A reduce (the ops' ``reduce``) subtracts
@@ -581,30 +576,28 @@ class Span:
         other._count = self._count
         return other
 
-    def insert(self, v) -> tuple[bool, dict | None]:
+    def insert(self, v) -> tuple[bool, object]:
         """Insert a vector; return (is_new, combo).
 
         ``combo`` is None for an independent vector, otherwise the
-        dependency ``v == sum(combo[g] * generator_g)``.
+        dependency ``v == sum(c * generator_g for g, c in ops.items(combo))``.
         """
         ops = self.ops
         tag = self._count
         self._count += 1
         w, mu = ops.reduce(v, self._pivots, self._index)
         if ops.is_zero(w):
-            return False, ops.combo_dict(mu)
+            return False, mu
         piv = ops.pivot(w)
         inv = ops.sc_inv(ops.coeff(w, piv))
         self._pivots[piv] = (ops.scale(inv, w), ops.combo_pivot(mu, inv, tag))
         self._index |= 1 << piv
         return True, None
 
-    def solve(self, v) -> dict | None:
+    def solve(self, v) -> object:
         """Combination of generators equal to ``v``, or None if outside."""
         w, mu = self.ops.reduce(v, self._pivots, self._index)
-        if self.ops.is_zero(w):
-            return self.ops.combo_dict(mu)
-        return None
+        return mu if self.ops.is_zero(w) else None
 
 
 def column_rank(ops, columns: Iterable) -> int:
@@ -627,15 +620,18 @@ def nullspace(ops, columns: Sequence, source_dim: int) -> list:
     """Kernel basis of the linear map with the given column images.
 
     ``columns[t]`` is the image of the t-th source basis vector.  Returns
-    kernel vectors in source coordinates, in deterministic (echelon) order.
+    kernel vectors in source coordinates, in deterministic (echelon) order;
+    each is a ``Span`` tag combination, so it has the kernel's combination
+    format.
     """
     span = Span(ops, 0)
     kernel = []
     for t in range(source_dim):
         is_new, combo = span.insert(columns[t])
         if not is_new:
-            # every tag in the combo is an earlier column, never t itself
-            kernel.append(ops.from_items(source_dim, [(t, 1), *((g, -a) for g, a in combo.items())]))
+            # every tag in the combo is an earlier column, so e_t - combo
+            # is a kernel vector
+            kernel.append(ops.combo_pivot(combo, ops.sc_one, t))
     return kernel
 
 
@@ -841,15 +837,12 @@ class HomologyBasis:
             span.insert(ops.from_items(n, col))
         self.boundary_rank = span.dim
         reps = []
-        rep_tags = []
+        self._rep_tag_index = {}
         for z in cycles:
-            is_new, _ = span.insert(z)
-            if is_new:
-                rep_tags.append(span.inserted - 1)
+            if span.insert(z)[0]:
+                self._rep_tag_index[span.inserted - 1] = len(reps)
                 reps.append(z)
         self._span = span
-        self._rep_tags = rep_tags
-        self._rep_tag_index = {t: k for k, t in enumerate(rep_tags)}
         self.representatives = reps
         self.cycle_rank = len(cycles)
         self.dim = len(reps)
@@ -869,14 +862,14 @@ class HomologyBasis:
             raise NotImplementedError("reduce needs field coefficients; over Z only the presentation is computed")
         ops = self._ops
         for i, _ in ops.items(cycle):
-            if i >= self.ambient_rank:
-                raise ValueError(f"vector has an entry at index {i}, expected fewer than {self.ambient_rank}")
+            if not 0 <= i < self.ambient_rank:
+                raise ValueError(f"vector has an entry at index {i}, outside 0..{self.ambient_rank - 1}")
         combo = self._span.solve(cycle)
         if combo is None:
             raise SolveFailure("vector is not a cycle (or not in the cycle space)")
         coords = [ops.sc_zero] * self.dim
         boundary = []
-        for tag, c in combo.items():
+        for tag, c in ops.items(combo):
             k = self._rep_tag_index.get(tag)
             if k is None:
                 # Span tags count every insert and the boundary columns

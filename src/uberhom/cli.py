@@ -203,7 +203,6 @@ def cmd_mvss(args) -> int:
     blocks = []
     for r in range(1, last + 1):
         page = ss.page(r)
-        ss.differentials(r)
         pages.append(json.loads(mvss.page_to_json(page)))
         blocks.append(mvss.render_page(page, ring))
     abutment = ss.abutment_dims()

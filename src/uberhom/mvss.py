@@ -249,7 +249,7 @@ class SpectralSequence:
                 is_new, combo = span.insert(ops.from_items(size, col))
                 if not is_new:
                     # a dependency among boundaries is a cycle one row up
-                    ups.append(ops.from_items(up, [(t, 1), *((g, -a) for g, a in combo.items())]))
+                    ups.append(ops.combo_pivot(combo, ops.sc_one, t))
             cycles[(p, q + 1)] = ups
             self._dead[cell] = span
             sign = -1 if p % 2 else 1
@@ -283,8 +283,10 @@ class SpectralSequence:
                 solvers[cell] = span
             return span
 
-        # pass 1: differentials of the current page and their kernels
-        dr_data: dict[tuple[int, int], tuple[list, list[dict[int, object]], list]] = {}
+        # pass 1: differentials of the current page and their kernels; each
+        # image's combination is kept whole, its tags below n_gens naming
+        # dead generators and the rest the target's classes
+        dr_data: dict[tuple[int, int], tuple[list, list, list, int]] = {}
         for cell in sorted(self._classes):
             xs = self._classes[cell]
             if not xs:
@@ -294,7 +296,7 @@ class SpectralSequence:
             t_dim = dc.cell_dim(*target)
             low = p - r + 1
             cols: list[list] = []
-            gen_combos: list[dict[int, object]] = []
+            combos: list = []
             images: list = []
             n_target_classes = len(self._classes.get(target, [])) if t_dim else 0
             n_gens = len(self._boundary.get(target, []))
@@ -306,20 +308,20 @@ class SpectralSequence:
                     if not ops.is_zero(img):
                         raise LiftFailure(f"differential escapes the complex at {cell}")
                     cols.append([])
-                    gen_combos.append({})
+                    combos.append(ops.zero(0))
                     continue
                 combo = get_solver(target).solve(img)
                 if combo is None:
                     raise LiftFailure(f"page-{r} image fails to reduce at {target}")
-                cols.append([(tag - n_gens, c) for tag, c in combo.items() if tag >= n_gens])
-                gen_combos.append({tag: c for tag, c in combo.items() if tag < n_gens})
+                cols.append([(tag - n_gens, c) for tag, c in ops.items(combo) if tag >= n_gens])
+                combos.append(combo)
             kernel = nullspace(ops, [ops.from_items(n_target_classes, c) for c in cols], len(xs))
-            dr_data[cell] = (kernel, gen_combos, images)
+            dr_data[cell] = (kernel, combos, images, n_gens)
             page.differentials[cell] = Matrix.from_sparse(self.ring, n_target_classes, cols)
 
         # pass 2: grow the dead subspaces by the fresh images; generators are
         # only appended, so the tags solved against in pass 1 keep naming them
-        for cell, (_, _, images) in dr_data.items():
+        for cell, (_, _, images, _) in dr_data.items():
             p, q = cell
             target = (p - r, q + r - 1)
             if dc.cell_dim(*target) == 0:
@@ -329,27 +331,30 @@ class SpectralSequence:
                 self._dead[target].insert(img)
 
         # pass 3: kernels become next-page classes, one column deeper: D of
-        # a kernel combination in column p - r is a combination of dead
-        # vectors, and subtracting the same combination of their staircases
-        # clears it without touching the columns above
+        # a kernel combination in column p - r is the same combination of
+        # the images' combinations, whose class part vanishes, and
+        # subtracting the staircases of the dead vectors left clears it
+        # without touching the columns above
         new_classes: dict[tuple[int, int], list[dict[int, object]]] = {
             cell: [] for cell in self._classes
         }
-        for cell, (kernel, gen_combos, _) in dr_data.items():
+        for cell, (kernel, combos, _, n_gens) in dr_data.items():
             p, q = cell
             xs = self._classes[cell]
             target_gens = self._boundary.get((p - r, q + r - 1), [])
             flt = self._dead[cell].copy()
             for a in kernel:
                 comps: dict[int, object] = {}
-                gtotal: dict[int, object] = {}
+                dead = ops.zero(0)
                 for i, ai in ops.items(a):
                     self._add_scaled(comps, ai, xs[i])
-                    for g, val in gen_combos[i].items():
-                        gtotal[g] = ops.sc_add(gtotal.get(g, ops.sc_zero), ops.sc_mul(ai, val))
-                for g, val in gtotal.items():
-                    if val != ops.sc_zero:
-                        self._add_scaled(comps, ops.sc_neg(val), target_gens[g])
+                    dead = ops.add(dead, ops.scale(ai, combos[i]))
+                for g, val in ops.items(dead):
+                    # pass 2 appended this page's classes to target_gens,
+                    # so a class tag left here would name the wrong staircase
+                    if g >= n_gens:
+                        raise LiftFailure(f"page-{r} kernel element at {cell} has a nonzero differential")
+                    self._add_scaled(comps, ops.sc_neg(val), target_gens[g])
                 lead = comps.get(p)
                 if lead is not None and not ops.is_zero(lead) and flt.insert(lead)[0]:
                     new_classes[cell].append(comps)

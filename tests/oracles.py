@@ -406,9 +406,6 @@ class DenseFieldOps:
         combo[tag] = inv
         return combo
 
-    def combo_dict(self, mu: dict) -> dict:
-        return mu
-
 
 # --------------------------------------------------------------------------
 # the retired scanning span
@@ -418,7 +415,8 @@ class ScanSpan:
     """The library's former ``Span``: the same pivots, but a reduce scans
     every pivot in insertion order, and every tag combination is a
     ``{tag: scalar}`` dict updated through the kernel's scalar helpers, so
-    it bypasses the kernel's own reduce and combination format."""
+    it bypasses the kernel's own reduce and combination format; a returned
+    combination is converted to that format."""
 
     def __init__(self, ops, n: int):
         self.ops = ops
@@ -450,13 +448,13 @@ class ScanSpan:
                         mu[g] = acc
         return w, mu
 
-    def insert(self, v) -> tuple[bool, dict | None]:
+    def insert(self, v) -> tuple[bool, object]:
         ops = self.ops
         tag = self._count
         self._count += 1
         w, mu = self._reduce(v)
         if ops.is_zero(w):
-            return False, mu
+            return False, ops.from_items(0, mu.items())
         piv = ops.pivot(w)
         inv = ops.sc_inv(ops.coeff(w, piv))
         combo = {g: ops.sc_neg(ops.sc_mul(inv, a)) for g, a in mu.items()}
@@ -464,9 +462,11 @@ class ScanSpan:
         self._pivots.append((piv, ops.scale(inv, w), combo))
         return True, None
 
-    def solve(self, v) -> dict | None:
+    def solve(self, v) -> object:
         w, mu = self._reduce(v)
-        return mu if self.ops.is_zero(w) else None
+        if not self.ops.is_zero(w):
+            return None
+        return self.ops.from_items(0, mu.items())
 
 
 # --------------------------------------------------------------------------

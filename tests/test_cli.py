@@ -324,6 +324,14 @@ def test_oversized_json_complex_exits_on_the_guard(capsys, monkeypatch, tmp_path
     assert out == "" and "simplices exceeds the guard" in err
 
 
+def test_labels_that_do_not_match_the_vertex_count_are_an_input_error(capsys, tmp_path):
+    path = tmp_path / "labelled.json"
+    path.write_text(json.dumps({**CIRCLE, "labels": ["a", "b"]}))
+    code, out, err = run(capsys, ["homology", str(path)])
+    assert code == cli.EXIT_INPUT == 2
+    assert out == "" and "labels must match vertex_count" in err
+
+
 def test_unknown_coefficients_are_rejected_by_the_parser(capsys, circle_path):
     code, _, _ = run(capsys, ["homology", circle_path, "--coeff", "z4"])
     assert code == 2

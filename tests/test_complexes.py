@@ -56,6 +56,15 @@ def test_json_round_trip(corpus_complex):
     assert cx.complex_from_json(cx.complex_to_json(X)) == X
 
 
+def test_json_round_trip_keeps_labels():
+    doc = {"vertex_count": 3, "facets": [[0, 1], [1, 2]], "labels": ["a", "b", 7]}
+    X = cx.complex_from_json(json.dumps(doc))
+    assert X.labels == ("a", "b", "7")
+    Y = cx.complex_from_json(cx.complex_to_json(X))
+    assert Y == X and Y.labels == X.labels
+    assert "labels" not in json.loads(cx.complex_to_json(cx.boundary_of_simplex(3)))
+
+
 # one 30-vertex facet closes to 2^30 - 1 faces; 10^9 vertices to 10^9 singletons
 OVERSIZED_COMPLEX_DOCUMENTS = (
     {"vertex_count": 30, "facets": [list(range(30))]},

@@ -13,6 +13,7 @@ from uberhom import complexes as cx
 from uberhom import graphs as gr
 from uberhom import mvss
 from uberhom import uber
+from uberhom.errors import LiftFailure
 
 FIELDS = (al.QQ, al.GF2, al.GF(3))
 
@@ -82,6 +83,16 @@ def test_first_page_checks_that_the_vertical_differential_squares_to_zero(monkey
     monkeypatch.setattr(dc, "dv_sparse", corrupted)
     with pytest.raises(ValueError, match=r"d_v∘d_v = 0 fails at bidegree \(-1, 2\)"):
         mvss.SpectralSequence(dc).page(1)
+
+
+@pytest.mark.parametrize("ring", FIELDS, ids=str)
+def test_a_page_turn_refuses_a_kernel_element_with_a_nonzero_differential(monkeypatch, ring):
+    # every unit vector as the kernel: where d^1 is nonzero, a unit vector's
+    # image keeps a class part, which no dead staircase can clear
+    monkeypatch.setattr(mvss, "nullspace", lambda ops, columns, n: [ops.unit(n, t) for t in range(n)])
+    ss = mvss.SpectralSequence(mvss.double_complex(cx.boundary_of_simplex(3), ring=ring))
+    with pytest.raises(LiftFailure, match="page-1 kernel element at .* has a nonzero differential"):
+        ss.page(2)
 
 
 def test_columns_are_indexed_by_nerve_simplices():
