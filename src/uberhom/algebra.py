@@ -336,10 +336,6 @@ class _Gf2Ops:
     sc_one = 1
 
     @staticmethod
-    def sc_add(a: int, b: int) -> int:
-        return (a + b) & 1
-
-    @staticmethod
     def sc_neg(a: int) -> int:
         return a & 1
 
@@ -448,9 +444,6 @@ class _FieldOps:
         return min(v) if v else None
 
     # scalar helpers
-    def sc_add(self, a, b):
-        return self._norm(a + b)
-
     def sc_neg(self, a):
         return self._norm(-a)
 

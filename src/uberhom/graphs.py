@@ -3,7 +3,11 @@
 Graphs are kept deliberately small-scale: adjacency is a tuple of int
 bitmasks and the subset enumerations are guarded.  The connected
 domination polynomial counts, for every cardinality, the vertex subsets
-that dominate the graph and induce a connected subgraph.
+that dominate the graph and induce a connected subgraph.  Its default
+counter is bit-parallel: one Python int holds a block of 2**14 subsets,
+one per bit, so domination and connectivity are decided for the whole
+block by ANDs and ORs of such ints.  A branch-and-bound recursion over
+single subsets is the independent reference route.
 """
 from __future__ import annotations
 
@@ -180,36 +184,92 @@ def connected_domination_polynomial(
 ) -> Polynomial:
     """Count connected dominating sets of each size.
 
-    Monic of degree |V| for connected graphs.  With ``prune=True`` a
-    branch-and-bound recursion replaces the plain subset counter; the two
-    paths return identical polynomials.
+    Monic of degree |V| for connected graphs.  Two independent counters
+    give the same polynomial: by default the block counter
+    :func:`_cdp_blocks` decides domination and connectivity for
+    ``2**_BLOCK_BITS`` subsets at a time, as the bits of Python ints; with
+    ``prune=True`` the branch-and-bound recursion :func:`_cdp_prune` checks
+    one subset at a time, cutting branches that can no longer dominate.
     """
     m = G.vertex_count
     check_vertex_guard(m, max_vertices)
     if not G.is_connected:
         raise NotConnectedError("the connected domination polynomial needs a connected graph")
-    full = (1 << m) - 1
-    closed = [G.adjacency[v] | (1 << v) for v in range(m)]
     counts = [0] * (m + 1)
     if prune:
-        _cdp_prune(G.adjacency, closed, full, m, 0, 0, 0, counts)
+        closed = [G.adjacency[v] | (1 << v) for v in range(m)]
+        _cdp_prune(G.adjacency, closed, (1 << m) - 1, m, 0, 0, 0, counts)
     else:
-        for mask in range(1, 1 << m):
-            dominated = 0
-            rest = mask
-            while rest:
-                low = rest & -rest
-                dominated |= closed[low.bit_length() - 1]
-                rest ^= low
-            if dominated != full:
-                continue
-            start = (mask & -mask).bit_length() - 1
-            if _component_mask(G.adjacency, start, mask) == mask:
-                counts[mask.bit_count()] += 1
+        _cdp_blocks(G.adjacency, m, counts)
     return Polynomial(tuple(counts))
 
 
+# The block counter's layout: a block fixes the vertices from _BLOCK_BITS
+# on, as the bits of ``high``, and bit x of a block int stands for the
+# vertex subset (high << _BLOCK_BITS) | x.  So one AND or OR of two block
+# ints (2 KB each) acts on 2**_BLOCK_BITS subsets at once (Knuth, TAOCP
+# 4A, 7.1.3).
+_BLOCK_BITS = 14
+
+
+def _cdp_blocks(adjacency: Sequence[int], m: int, counts: list[int]) -> None:
+    """Add the connected dominating sets of each size to ``counts``, one
+    block of subsets at a time."""
+    low = min(m, _BLOCK_BITS)
+    width = 1 << low
+    ones = (1 << width) - 1
+    # incl[v] for v < low: the subsets holding v, 2**v bits off then on
+    periodic = []
+    for v in range(low):
+        run = 1 << v
+        pattern, period = ((1 << run) - 1) << run, 2 * run
+        while period < width:
+            pattern |= pattern << period
+            period *= 2
+        periodic.append(pattern)
+    # size[k]: the subsets of the low vertices with k elements
+    size = [1]
+    for v in range(low):
+        size = [a | b << (1 << v) for a, b in zip(size + [0], [0] + size)]
+    neighbours = [_bits(adjacency[v]) for v in range(m)]
+    closed = [[u, *nbrs] for u, nbrs in enumerate(neighbours)]
+    for high in range(1 << (m - low)):
+        incl = periodic + [ones if high >> j & 1 else 0 for j in range(m - low)]
+        # domination: every closed neighbourhood meets the subset
+        good = ones
+        for nbhd in closed:
+            meets = 0
+            for w in nbhd:
+                meets |= incl[w]
+            good &= meets
+        if not good:
+            continue
+        # connectivity: reach[v] holds the subsets in which v is joined to
+        # the subset's lowest vertex, grown until a whole sweep adds nothing
+        reach, below = [], 0
+        for v in range(m):
+            reach.append(good & incl[v] & ~below)
+            below |= incl[v]
+        grew = True
+        while grew:
+            grew = False
+            for v in range(m):
+                joined = 0
+                for w in neighbours[v]:
+                    joined |= reach[w]
+                joined &= incl[v] & ~reach[v]
+                if joined:
+                    reach[v] |= joined
+                    grew = True
+        for v in range(m):
+            good &= reach[v] | ~incl[v]
+        offset = high.bit_count()
+        for k, sized in enumerate(size):
+            counts[k + offset] += (good & sized).bit_count()
+
+
 def _cdp_prune(adjacency, closed, full, m, v, mask, dominated, counts) -> None:
+    """The reference route: subsets one at a time, by branch and bound."""
     if v == m:
         if mask and dominated == full:
             start = (mask & -mask).bit_length() - 1

@@ -414,9 +414,10 @@ class DenseFieldOps:
 class ScanSpan:
     """The library's former ``Span``: the same pivots, but a reduce scans
     every pivot in insertion order, and every tag combination is a
-    ``{tag: scalar}`` dict updated through the kernel's scalar helpers, so
-    it bypasses the kernel's own reduce and combination format; a returned
-    combination is converted to that format."""
+    ``{tag: scalar}`` dict whose products come from the kernel's scalar
+    helpers and whose sums it reduces into the ring itself, so it bypasses
+    the kernel's own reduce and combination format; a returned combination
+    is converted to that format."""
 
     def __init__(self, ops, n: int):
         self.ops = ops
@@ -441,7 +442,7 @@ class ScanSpan:
             if c != ops.sc_zero:
                 w = ops.sub(w, ops.scale(c, pvec))
                 for g, a in pcombo.items():
-                    acc = ops.sc_add(mu.get(g, ops.sc_zero), ops.sc_mul(c, a))
+                    acc = _coerce(ops.ring, mu.get(g, ops.sc_zero) + ops.sc_mul(c, a))
                     if acc == ops.sc_zero:
                         mu.pop(g, None)
                     else:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import capped_square_complex
+from conftest import capped_square_complex, graph_corpus
 from uberhom import graphs as gr
 from uberhom.errors import MAX_SIMPLICES, NotConnectedError, SizeGuardExceeded
 
@@ -120,16 +120,48 @@ def test_connected_domination_goldens():
     )
     wheel = gr.one_skeleton(capped_square_complex())
     assert gr.connected_domination_polynomial(wheel).coefficients == (0, 1, 8, 10, 5, 1)
+    assert gr.connected_domination_polynomial(gr.Graph(1, ())).coefficients == (0, 1)
 
 
-def test_connected_domination_matches_oracle(corpus_graph):
-    g = corpus_graph
+def _relabelled(g, labels):
+    """``g`` with vertex i renamed ``labels[i]``."""
+    return gr.Graph(g.vertex_count, [(labels[u], labels[v]) for u, v in g.edges])
+
+
+# every connected graph on at most 6 vertices, from the single vertex on
+ORACLE_GRAPHS = [
+    *graph_corpus(),
+    *(
+        (f"atlas-{i}", gr.Graph(nxg.number_of_nodes(), nxg.edges()))
+        for i, nxg in enumerate(oracles.connected_atlas_graphs(6))
+    ),
+]
+
+# the block counter splits the subsets into blocks from 15 vertices on
+BLOCK_GRAPHS = [
+    *graph_corpus(),
+    *(
+        (f"random-{m}-p{p}", gr.random_connected_graph(m, p, seed=1))
+        for m in (15, 16, 17)
+        for p in (0.2, 0.3, 0.5)
+    ),
+    # both walks away from vertex 0 meet ever lower labels, so each sweep
+    # of the connectivity relaxation advances them by one vertex only
+    ("path-16-descending", _relabelled(gr.path_graph(16), [0, *range(15, 0, -1)])),
+    ("cycle-16-descending", _relabelled(gr.cycle_graph(16), [0, *range(15, 0, -2), *range(2, 15, 2)])),
+    ("star-15", gr.Graph(15, [(0, v) for v in range(1, 15)])),
+    ("complete-15", gr.complete_graph(15)),
+]
+
+
+@pytest.mark.parametrize("g", [g for _, g in ORACLE_GRAPHS], ids=[name for name, _ in ORACLE_GRAPHS])
+def test_connected_domination_matches_oracle(g):
     poly = gr.connected_domination_polynomial(g)
     assert list(poly.coefficients) == oracles.domination_counts_oracle(g)
 
 
-def test_pruned_enumeration_agrees_with_plain(corpus_graph):
-    g = corpus_graph
+@pytest.mark.parametrize("g", [g for _, g in BLOCK_GRAPHS], ids=[name for name, _ in BLOCK_GRAPHS])
+def test_pruned_enumeration_agrees_with_plain(g):
     plain = gr.connected_domination_polynomial(g, prune=False)
     pruned = gr.connected_domination_polynomial(g, prune=True)
     assert plain.coefficients == pruned.coefficients
