@@ -143,16 +143,31 @@ def ring_from_label(label: str) -> CoefficientRing:
 
 
 def _coerce(ring: CoefficientRing, x) -> object:
-    """Coerce an int/Fraction into the canonical scalar type of ``ring``."""
-    if ring.kind == "integers":
-        if isinstance(x, Fraction):
-            if x.denominator != 1:
+    """Coerce an exact scalar (an int or a Fraction) into the canonical
+    scalar type of ``ring``, without rounding.
+
+    Over GF(p) a fraction a/b is a times the inverse of b.  A float raises
+    ``TypeError``; a non-integer over the integers, or a fraction over GF(p)
+    whose denominator p divides, raises ``ValueError``.
+    """
+    if type(x) is not int:
+        if isinstance(x, float):
+            raise TypeError(f"{x!r} is a float; scalars must be exact")
+        x = Fraction(x)
+        if ring.kind == "rationals":
+            return x
+        if x.denominator != 1:
+            if ring.kind == "integers":
                 raise ValueError(f"{x} is not an integer")
-            return int(x)
-        return int(x)
+            if x.denominator % ring.p == 0:  # type: ignore[operator]
+                raise ValueError(f"{x} has no value in GF({ring.p}): {ring.p} divides its denominator")
+            return x.numerator * pow(x.denominator, -1, ring.p) % ring.p  # type: ignore[arg-type]
+        x = x.numerator
+    if ring.kind == "integers":
+        return x
     if ring.kind == "rationals":
         return Fraction(x)
-    return int(x) % ring.p  # type: ignore[operator]
+    return x % ring.p  # type: ignore[operator]
 
 
 def _rational(x):

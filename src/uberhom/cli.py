@@ -656,7 +656,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("domination", help="connected domination polynomial")
     p.add_argument("input")
-    p.add_argument("--prune", action="store_true", help="use the branch-and-bound counter")
+    p.add_argument(
+        "--prune",
+        action="store_true",
+        help="use the branch-and-bound counter, which cuts branches that can no longer dominate or connect",
+    )
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.add_argument("--max-vertices", type=int, default=None)
     p.set_defaults(func=cmd_domination)

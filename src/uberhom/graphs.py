@@ -189,7 +189,8 @@ def connected_domination_polynomial(
     :func:`_cdp_blocks` decides domination and connectivity for
     ``2**_BLOCK_BITS`` subsets at a time, as the bits of Python ints; with
     ``prune=True`` the branch-and-bound recursion :func:`_cdp_prune` checks
-    one subset at a time, cutting branches that can no longer dominate.
+    one subset at a time, carrying the components of the chosen set and
+    cutting branches that can no longer dominate or can no longer connect.
     """
     m = G.vertex_count
     check_vertex_guard(m, max_vertices)
@@ -197,8 +198,10 @@ def connected_domination_polynomial(
         raise NotConnectedError("the connected domination polynomial needs a connected graph")
     counts = [0] * (m + 1)
     if prune:
-        closed = [G.adjacency[v] | (1 << v) for v in range(m)]
-        _cdp_prune(G.adjacency, closed, (1 << m) - 1, m, 0, 0, 0, counts)
+        reach = [0] * (m + 1)  # reach[v]: what the vertices from v on dominate
+        for v in reversed(range(m)):
+            reach[v] = reach[v + 1] | G.adjacency[v] | 1 << v
+        _cdp_prune(G.adjacency, reach, m, 0, [], 0, counts)
     else:
         _cdp_blocks(G.adjacency, m, counts)
     return Polynomial(tuple(counts))
@@ -268,22 +271,34 @@ def _cdp_blocks(adjacency: Sequence[int], m: int, counts: list[int]) -> None:
             counts[k + offset] += (good & sized).bit_count()
 
 
-def _cdp_prune(adjacency, closed, full, m, v, mask, dominated, counts) -> None:
-    """The reference route: subsets one at a time, by branch and bound."""
-    if v == m:
-        if mask and dominated == full:
-            start = (mask & -mask).bit_length() - 1
-            if _component_mask(adjacency, start, mask) == mask:
-                counts[mask.bit_count()] += 1
+def _cdp_prune(adjacency, reach, m, v, parts, dominated, counts) -> None:
+    """The reference route: subsets one at a time, by branch and bound.
+
+    Vertices below ``v`` are decided and ``parts`` holds the components of
+    the chosen set as (vertex mask, open neighbourhood) pairs.  A branch is
+    cut when the vertices from ``v`` on cannot complete the domination, or
+    when one of two or more components has no undecided neighbour left.
+    """
+    if dominated | reach[v] != reach[0]:
         return
-    # even taking every remaining vertex cannot dominate: cut the branch
-    potential = dominated
-    for w in range(v, m):
-        potential |= closed[w]
-    if potential != full:
+    if v == m:  # one component: two or more were cut at vertex m - 1
+        counts[parts[0][0].bit_count()] += 1
         return
-    _cdp_prune(adjacency, closed, full, m, v + 1, mask | (1 << v), dominated | closed[v], counts)
-    _cdp_prune(adjacency, closed, full, m, v + 1, mask, dominated, counts)
+    bit = 1 << v
+    later = reach[0] ^ ((bit << 1) - 1)
+    joined, around, apart, stuck = bit, adjacency[v], [], False
+    for part in parts:
+        if part[1] & bit:
+            joined, around = joined | part[0], around | part[1]
+            stuck = stuck or not part[1] & later
+        else:
+            apart.append(part)
+    # taking v merges it with every component it touches
+    if not apart or around & later:
+        _cdp_prune(adjacency, reach, m, v + 1, [*apart, (joined, around)], dominated | adjacency[v] | bit, counts)
+    # leaving v out strands a component whose last way on was v
+    if not (stuck and len(parts) > 1):
+        _cdp_prune(adjacency, reach, m, v + 1, parts, dominated, counts)
 
 
 # --------------------------------------------------------------------------

@@ -333,6 +333,42 @@ def test_matrix_rank_works_over_every_ring():
         assert al.matrix_rank(al.Matrix.from_rows(ring, rows)) == 1
 
 
+# scalars at the public edge are taken exactly or refused, never truncated
+@pytest.mark.parametrize(
+    "ring, x, expected",
+    [
+        (al.GF(5), Fraction(1, 2), 3),
+        (al.GF(7), Fraction(-2, 3), 4),
+        (al.ZZ, Fraction(6, 3), 2),
+        (al.QQ, Fraction(1, 3), Fraction(1, 3)),
+        (al.QQ, 2, Fraction(2)),
+    ],
+    ids=["gf5-half", "gf7-minus-two-thirds", "zz-six-thirds", "qq-third", "qq-int"],
+)
+def test_matrix_and_chain_complex_entries_are_coerced_exactly(ring, x, expected):
+    entry = al.Matrix(ring, 1, 1, [[x]])[0, 0]
+    assert entry == expected and type(entry) is type(expected)
+    assert al.ChainComplex(ring, {0: 1, 1: 1}, {1: [[(0, x)]]}).columns(1) == (((0, expected),),)
+
+
+@pytest.mark.parametrize(
+    "ring, x, error",
+    [
+        (al.GF(3), Fraction(1, 3), ValueError),
+        (al.ZZ, Fraction(5, 2), ValueError),
+        (al.ZZ, 2.5, TypeError),
+        (al.QQ, 0.1, TypeError),
+        (al.GF(5), 2.0, TypeError),
+    ],
+    ids=["gf3-third", "zz-five-halves", "zz-float", "qq-float", "gf5-float"],
+)
+def test_matrix_and_chain_complex_refuse_inexact_entries(ring, x, error):
+    with pytest.raises(error):
+        al.Matrix(ring, 1, 1, [[x]])
+    with pytest.raises(error):
+        al.ChainComplex(ring, {0: 1, 1: 1}, {1: [[(0, x)]]})
+
+
 # --------------------------------------------------------------------------
 # Smith normal form
 

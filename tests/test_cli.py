@@ -243,6 +243,15 @@ def test_domination_prune_matches_plain(capsys, circle_path):
     )
 
 
+def test_domination_prune_matches_plain_at_17_vertices(capsys, tmp_path):
+    path = tmp_path / "random-17.json"
+    path.write_text(graphs.graph_to_json(graphs.random_connected_graph(17, 0.3, 1)))
+    plain = run_json(capsys, ["domination", str(path), "--max-vertices", "17"])
+    pruned = run_json(capsys, ["domination", str(path), "--prune", "--max-vertices", "17"])
+    assert plain["coefficients"] == pruned["coefficients"]
+    assert sum(plain["coefficients"]) > 0
+
+
 def test_mvss_json_golden(capsys, circle_path):
     doc = run_json(capsys, ["mvss", circle_path, "--coeff", "q"])
     assert doc["augmented"] is True

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -154,10 +155,34 @@ BLOCK_GRAPHS = [
 ]
 
 
+ROUTES = pytest.mark.parametrize("prune", [False, True], ids=["blocks", "prune"])
+
+
+@ROUTES
 @pytest.mark.parametrize("g", [g for _, g in ORACLE_GRAPHS], ids=[name for name, _ in ORACLE_GRAPHS])
-def test_connected_domination_matches_oracle(g):
-    poly = gr.connected_domination_polynomial(g)
+def test_connected_domination_matches_oracle(g, prune):
+    poly = gr.connected_domination_polynomial(g, prune=prune)
     assert list(poly.coefficients) == oracles.domination_counts_oracle(g)
+
+
+# closed forms, at sizes beyond the networkx oracle
+CLOSED_FORMS = [
+    *((f"path-{m}", gr.path_graph(m), [0] * (m - 2) + [1, 2, 1]) for m in (4, 9, 20)),
+    *((f"cycle-{m}", gr.cycle_graph(m), [0] * (m - 2) + [m, m, 1]) for m in (4, 9, 20)),
+    *(
+        (f"star-{n}", gr.Graph(n + 1, [(0, v) for v in range(1, n + 1)]), [0] + [math.comb(n, k) for k in range(n + 1)])
+        for n in (2, 8, 15)
+    ),
+    *((f"complete-{m}", gr.complete_graph(m), [0] + [math.comb(m, k) for k in range(1, m + 1)]) for m in (4, 9, 16)),
+]
+
+
+@ROUTES
+@pytest.mark.parametrize("g, expected", [case[1:] for case in CLOSED_FORMS], ids=[case[0] for case in CLOSED_FORMS])
+def test_connected_domination_closed_forms(g, expected, prune):
+    # P_m: t^(m-2) (1+t)^2; C_m: m t^(m-2) + m t^(m-1) + t^m; the star with
+    # n leaves: t (1+t)^n; K_m: (1+t)^m - 1
+    assert list(gr.connected_domination_polynomial(g, prune=prune).coefficients) == expected
 
 
 @pytest.mark.parametrize("g", [g for _, g in BLOCK_GRAPHS], ids=[name for name, _ in BLOCK_GRAPHS])
