@@ -3,22 +3,25 @@
 Provides the arithmetic core used by every other module: chain complexes
 with checked differentials stored as sparse (row, scalar) columns, homology
 with chosen representatives over a field, the Smith normal form, and
-invariant factors by sparse elimination of unit pivots.  Integral homology
-is read off the invariant factors of the adjacent differentials, so it
-carries a group presentation but no representatives.  Dense exact matrices
-are built only at the public edge and for the Smith normal form.
+invariant factors by sparse elimination of unit pivots.  Homology over a
+field comes from one walk up the degrees that reduces each differential
+once: the span of its columns gives the boundaries one degree down, and
+its dependencies the cycles.  Integral homology is read off the invariant
+factors of the adjacent differentials, so it carries a group presentation
+but no representatives.  Dense exact matrices are built only at the public
+edge and for the Smith normal form.
 
 No floating point anywhere.  Scalars are Python ints over the integers
-and prime fields.  Over the rationals the public edge (``Matrix``, the
-chain complexes' columns) holds ``fractions.Fraction``, while the vector
-kernel keeps a scalar an int while it is integral and a ``Fraction`` only
-otherwise, so elimination on +-1 boundary entries is integer work.  Over
-GF(2) the vector kernel stores a vector, and each ``Span`` combination of
-tags, as a single int used as a bitset, which keeps the heavy enumerative
-computations (cube complexes, spectral sequence pages) cheap; every other
-field stores a sparse dict from index to nonzero scalar.  A combination
-keeps that format from end to end: ``Span`` returns it as it is, and a
-kernel vector of ``nullspace`` is one.
+and prime fields.  Over the rationals the chain complexes' columns and the
+vector kernel keep a scalar an int while it is integral and a ``Fraction``
+only otherwise, so building a complex and eliminating on its +-1 boundary
+entries is integer work; ``Matrix``, the public edge, holds ``Fraction``.
+Over GF(2) the vector kernel stores a vector, and each ``Span`` combination
+of tags, as a single int used as a bitset, which keeps the heavy
+enumerative computations (cube complexes, spectral sequence pages) cheap;
+every other field stores a sparse dict from index to nonzero scalar.  A
+combination keeps that format from end to end: ``Span`` returns it as it
+is, and a kernel vector of ``nullspace`` is one.
 """
 from __future__ import annotations
 
@@ -45,6 +48,7 @@ __all__ = [
     "faces",
     "simplicial_chain_complex",
     "homology",
+    "homology_table",
     "betti_numbers",
     "smith_normal_form",
     "invariant_factors",
@@ -144,7 +148,8 @@ def ring_from_label(label: str) -> CoefficientRing:
 
 def _coerce(ring: CoefficientRing, x) -> object:
     """Coerce an exact scalar (an int or a Fraction) into the canonical
-    scalar type of ``ring``, without rounding.
+    scalar of ``ring``, without rounding: an int, except a non-integral
+    rational, which stays a ``Fraction``.
 
     Over GF(p) a fraction a/b is a times the inverse of b.  A float raises
     ``TypeError``; a non-integer over the integers, or a fraction over GF(p)
@@ -154,20 +159,22 @@ def _coerce(ring: CoefficientRing, x) -> object:
         if isinstance(x, float):
             raise TypeError(f"{x!r} is a float; scalars must be exact")
         x = Fraction(x)
-        if ring.kind == "rationals":
-            return x
         if x.denominator != 1:
+            if ring.kind == "rationals":
+                return x
             if ring.kind == "integers":
                 raise ValueError(f"{x} is not an integer")
             if x.denominator % ring.p == 0:  # type: ignore[operator]
                 raise ValueError(f"{x} has no value in GF({ring.p}): {ring.p} divides its denominator")
             return x.numerator * pow(x.denominator, -1, ring.p) % ring.p  # type: ignore[arg-type]
         x = x.numerator
-    if ring.kind == "integers":
-        return x
-    if ring.kind == "rationals":
-        return Fraction(x)
-    return x % ring.p  # type: ignore[operator]
+    return x % ring.p if ring.p else x
+
+
+def _entry(ring: CoefficientRing, x) -> object:
+    """A ``Matrix`` entry: the canonical scalar, as a ``Fraction`` over the rationals."""
+    x = _coerce(ring, x)
+    return Fraction(x) if ring.kind == "rationals" else x
 
 
 def _rational(x):
@@ -193,12 +200,12 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         if data is None:
-            zero = _coerce(ring, 0)
+            zero = _entry(ring, 0)
             self._d = [[zero] * cols for _ in range(rows)]
         else:
             if len(data) != rows or any(len(r) != cols for r in data):
                 raise ValueError("matrix data has the wrong shape")
-            self._d = [[_coerce(ring, x) for x in row] for row in data]
+            self._d = [[_entry(ring, x) for x in row] for row in data]
 
     # construction helpers -------------------------------------------------
 
@@ -225,7 +232,7 @@ class Matrix:
 
     def __setitem__(self, ij: tuple[int, int], value) -> None:
         i, j = ij
-        self._d[i][j] = _coerce(self.ring, value)
+        self._d[i][j] = _entry(self.ring, value)
 
     def row(self, i: int) -> list:
         return list(self._d[i])
@@ -248,12 +255,11 @@ class Matrix:
             ri = self._d[i]
             for j in range(other.cols):
                 acc = sum(ri[k] * other._d[k][j] for k in range(self.cols))
-                out._d[i][j] = _coerce(self.ring, acc)
+                out._d[i][j] = _entry(self.ring, acc)
         return out
 
     def is_zero(self) -> bool:
-        zero = _coerce(self.ring, 0)
-        return all(x == zero for row in self._d for x in row)
+        return not any(x for row in self._d for x in row)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):
@@ -264,9 +270,6 @@ class Matrix:
             and self.cols == other.cols
             and self._d == other._d
         )
-
-    def __hash__(self):  # pragma: no cover - matrices are not hashable
-        raise TypeError("Matrix is mutable; not hashable")
 
     def to_lists(self) -> list[list]:
         return [list(r) for r in self._d]
@@ -608,12 +611,22 @@ class Span:
         return mu if self.ops.is_zero(w) else None
 
 
+def _echelon(ops, n: int, vectors: Iterable) -> tuple[Span, list]:
+    """One reduction: the ``Span`` of ``vectors`` in dimension n (tag t is
+    vector t) and its dependencies, as kernel vectors in tag coordinates."""
+    span, kernel = Span(ops, n), []
+    for t, v in enumerate(vectors):
+        is_new, combo = span.insert(v)
+        if not is_new:
+            # every tag in the combo is an earlier vector, so e_t - combo
+            # is a kernel vector
+            kernel.append(ops.combo_pivot(combo, ops.sc_one, t))
+    return span, kernel
+
+
 def column_rank(ops, columns: Iterable) -> int:
     """Rank of a set of vectors (columns of a map) over a field kernel."""
-    span = Span(ops, 0)
-    for col in columns:
-        span.insert(col)
-    return span.dim
+    return _echelon(ops, 0, columns)[0].dim
 
 
 def matrix_rank(mat: "Matrix") -> int:
@@ -632,15 +645,25 @@ def nullspace(ops, columns: Sequence, source_dim: int) -> list:
     each is a ``Span`` tag combination, so it has the kernel's combination
     format.
     """
-    span = Span(ops, 0)
-    kernel = []
-    for t in range(source_dim):
-        is_new, combo = span.insert(columns[t])
-        if not is_new:
-            # every tag in the combo is an earlier column, so e_t - combo
-            # is a kernel vector
-            kernel.append(ops.combo_pivot(combo, ops.sc_one, t))
-    return kernel
+    return _echelon(ops, 0, (columns[t] for t in range(source_dim)))[1]
+
+
+def _homology_walk(ops, lo: int, hi: int, rank, columns) -> Iterator[tuple[int, Span, list]]:
+    """Reduce each differential of a complex once, degrees ascending.
+
+    ``rank(n)`` is the dimension of degree n, ``columns(n)`` the (row,
+    scalar) columns of ∂_n.  Yields (n, span, cycles) for n = lo .. hi: the
+    ``Span`` of the columns of ∂_{n+1} (tag t is column t) and the cycles
+    of degree n, the dependencies met one step before, in the span of
+    degree n - 1.  Only that span and the next cycles are kept.
+    """
+    cycles = None
+    for n in range(lo - 1, hi + 1):
+        size = rank(n)
+        span, kernel = _echelon(ops, size, (ops.from_items(size, col) for col in columns(n + 1)))
+        if cycles is not None:
+            yield n, span, cycles
+        cycles = kernel
 
 
 # --------------------------------------------------------------------------
@@ -668,8 +691,9 @@ class ChainComplex:
 
     Differentials lower degree by one.  The constructor takes each as a
     :class:`Matrix` or as a list of columns of (row, scalar) pairs, stores
-    it as columns with distinct rows and nonzero scalars of the ring, and
-    checks that consecutive differentials compose to zero.
+    it as columns with distinct rows and the ring's nonzero canonical
+    scalars (over the rationals an int when integral), and checks that
+    consecutive differentials compose to zero.
     """
 
     def __init__(
@@ -720,9 +744,7 @@ class ChainComplex:
         return Matrix.from_sparse(self.ring, self.rank(n - 1), self.columns(n))
 
     def degrees(self) -> range:
-        if not self._ranks:
-            return range(0)
-        return range(self.bottom, self.top + 1)
+        return range(self.bottom, self.top + 1)  # empty when every rank is 0
 
     def __repr__(self) -> str:
         parts = ", ".join(f"{n}:{self.rank(n)}" for n in self.degrees())
@@ -813,59 +835,66 @@ class HomologyBasis:
 
     Over a field this carries chosen cycle representatives together with a
     ``reduce`` method writing any cycle in those representatives modulo
-    boundaries.  Over the integers it carries only an
-    :class:`AbelianGroupPresentation`, read off the invariant factors of
-    the differentials into and out of the degree (Munkres, *Elements of
-    Algebraic Topology*, §11): ``representatives`` is None and ``reduce``
-    raises :class:`NotImplementedError`.
+    boundaries.  It reads them off one step of the homology walk: the span
+    of the boundaries, into which the cycles found one degree down are
+    inserted, so each differential is reduced once.  ``HomologyBasis(C, n)``
+    walks degrees n - 1 .. n; :func:`homology_table` walks every degree once.
+    Over the integers it carries only an :class:`AbelianGroupPresentation`,
+    read off the invariant factors of the differentials into and out of the
+    degree (Munkres, *Elements of Algebraic Topology*, §11):
+    ``representatives`` is None and ``reduce`` raises
+    :class:`NotImplementedError`.
     """
 
     def __init__(self, complex_: ChainComplex, degree: int):
-        self.degree = degree
-        self.ring = complex_.ring
-        self.ambient_rank = complex_.rank(degree)
-        if self.ring.is_field:
-            self._init_field(complex_, degree)
-            self.presentation = AbelianGroupPresentation(self.dim)
+        ring = complex_.ring
+        if ring.is_field:
+            ((_, *parts),) = _homology_walk(vector_ops(ring), degree, degree, complex_.rank, complex_.columns)
         else:
-            self._init_integral(complex_, degree)
+            parts = [complex_.rank(degree)]
+            parts += (invariant_factors(complex_.rank(n - 1), complex_.columns(n)) for n in (degree, degree + 1))
+        self._init(ring, degree, *parts)
 
-    # field case -------------------------------------------------------------
+    @classmethod
+    def _from(cls, ring: CoefficientRing, degree: int, *parts) -> "HomologyBasis":
+        """The private constructor: ``parts`` is a walk's (span, cycles) over
+        a field, or (rank, factors of ∂_n, factors of ∂_{n+1}) over Z."""
+        self = cls.__new__(cls)
+        self._init(ring, degree, *parts)
+        return self
 
-    def _init_field(self, complex_: ChainComplex, degree: int) -> None:
-        ops = vector_ops(self.ring)
-        self._ops = ops
-        n = self.ambient_rank
-        below = complex_.rank(degree - 1)
-        cycle_cols = [ops.from_items(below, col) for col in complex_.columns(degree)]
-        cycles = nullspace(ops, cycle_cols, n) if n else []
-        span = Span(ops, n)
-        above = complex_.columns(degree + 1)
-        for col in above:
-            span.insert(ops.from_items(n, col))
-        self.boundary_rank = span.dim
-        reps = []
-        self._rep_tag_index = {}
+    def _init(self, ring: CoefficientRing, degree: int, *parts) -> None:
+        self.degree, self.ring = degree, ring
+        if not ring.is_field:
+            # H_n = Z^(c_n - r_n - r_{n+1}) + the sum of Z/d over the invariant
+            # factors d > 1 of the differential out of degree n + 1
+            self.ambient_rank, here, above = parts
+            self.cycle_rank = self.ambient_rank - len(here)
+            self.boundary_rank = len(above)
+            self.dim = self.cycle_rank - len(above)
+            self.presentation = AbelianGroupPresentation(self.dim, tuple(d for d in above if d > 1))
+            self.representatives = None
+            return
+        span, cycles = parts
+        self._ops, self._span = span.ops, span
+        self.ambient_rank, self.boundary_rank = span.n, span.dim
+        # the boundary columns went in first, so a tag below this is a column
+        self._witness_dim = span.inserted
+        self.representatives, self._rep_tag_index = [], {}
         for z in cycles:
             if span.insert(z)[0]:
-                self._rep_tag_index[span.inserted - 1] = len(reps)
-                reps.append(z)
-        self._span = span
-        self.representatives = reps
+                self._rep_tag_index[span.inserted - 1] = len(self.representatives)
+                self.representatives.append(z)
         self.cycle_rank = len(cycles)
-        self.dim = len(reps)
-        self._witness_dim = len(above)
+        self.dim = len(self.representatives)
+        self.presentation = AbelianGroupPresentation(self.dim)
 
     def reduce(self, cycle) -> list:
         """Coordinates of a cycle in the representative basis (mod boundaries)."""
-        coords, _ = self._reduce_full(cycle)
-        return coords
+        return self.reduce_with_witness(cycle)[0]
 
     def reduce_with_witness(self, cycle) -> tuple[list, object]:
         """Like :meth:`reduce`, also returning w with cycle = sum(coords*reps) + boundary(w)."""
-        return self._reduce_full(cycle)
-
-    def _reduce_full(self, cycle):
         if not self.ring.is_field:
             raise NotImplementedError("reduce needs field coefficients; over Z only the presentation is computed")
         ops = self._ops
@@ -880,25 +909,10 @@ class HomologyBasis:
         for tag, c in ops.items(combo):
             k = self._rep_tag_index.get(tag)
             if k is None:
-                # Span tags count every insert and the boundary columns
-                # went in first, so a boundary tag is its column index
-                boundary.append((tag, c))
+                boundary.append((tag, c))  # a boundary tag is its column index
             else:
                 coords[k] = c
         return coords, ops.from_items(self._witness_dim, boundary)
-
-    # integral case ------------------------------------------------------------
-
-    def _init_integral(self, complex_: ChainComplex, degree: int) -> None:
-        # H_n = Z^(c_n - r_n - r_{n+1}) + the sum of Z/d over the invariant
-        # factors d > 1 of the differential out of degree n + 1
-        here = invariant_factors(complex_.rank(degree - 1), complex_.columns(degree))
-        above = invariant_factors(self.ambient_rank, complex_.columns(degree + 1))
-        self.cycle_rank = self.ambient_rank - len(here)
-        self.boundary_rank = len(above)
-        self.dim = self.cycle_rank - len(above)
-        self.presentation = AbelianGroupPresentation(self.dim, tuple(d for d in above if d > 1))
-        self.representatives = None
 
     def __repr__(self) -> str:
         if self.ring.is_field:
@@ -914,22 +928,22 @@ def homology(C: ChainComplex, n: int, ring: CoefficientRing | None = None) -> Ho
 
 
 def homology_table(C: ChainComplex) -> dict[int, HomologyBasis]:
-    return {n: HomologyBasis(C, n) for n in C.degrees()}
+    """Homology of ``C`` in each of its degrees, each differential reduced
+    once: by one homology walk over a field, by one call of
+    :func:`invariant_factors` over the integers."""
+    if C.ring.is_field:
+        walk = _homology_walk(vector_ops(C.ring), C.bottom, C.top, C.rank, C.columns)
+        return {step[0]: HomologyBasis._from(C.ring, *step) for step in walk}
+    factors = [invariant_factors(C.rank(n - 1), C.columns(n)) for n in range(C.bottom, C.top + 2)]
+    return {n: HomologyBasis._from(C.ring, n, C.rank(n), *factors[i : i + 2]) for i, n in enumerate(C.degrees())}
 
 
 def betti_numbers(C: ChainComplex) -> dict[int, int]:
     """Dimensions dim ker - rank of the adjacent differentials (field rings)."""
     if not C.ring.is_field:
         raise ValueError("betti_numbers expects field coefficients")
-    ops = vector_ops(C.ring)
-    rank_of = {
-        n: column_rank(ops, (ops.from_items(C.rank(n - 1), col) for col in C.columns(n)))
-        for n in C.degrees()
-    }
-    out = {}
-    for n in C.degrees():
-        out[n] = C.rank(n) - rank_of.get(n, 0) - rank_of.get(n + 1, 0)
-    return out
+    walk = _homology_walk(vector_ops(C.ring), C.bottom, C.top, C.rank, C.columns)
+    return {n: len(cycles) - span.dim for n, span, cycles in walk}
 
 
 # --------------------------------------------------------------------------

@@ -547,7 +547,9 @@ def complex_from_json(text: str) -> SimplicialComplex:
     doc = json.loads(text)
     if not isinstance(doc, dict) or "vertex_count" not in doc or "facets" not in doc:
         raise ValueError("complex JSON needs 'vertex_count' and 'facets'")
-    vertex_count = int(doc["vertex_count"])
+    vertex_count = doc["vertex_count"]
+    if type(vertex_count) is not int:
+        raise ValueError(f"'vertex_count' must be a JSON integer, got {vertex_count!r}")
     facets = [_normalise_simplex(f) for f in doc["facets"]]
     # a bound on the closure, checked before it is enumerated; capping the
     # exponent keeps the number printable and the verdict unchanged

@@ -12,6 +12,7 @@ single subsets is the independent reference route.
 from __future__ import annotations
 
 import json
+import operator
 import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -130,10 +131,11 @@ class Polynomial:
     coefficients: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        c = self.coefficients
+        # operator.index refuses floats and fractions instead of truncating them
+        c = tuple(map(operator.index, self.coefficients))
         while c and c[-1] == 0:
             c = c[:-1]
-        object.__setattr__(self, "coefficients", tuple(int(x) for x in c))
+        object.__setattr__(self, "coefficients", c)
 
     @property
     def degree(self) -> int:
@@ -516,7 +518,9 @@ def graph_from_json(text: str) -> Graph:
     doc = json.loads(text)
     if not isinstance(doc, dict) or "vertex_count" not in doc or "edges" not in doc:
         raise ValueError("graph JSON needs 'vertex_count' and 'edges'")
-    vertex_count = int(doc["vertex_count"])
+    vertex_count = doc["vertex_count"]
+    if type(vertex_count) is not int:
+        raise ValueError(f"'vertex_count' must be a JSON integer, got {vertex_count!r}")
     # checked before the adjacency of vertex_count entries is allocated
     check_simplex_guard(vertex_count + len(doc["edges"]))
     return Graph(vertex_count, [tuple(e) for e in doc["edges"]])

@@ -173,9 +173,7 @@ class Page:
 
     def differential_rank(self, p: int, q: int) -> int:
         d = self.differentials.get((p, q))
-        if d is None:
-            return 0
-        return matrix_rank(d)
+        return 0 if d is None else matrix_rank(d)
 
     def nonzero_cells(self) -> list[tuple[int, int]]:
         return sorted(k for k, v in self.dims.items() if v)
@@ -234,29 +232,22 @@ class SpectralSequence:
     def _first_page(self) -> Page:
         dc = self.dc
         ops = self.ops
-        # cells() climbs each column, so the span of (p, q - 1) has already
-        # found the cycles of (p, q); d_v is block-diagonal over the nerve
-        # simplices, so one span per cell gives the per-block classes in order
-        cycles: dict[tuple[int, int], list] = {}
-        for cell in dc.cells():
-            p, q = cell
-            if not algebra.composite_vanishes(self.ring, (dc.dv_sparse(p, q), dc.dv_sparse(p, q - 1), 1)):
-                raise ValueError(f"d_v∘d_v = 0 fails at bidegree {cell}")
-            size, up = dc.cell_dim(p, q), dc.cell_dim(p, q + 1)
-            span = Span(ops, size)
-            ups: list = []
-            for t, col in enumerate(dc.dv_sparse(p, q + 1)):
-                is_new, combo = span.insert(ops.from_items(size, col))
-                if not is_new:
-                    # a dependency among boundaries is a cycle one row up
-                    ups.append(ops.combo_pivot(combo, ops.sc_one, t))
-            cycles[(p, q + 1)] = ups
-            self._dead[cell] = span
-            sign = -1 if p % 2 else 1
-            self._boundary[cell] = [{p: ops.from_items(up, [(t, sign)])} for t in range(up)]
-            homology = span.copy()
-            zs = cycles.pop(cell) if q else [ops.unit(size, t) for t in range(size)]
-            self._classes[cell] = [{p: z} for z in zs if homology.insert(z)[0]]
+        # one homology walk up each column: the span of (p, q) holds the
+        # vertical boundaries from (p, q + 1), and the cycles of (p, q) are
+        # the dependencies met in the span one row down; d_v is block-diagonal
+        # over the nerve simplices, so one span per cell gives the per-block
+        # classes in order
+        for p in range(dc.p_min, dc.p_max + 1):
+            rows = [q for c, q in dc.cells() if c == p]
+            rank, columns = (lambda q: dc.cell_dim(p, q)), (lambda q: dc.dv_sparse(p, q))
+            for q, span, zs in algebra._homology_walk(ops, rows[0], rows[-1], rank, columns):
+                if not algebra.composite_vanishes(self.ring, (columns(q), columns(q - 1), 1)):
+                    raise ValueError(f"d_v∘d_v = 0 fails at bidegree {(p, q)}")
+                self._dead[p, q] = span
+                sign, up = -1 if p % 2 else 1, dc.cell_dim(p, q + 1)
+                self._boundary[p, q] = [{p: ops.from_items(up, [(t, sign)])} for t in range(up)]
+                homology = span.copy()
+                self._classes[p, q] = [{p: z} for z in zs if homology.insert(z)[0]]
         dims = {cell: len(xs) for cell, xs in self._classes.items() if xs}
         page = Page(1, dims)
         self._pages[1] = page
@@ -394,11 +385,7 @@ class SpectralSequence:
     @property
     def converged_at(self) -> int:
         self.run_to_convergence()
-        last = 0
-        for r, page in self._pages.items():
-            if page.has_nonzero_differential():
-                last = max(last, r)
-        return last + 1
+        return max((r for r, page in self._pages.items() if page.has_nonzero_differential()), default=0) + 1
 
     def infinity(self) -> Page:
         self.run_to_convergence()
@@ -461,10 +448,7 @@ def verify_identification(
     table = uber.zero_degree_uber_table(X, ring, max_vertices=max_vertices)
     dc = double_complex(X, ring=ring, augmented=True)
     e2 = SpectralSequence(dc).page(2)
-    page_dims: dict[tuple[int, int], int] = {}
-    for (p, q), d in e2.dims.items():
-        if d:
-            page_dims[(m - p - 1, q)] = d
+    page_dims = {(m - p - 1, q): d for (p, q), d in e2.dims.items() if d}
     keys = sorted(set(table) | set(page_dims))
     entries = [(j, i, table.get((j, i), 0), page_dims.get((j, i), 0)) for j, i in keys]
     ok = all(a == b for _, _, a, b in entries)
@@ -482,12 +466,8 @@ def delta2_on_uber(
     """
     m = X.vertex_count
     check_vertex_guard(m, max_vertices)
-    dc = double_complex(X, ring=ring, augmented=True)
-    ss = SpectralSequence(dc)
-    d2 = ss.differentials(2)
-    out: dict[tuple[int, int], Matrix] = {}
-    for (p, q), mat in d2.items():
-        out[(m - p - 1, q)] = mat
+    d2 = SpectralSequence(double_complex(X, ring=ring, augmented=True)).differentials(2)
+    out = {(m - p - 1, q): mat for (p, q), mat in d2.items()}
     for (j, i), mat in out.items():
         nxt = out.get((j + 2, i + 1))
         if nxt is not None and mat.rows == nxt.cols:

@@ -229,7 +229,7 @@ class HorizontalHomology:
         self._buckets = {key: tuple(v) for key, v in buckets.items()}
         self._weights = sorted({k for _, k in buckets})
         self._complexes: dict[int, ChainComplex] = {}
-        self._homology: dict[tuple[int, int], HomologyBasis] = {}
+        self._homology: dict[int, dict[int, HomologyBasis]] = {}
 
     def weights(self) -> list[int]:
         return list(self._weights)
@@ -258,12 +258,13 @@ class HorizontalHomology:
         return ChainComplex(GF2, ranks, diffs)
 
     def homology(self, i: int, k: int) -> HomologyBasis:
-        key = (i, k)
-        hb = self._homology.get(key)
-        if hb is None:
-            hb = HomologyBasis(self.complex_for_weight(k), i)
-            self._homology[key] = hb
-        return hb
+        # one homology table fills every dimension of a weight at once
+        if k not in self._homology:
+            self._homology[k] = algebra.homology_table(self.complex_for_weight(k))
+        table = self._homology[k]
+        if i not in table:  # a dimension outside the weight's complex
+            table[i] = HomologyBasis(self.complex_for_weight(k), i)
+        return table[i]
 
     def dims(self) -> dict[tuple[int, int], int]:
         """Nonzero homology dimensions, keyed by (dimension, weight)."""
@@ -349,16 +350,6 @@ def uberhomology(X: SimplicialComplex, max_vertices: int = 16) -> dict[tuple[int
 # The weight-zero slice over arbitrary fields (independent pipeline)
 
 
-class _CubeNode:
-    """Homology in one degree of the subcomplex spanned by the 1-coloured vertices."""
-
-    __slots__ = ("homology", "ambient_index")
-
-    def __init__(self, basis: Sequence[Simplex], cc: ChainComplex, degree: int):
-        self.homology = HomologyBasis(cc, degree)
-        self.ambient_index = {s: r for r, s in enumerate(basis)}
-
-
 def _cube_node_bases(X: SimplicialComplex) -> list[dict[int, tuple[Simplex, ...]]]:
     """For each colouring mask, X's simplices on its 1-coloured vertices by
     dimension, in X's ids and order: the induced subcomplex without its
@@ -372,15 +363,17 @@ def _cube_node_bases(X: SimplicialComplex) -> list[dict[int, tuple[Simplex, ...]
     ]
 
 
-def _cube_edge_matrix(src: _CubeNode, dst: _CubeNode, ring: CoefficientRing):
-    """Coordinates of the inclusion-induced map between two node homologies."""
+def _cube_edge_matrix(src: tuple, dst: tuple, ring: CoefficientRing):
+    """Coordinates of the inclusion-induced map between two cube nodes, each
+    the homology in one degree of the subcomplex spanned by the 1-coloured
+    vertices and the index {simplex: row} of its chains."""
     ops = vector_ops(ring)
-    n_dst = len(dst.ambient_index)
-    src_simplices = list(src.ambient_index)
+    (src_h, src_index), (dst_h, dst_index) = src, dst
+    src_simplices = list(src_index)
     cols = []
-    for rep in src.homology.representatives:
-        entries = [(dst.ambient_index[src_simplices[pos]], c) for pos, c in ops.items(rep)]
-        cols.append(dst.homology.reduce(ops.from_items(n_dst, entries)))
+    for rep in src_h.representatives:
+        entries = [(dst_index[src_simplices[pos]], c) for pos, c in ops.items(rep)]
+        cols.append(dst_h.reduce(ops.from_items(len(dst_index), entries)))
     return cols
 
 
@@ -404,11 +397,17 @@ def zero_degree_uber_table(
         raise ValueError("the weight-zero slice needs field coefficients")
     max_degree = X.max_dim if not X.is_empty else -1
     bases = _cube_node_bases(X)
+    # one homology walk per node, advanced a degree at a time, so only the
+    # current degree's spans and the next degree's cycles stay alive
     chains = [algebra._boundary_complex(ring, b) for b in bases]
+    walks = [algebra._homology_walk(vector_ops(ring), 0, max_degree, cc.rank, cc.columns) for cc in chains]
     rank = _field_rank(ring)
     out: dict[tuple[int, int], int] = {}
     for degree in range(max_degree + 1):
-        nodes = [_CubeNode(b.get(degree, ()), cc, degree) for b, cc in zip(bases, chains)]
+        nodes = [
+            (HomologyBasis._from(ring, *next(w)), {s: r for r, s in enumerate(b.get(degree, ()))})
+            for b, w in zip(bases, walks)
+        ]
 
         def edge(mask: int, v: int) -> list:
             sign = sign_table[mask][v]
@@ -417,7 +416,7 @@ def zero_degree_uber_table(
                 for coords in _cube_edge_matrix(nodes[mask], nodes[mask | 1 << v], ring)
             ]
 
-        dims = [node.homology.dim for node in nodes]
+        dims = [h.dim for h, _ in nodes]
         for j, h in enumerate(_cube_homology(m, dims, edge, rank)):
             if h:
                 out[(j, degree)] = h

@@ -566,6 +566,65 @@ def test_integral_homology_sends_only_the_leftover_block_to_the_smith_form(corpu
         assert shapes == []
 
 
+@pytest.mark.parametrize("reduced", [False, True], ids=["plain", "reduced"])
+def test_a_field_homology_table_reduces_each_differential_once(corpus_complex, monkeypatch, reduced):
+    # one walk: every chain goes into a span once, as a column of the
+    # differential out of its degree, and every cycle once more, when the
+    # representatives are picked; the nullspace is never taken apart
+    def refuse(*args):
+        raise AssertionError("homology_table called nullspace")
+
+    inserts = []
+    insert = al.Span.insert
+
+    def spy(self, v):
+        inserts.append(v)
+        return insert(self, v)
+
+    for ring in (al.QQ, al.GF2, al.GF(3)):
+        cc = al.simplicial_chain_complex(corpus_complex, ring, reduced=reduced)
+        alone = {n: al.HomologyBasis(cc, n) for n in cc.degrees()}
+        with monkeypatch.context() as patch:
+            patch.setattr(al, "nullspace", refuse)
+            patch.setattr(al.Span, "insert", spy)
+            inserts.clear()
+            table = al.homology_table(cc)
+        assert len(inserts) == sum(map(cc.rank, cc.degrees())) + sum(h.cycle_rank for h in table.values())
+        assert sorted(table) == sorted(alone)
+        for n, h in table.items():
+            old = alone[n]
+            assert (h.dim, h.cycle_rank, h.boundary_rank, h.representatives) == (
+                old.dim, old.cycle_rank, old.boundary_rank, old.representatives
+            )
+
+
+def test_an_integral_homology_table_factors_each_differential_once(corpus_complex, monkeypatch):
+    factor = al.invariant_factors
+    calls = []
+
+    def spy(rows, columns):
+        columns = list(columns)
+        calls.append((rows, len(columns)))
+        return factor(rows, columns)
+
+    monkeypatch.setattr(al, "invariant_factors", spy)
+    cc = al.simplicial_chain_complex(corpus_complex, al.ZZ)
+    al.homology_table(cc)
+    # the differentials into and out of the degrees, from the bottom's
+    # (onto nothing) to the one out of the degree above the top (from nothing)
+    assert calls == [(cc.rank(n - 1), cc.rank(n)) for n in range(cc.bottom, cc.top + 2)]
+
+
+def test_rational_chain_complexes_hold_int_scalars(corpus_complex):
+    # the kernel's canonical scalars; the public edge still holds Fraction
+    cc = al.simplicial_chain_complex(corpus_complex, al.QQ, reduced=True)
+    for n in cc.degrees():
+        assert all(type(c) is int for col in cc.columns(n) for _, c in col)
+        assert all(type(c) is Fraction for row in cc.diff(n).to_lists() for c in row)
+    half = al.ChainComplex(al.QQ, {0: 1, 1: 1}, {1: [[(0, Fraction(1, 2))]]})
+    assert half.columns(1) == (((0, Fraction(1, 2)),),)
+
+
 def test_integral_presentations_match_sympy_beyond_the_corpus():
     from conftest import projective_plane
 

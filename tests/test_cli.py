@@ -341,6 +341,25 @@ def test_labels_that_do_not_match_the_vertex_count_are_an_input_error(capsys, tm
     assert out == "" and "labels must match vertex_count" in err
 
 
+# int() would read 3.9 as 3 and "3" as 3; a JSON integer is the only count
+@pytest.mark.parametrize("count", [3.9, 3.0, "3", True], ids=["float", "integral-float", "string", "bool"])
+def test_a_complex_vertex_count_that_is_not_a_json_integer_is_an_input_error(capsys, tmp_path, count):
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps({**CIRCLE, "vertex_count": count}))
+    code, out, err = run(capsys, ["homology", str(path)])
+    assert code == cli.EXIT_INPUT == 2
+    assert out == "" and "'vertex_count' must be a JSON integer" in err
+
+
+@pytest.mark.parametrize("count", [2.9, 2.0, "2", True], ids=["float", "integral-float", "string", "bool"])
+def test_a_graph_vertex_count_that_is_not_a_json_integer_is_an_input_error(capsys, tmp_path, count):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"vertex_count": count, "edges": [[0, 1]]}))
+    code, out, err = run(capsys, ["domination", str(path)])
+    assert code == cli.EXIT_INPUT == 2
+    assert out == "" and "'vertex_count' must be a JSON integer" in err
+
+
 def test_unknown_coefficients_are_rejected_by_the_parser(capsys, circle_path):
     code, _, _ = run(capsys, ["homology", circle_path, "--coeff", "z4"])
     assert code == 2

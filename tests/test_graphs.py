@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -99,6 +100,18 @@ def test_polynomial_evaluation_and_rendering():
     assert p(1) == 9
     assert str(p) == "4t^2 + 4t^3 + t^4"
     assert str(gr.Polynomial(())) == "0"
+
+
+@pytest.mark.parametrize(
+    "coefficients",
+    [(1, 0.4), (Fraction(1, 2), 3), (1, 2.0)],
+    ids=["float-tail", "fraction-head", "integral-float"],
+)
+def test_polynomial_refuses_inexact_coefficients(coefficients):
+    # each coefficient is converted before the trailing zeros go, so a
+    # float tail cannot be truncated to 0 and stripped
+    with pytest.raises(TypeError):
+        gr.Polynomial(coefficients)
 
 
 # --------------------------------------------------------------------------

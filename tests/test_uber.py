@@ -212,6 +212,24 @@ def test_zero_degree_table_by_degree_agrees_with_table(corpus_complex):
     assert by_degree == table
 
 
+@pytest.mark.parametrize("ring", [al.QQ, al.GF2, al.GF(3)], ids=str)
+def test_the_zero_degree_table_reduces_each_node_differential_once(monkeypatch, ring):
+    # one homology walk per cube node: reducing each differential both as a
+    # kernel and as the boundaries one degree down took 1,087 inserts on
+    # this input; one reduction per differential takes 827
+    calls = []
+    insert = al.Span.insert
+
+    def spy(self, v):
+        calls.append(1)
+        return insert(self, v)
+
+    monkeypatch.setattr(al.Span, "insert", spy)
+    table = uber.zero_degree_uber_table(cx.random_connected_complex(6, 1), ring)
+    assert _nontrivial(table) == {(2, 0): 1, (4, 1): 1}
+    assert len(calls) < 1087
+
+
 def test_uber_respects_the_size_guard():
     X = cx.complex_from_graph(gr.path_graph(6))
     with pytest.raises(SizeGuardExceeded):
