@@ -629,14 +629,6 @@ def column_rank(ops, columns: Iterable) -> int:
     return _echelon(ops, 0, columns)[0].dim
 
 
-def matrix_rank(mat: "Matrix") -> int:
-    """Rank of a matrix over its own coefficient field (or over QQ for ZZ)."""
-    ring = QQ if mat.ring.kind == "integers" else mat.ring
-    ops = vector_ops(ring)
-    return column_rank(ops, (ops.from_items(mat.rows, [(i, mat[i, j]) for i in range(mat.rows)])
-                             for j in range(mat.cols)))
-
-
 def nullspace(ops, columns: Sequence, source_dim: int) -> list:
     """Kernel basis of the linear map with the given column images.
 

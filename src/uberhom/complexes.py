@@ -49,7 +49,11 @@ __all__ = [
 
 
 def _normalise_simplex(s: Iterable[int]) -> Simplex:
-    t = tuple(sorted(s))
+    t = tuple(s)
+    for v in t:
+        if type(v) is not int:  # a bool or a float is not a vertex id
+            raise ValueError(f"vertex id {v!r} is not an integer")
+    t = tuple(sorted(t))
     if len(set(t)) != len(t):
         raise ValueError(f"repeated vertex in simplex {t}")
     return t

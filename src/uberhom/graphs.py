@@ -51,6 +51,9 @@ class Graph:
         self.vertex_count = vertex_count
         canon = set()
         for u, v in edges:
+            for w in (u, v):
+                if type(w) is not int:  # a bool or a float is not a vertex id
+                    raise ValueError(f"vertex id {w!r} in edge ({u},{v}) is not an integer")
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):

@@ -34,7 +34,6 @@ from .algebra import (
     QQ,
     Span,
     faces,
-    matrix_rank,
     nullspace,
     vector_ops,
 )
@@ -162,24 +161,25 @@ def double_complex(
 @dataclass
 class Page:
     """One page: dimensions per bidegree and (once the next page has been
-    computed) the page's differentials with their target classes as rows."""
+    computed) the page's differentials with their target classes as rows,
+    and their ranks, read off the kernels found when the page turns."""
 
     r: int
     dims: dict[tuple[int, int], int]
     differentials: dict[tuple[int, int], Matrix] = field(default_factory=dict)
+    ranks: dict[tuple[int, int], int] = field(default_factory=dict)
 
     def dim(self, p: int, q: int) -> int:
         return self.dims.get((p, q), 0)
 
     def differential_rank(self, p: int, q: int) -> int:
-        d = self.differentials.get((p, q))
-        return 0 if d is None else matrix_rank(d)
+        return self.ranks.get((p, q), 0)
 
     def nonzero_cells(self) -> list[tuple[int, int]]:
         return sorted(k for k, v in self.dims.items() if v)
 
     def has_nonzero_differential(self) -> bool:
-        return any(not d.is_zero() for d in self.differentials.values())
+        return any(self.ranks.values())
 
 
 class SpectralSequence:
@@ -309,6 +309,7 @@ class SpectralSequence:
             kernel = nullspace(ops, [ops.from_items(n_target_classes, c) for c in cols], len(xs))
             dr_data[cell] = (kernel, combos, images, n_gens)
             page.differentials[cell] = Matrix.from_sparse(self.ring, n_target_classes, cols)
+            page.ranks[cell] = len(xs) - len(kernel)
 
         # pass 2: grow the dead subspaces by the fresh images; generators are
         # only appended, so the tags solved against in pass 1 keep naming them
@@ -517,8 +518,7 @@ def page_to_json(page: Page, converged_at: int | None = None) -> str:
     for (p, q), mat in sorted(page.differentials.items()):
         if mat.rows == 0 or mat.cols == 0:
             continue
-        rank = matrix_rank(mat)
-        diffs.append({"from": [p, q], "to": [p - page.r, q + page.r - 1], "rank": rank})
+        diffs.append({"from": [p, q], "to": [p - page.r, q + page.r - 1], "rank": page.ranks[p, q]})
     doc: dict = {"page": page.r, "cells": cells, "differentials": diffs}
     if converged_at is not None:
         doc["converged_at"] = converged_at

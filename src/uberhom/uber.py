@@ -212,7 +212,9 @@ class HorizontalHomology:
 
     The chain module in bidegree (i, k) is spanned by the i-simplices of
     weight k; the differential deletes 1-coloured vertices only, which
-    preserves the weight and drops the dimension by one.
+    preserves the weight and drops the dimension by one.  Each bucket of
+    simplices gets one index {simplex: row}, and each weight's homology is
+    computed at construction, by one homology table.
     """
 
     def __init__(self, X: SimplicialComplex, colouring: Sequence[int]):
@@ -227,9 +229,11 @@ class HorizontalHomology:
             for s in X.simplices_of_dim(q):
                 buckets.setdefault((q, weight(s, colouring)), []).append(s)
         self._buckets = {key: tuple(v) for key, v in buckets.items()}
+        self._index = {key: {s: r for r, s in enumerate(v)} for key, v in buckets.items()}
         self._weights = sorted({k for _, k in buckets})
-        self._complexes: dict[int, ChainComplex] = {}
-        self._homology: dict[int, dict[int, HomologyBasis]] = {}
+        self._homology = {
+            (i, k): h for k in self._weights for i, h in algebra.homology_table(self.complex_for_weight(k)).items()
+        }
 
     def weights(self) -> list[int]:
         return list(self._weights)
@@ -238,42 +242,27 @@ class HorizontalHomology:
         return self._buckets.get((i, k), ())
 
     def complex_for_weight(self, k: int) -> ChainComplex:
-        cc = self._complexes.get(k)
-        if cc is None:
-            cc = self._build(k)
-            self._complexes[k] = cc
-        return cc
-
-    def _build(self, k: int) -> ChainComplex:
-        ranks = {i: len(self.basis(i, k)) for i in self.X.dims() if self.basis(i, k)}
-        diffs = {}
-        for i in ranks:
-            if i - 1 not in ranks:
-                continue
-            dst_index = {s: r for r, s in enumerate(self.basis(i - 1, k))}
-            diffs[i] = [
-                [(dst_index[s[:pos] + s[pos + 1 :]], 1) for pos, v in enumerate(s) if self.colouring[v] == 1]
-                for s in self.basis(i, k)
+        """The weight-k chain complex, built from the bucket indices on each call."""
+        ranks = {i: len(b) for (i, w), b in self._buckets.items() if w == k}
+        diffs = {
+            i: [
+                [(self._index[i - 1, k][s[:pos] + s[pos + 1 :]], 1) for pos, v in enumerate(s) if self.colouring[v]]
+                for s in self._buckets[i, k]
             ]
+            for i in ranks
+            if i - 1 in ranks
+        }
         return ChainComplex(GF2, ranks, diffs)
 
     def homology(self, i: int, k: int) -> HomologyBasis:
-        # one homology table fills every dimension of a weight at once
-        if k not in self._homology:
-            self._homology[k] = algebra.homology_table(self.complex_for_weight(k))
-        table = self._homology[k]
-        if i not in table:  # a dimension outside the weight's complex
-            table[i] = HomologyBasis(self.complex_for_weight(k), i)
-        return table[i]
+        h = self._homology.get((i, k))
+        if h is None:  # a dimension outside the weight's complex, or an absent weight
+            h = HomologyBasis._from(GF2, i, algebra.Span(vector_ops(GF2), 0), [])
+        return h
 
     def dims(self) -> dict[tuple[int, int], int]:
         """Nonzero homology dimensions, keyed by (dimension, weight)."""
-        out = {}
-        for (i, k) in sorted(self._buckets):
-            d = self.homology(i, k).dim
-            if d:
-                out[(i, k)] = d
-        return out
+        return {key: h.dim for key, h in sorted(self._homology.items()) if h.dim}
 
 
 def horizontal_homology(X: SimplicialComplex, colouring: Sequence[int]) -> HorizontalHomology:
@@ -300,6 +289,7 @@ class UberComplex:
         self.X = X
         self.m = m
         self._nodes = [HorizontalHomology(X, _to_tuple(mask, m)) for mask in range(1 << m)]
+        self._node_dims = [node.dims() for node in self._nodes]
         self._pairs = sorted({key for node in self._nodes for key in node._buckets})
 
     def differential(self, j: int, i: int, k: int) -> Matrix:
@@ -307,7 +297,7 @@ class UberComplex:
         return Matrix.from_sparse(GF2, *_cube_map(_cube_levels(self.m), j, self._dims(i, k), self._edge(i, k)))
 
     def _dims(self, i: int, k: int) -> list[int]:
-        return [node.homology(i, k).dim for node in self._nodes]
+        return [dims.get((i, k), 0) for dims in self._node_dims]
 
     def _edge(self, i: int, k: int) -> Callable[[int, int], list]:
         """The map induced on (i, k) homology by raising vertex v of a colouring."""
@@ -315,8 +305,8 @@ class UberComplex:
 
         def edge(mask: int, v: int) -> list:
             src, dst = self._nodes[mask], self._nodes[mask | 1 << v]
-            src_basis, dst_h = src.basis(i, k), dst.homology(i, k)
-            dst_index = {s: r for r, s in enumerate(dst.basis(i, k))}
+            # the edge map is only asked for between nodes with classes in (i, k)
+            src_basis, dst_h, dst_index = src.basis(i, k), dst.homology(i, k), dst._index[i, k]
             images = []
             for rep in src.homology(i, k).representatives:
                 simplices = (src_basis[pos] for pos, _ in ops.items(rep))

@@ -15,6 +15,9 @@ library pieces:
 
 * ``bold_free_ranks_by_column_rank`` is bold homology's former route over
   a field: each level map ranked over the field itself by ``column_rank``.
+* ``matrix_rank`` is the former rank of a dense ``Matrix``, by
+  ``column_rank`` over its field (over Q for Z).  Pages now read their
+  differentials' ranks off the kernels found when they turn.
 * ``LatticeHomology`` is integral homology's former route: two full Smith
   forms with their unimodular transforms (``smith_normal_form``) and
   lattice solves on a ``Span`` over Q, giving integral representatives
@@ -115,6 +118,14 @@ def matrix_rank_oracle(rows: list[list[int]], ring) -> int:
     if getattr(ring, "kind", None) == "prime_field":
         return rank_mod_p(rows, ring.p)
     return rank_rational(rows)
+
+
+def matrix_rank(mat: Matrix) -> int:
+    """Rank of a matrix over its own coefficient field (or over QQ for ZZ)."""
+    ring = QQ if mat.ring.kind == "integers" else mat.ring
+    ops = vector_ops(ring)
+    return column_rank(ops, (ops.from_items(mat.rows, [(i, mat[i, j]) for i in range(mat.rows)])
+                             for j in range(mat.cols)))
 
 
 def betti_oracle(X, ring, reduced: bool = False) -> dict[int, int]:

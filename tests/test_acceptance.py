@@ -69,7 +69,7 @@ def test_criterion_02_capped_square_unaugmented_pages():
     }
     assert _page_dims(ss.page(2)) == {(0, 0): 1, (2, 0): 1, (0, 1): 1}
     d2 = ss.differentials(2)
-    assert al.matrix_rank(d2[(2, 0)]) == 1
+    assert oracles.matrix_rank(d2[(2, 0)]) == 1
     assert _page_dims(ss.page(3)) == {(0, 0): 1}
     assert ss.converged_at == 3
 
@@ -80,7 +80,7 @@ def test_criterion_03_circle_augmented_collapse():
         ss = mvss.run_to_convergence(mvss.double_complex(X, ring=ring, augmented=True))
         assert _page_dims(ss.page(2)) == {(-1, 1): 1, (1, 0): 1}
         mat = ss.differentials(2)[(1, 0)]
-        assert (mat.rows, mat.cols) == (1, 1) and al.matrix_rank(mat) == 1
+        assert (mat.rows, mat.cols) == (1, 1) and oracles.matrix_rank(mat) == 1
         assert _page_dims(ss.page(3)) == {}
 
 
@@ -93,10 +93,10 @@ def test_criterion_04_sphere_family_transgressions():
         assert _page_dims(ss.page(n + 1)) == {(-1, n): 1, (n, 0): 1}
         assert ss.converged_at == n + 2
         nonzero = {
-            pq: m for pq, m in ss.differentials(n + 1).items() if al.matrix_rank(m)
+            pq: m for pq, m in ss.differentials(n + 1).items() if oracles.matrix_rank(m)
         }
         assert set(nonzero) == {(n, 0)}
-        assert al.matrix_rank(nonzero[(n, 0)]) == 1
+        assert oracles.matrix_rank(nonzero[(n, 0)]) == 1
         assert _page_dims(ss.infinity()) == {}
 
 

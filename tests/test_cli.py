@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uberhom import cli, complexes, errors, graphs, uber
 
@@ -358,6 +360,53 @@ def test_a_graph_vertex_count_that_is_not_a_json_integer_is_an_input_error(capsy
     code, out, err = run(capsys, ["domination", str(path)])
     assert code == cli.EXIT_INPUT == 2
     assert out == "" and "'vertex_count' must be a JSON integer" in err
+
+
+# a float or a bool is not a vertex id, in a facet or in an edge: 1.0 used to
+# crash every cube and page command and true was read as vertex 1
+@pytest.mark.parametrize("vertex", [1.0, True], ids=["float", "bool"])
+@pytest.mark.parametrize("kind", ["facets", "edges"])
+@pytest.mark.parametrize(
+    "command",
+    [["homology"], ["bold"], ["uber"], ["mvss"], ["domination"], ["verify", "--theorem", "identification"]],
+    ids=lambda c: c[0],
+)
+def test_a_vertex_id_that_is_not_a_json_integer_is_an_input_error(capsys, tmp_path, vertex, kind, command):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"vertex_count": 3, kind: [[0, vertex], [1, 2]]}))
+    code, out, err = run(capsys, [command[0], str(path), *command[1:]])
+    assert code == cli.EXIT_INPUT == 2
+    assert out == "" and f"vertex id {vertex!r}" in err
+
+
+# half the ids are JSON ints, so most documents are nearly valid
+_JSON_ID = st.one_of(
+    st.integers(-1, 5),
+    st.one_of(
+        st.integers(-1, 5).map(float),
+        st.floats(-1, 5, allow_nan=False),
+        st.booleans(),
+        st.text(alphabet="01a", max_size=2),
+        st.none(),
+    ),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    kind=st.sampled_from(["facets", "edges"]),
+    count=st.one_of(st.integers(0, 5), _JSON_ID),
+    items=st.lists(st.lists(_JSON_ID, max_size=3), max_size=4),
+)
+def test_loaders_never_crash_a_command(tmp_path_factory, kind, count, items):
+    # whatever ids and counts a small document mixes, every command exits
+    # with success, an input error or the size guard, and raises nothing
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_text(json.dumps({"vertex_count": count, kind: items}))
+    for command in (["homology"], ["bold"], ["uber"], ["mvss", "--coeff", "z2"], ["domination"]):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main([command[0], str(path), *command[1:]])
+        assert code in (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_GUARD), (command, count, items)
 
 
 def test_unknown_coefficients_are_rejected_by_the_parser(capsys, circle_path):

@@ -135,6 +135,43 @@ def test_horizontal_dims_match_per_weight_homology():
                 assert hh.homology(i, k).dim == d
 
 
+def test_horizontal_homology_is_one_table_per_colouring_and_weight(monkeypatch):
+    # every weight's homology comes from one homology table, built when the
+    # colouring's horizontal homology is; no basis is built one degree at a time
+    X = cx.random_connected_complex(7, 1)
+    tables, bases = [], []
+    homology_table = al.homology_table
+
+    def table_spy(C):
+        tables.append(tuple(C.rank(n) for n in X.dims()))
+        return homology_table(C)
+
+    def basis_spy(self, *args):
+        raise AssertionError("HomologyBasis built one degree at a time")
+
+    monkeypatch.setattr(al, "homology_table", table_spy)
+    monkeypatch.setattr(al.HomologyBasis, "__init__", basis_spy)
+    assert uber.uberhomology(X)
+    expected = []
+    for colouring in uber.all_colourings(X.vertex_count):
+        for k in {uber.weight(s, colouring) for s in X.all_simplices()}:
+            ranks = [sum(1 for s in X.simplices_of_dim(n) if uber.weight(s, colouring) == k) for n in X.dims()]
+            expected.append(tuple(ranks))
+    assert sorted(tables) == sorted(expected)
+
+
+def test_horizontal_homology_outside_a_weights_complex_is_zero():
+    # the circle coloured (0, 1, 1): weight 0 lives in dimensions 0 and 1,
+    # weight 1 in dimensions 0 and 1, and no simplex has weight 2
+    hh = uber.horizontal_homology(cx.boundary_of_simplex(3), (0, 1, 1))
+    assert hh.weights() == [0, 1]
+    for i, k in ((2, 0), (-1, 1), (5, 1), (0, 2), (1, 2)):
+        h = hh.homology(i, k)
+        assert h.dim == 0 and h.representatives == []
+        assert h.reduce(al.vector_ops(al.GF2).zero(0)) == []
+    assert hh.dims() == {(0, 0): 1, (1, 1): 1}
+
+
 def test_all_ones_colouring_gives_plain_homology_at_weight_zero():
     X = cx.boundary_of_simplex(3)
     colouring = (1,) * X.vertex_count
