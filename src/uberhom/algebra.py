@@ -649,8 +649,12 @@ def _homology_walk(ops, lo: int, hi: int, rank, columns) -> Iterator[tuple[int, 
     of degree n, the dependencies met one step before, in the span of
     degree n - 1.  Only that span and the next cycles are kept.
     """
-    cycles = None
-    for n in range(lo - 1, hi + 1):
+    cycles, start = None, lo - 1
+    if not rank(start):
+        # ∂_lo is zero, so the chains of degree lo are its cycles
+        size = rank(lo)
+        cycles, start = [ops.unit(size, t) for t in range(size)], lo
+    for n in range(start, hi + 1):
         size = rank(n)
         span, kernel = _echelon(ops, size, (ops.from_items(size, col) for col in columns(n + 1)))
         if cycles is not None:

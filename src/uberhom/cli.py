@@ -304,6 +304,8 @@ def _check_euler(obj, ring: CoefficientRing, max_vertices: int) -> dict:
 
 def _check_cone(obj, ring: CoefficientRing, max_vertices: int) -> dict:
     X = _as_complex(obj)
+    if X.is_empty:
+        return {"status": "SKIP", "detail": {"reason": "complex is empty"}}
     if X.is_standard_simplex():
         return {"status": "SKIP", "detail": {"reason": "complex is a standard simplex"}}
     check_vertex_guard(X.vertex_count + 1, max_vertices)
@@ -355,6 +357,8 @@ def _check_trianglefree(obj, ring: CoefficientRing, max_vertices: int) -> dict:
     G = _as_graph(obj)
     if not G.is_connected:
         return {"status": "SKIP", "detail": {"reason": "graph is not connected"}}
+    if G.vertex_count < 3:
+        return {"status": "SKIP", "detail": {"reason": "graph has fewer than three vertices"}}
     if not graphs.is_triangle_free(G):
         return {"status": "SKIP", "detail": {"reason": "graph has a triangle"}}
     m = G.vertex_count

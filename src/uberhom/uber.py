@@ -15,15 +15,15 @@ A colouring assigns each vertex 0 or 1.  Three constructions live here:
   integers, where torsion can appear.
 
 All three are the homology of a cube complex over the Boolean lattice of
-colourings and share its bookkeeping: the levels, the layout of each level
-map (``_cube_map``) and the rank formula (``_cube_homology``).  Each brings
-its own node bases, edge maps and reductions, so the two GF(2) routes share
-no boundary, induced-map or reduction code, only that bookkeeping and the
-algebra layer, and can be played against each other in tests.
+colourings and share its bookkeeping: the levels, the layout and signs of
+each level map (``_cube_map``) and the rank formula (``_cube_homology``).
+Each brings its own node bases, edge maps and reductions, so the two GF(2)
+routes share no boundary, induced-map or reduction code, only that
+bookkeeping and the algebra layer, and can be played against each other in
+tests.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from . import algebra, graphs
@@ -47,10 +47,6 @@ Bicolouring = tuple[int, ...]
 
 __all__ = [
     "Bicolouring",
-    "SignAssignment",
-    "STANDARD_SIGNS",
-    "ALTERNATE_SIGNS",
-    "verify_sign_assignment",
     "weight",
     "colouring_level",
     "all_colourings",
@@ -88,30 +84,6 @@ def all_colourings(m: int) -> list[Bicolouring]:
     return [_to_tuple(mask, m) for mask in range(1 << m)]
 
 
-@dataclass(frozen=True)
-class SignAssignment:
-    """Signs for the edges of the Boolean lattice of colourings.
-
-    ``rule(mask, v)`` is the sign of the edge raising vertex ``v`` of the
-    colouring ``mask`` from 0 to 1.  Adjacent squares must anticommute;
-    any two such assignments give isomorphic cube homology.
-    """
-
-    name: str
-    rule: Callable[[int, int], int]
-
-    def __call__(self, mask: int, v: int) -> int:
-        return self.rule(mask, v)
-
-
-STANDARD_SIGNS = SignAssignment(
-    "ones-below", lambda mask, v: -1 if (mask & ((1 << v) - 1)).bit_count() % 2 else 1
-)
-ALTERNATE_SIGNS = SignAssignment(
-    "ones-above", lambda mask, v: -1 if (mask >> (v + 1)).bit_count() % 2 else 1
-)
-
-
 def _cube_levels(m: int) -> list[list[int]]:
     """Colouring masks of the m-cube grouped by level, ascending within each."""
     levels: list[list[int]] = [[] for _ in range(m + 1)]
@@ -126,9 +98,11 @@ def _cube_map(
     """Row count and (row, scalar) columns of the level-j map of a cube complex.
 
     ``levels`` is ``_cube_levels(m)``.  Node ``mask`` carries ``dims[mask]``
-    classes; ``edge(mask, v)`` lists, class by class, the (row, scalar)
-    image of each in node ``mask | 1 << v``.  Level j + 1 stacks its nodes'
-    blocks in ascending mask order.
+    classes; ``edge(mask, v)`` lists, class by class, the unsigned (row,
+    scalar) image of each in node ``mask | 1 << v``.  The edge is signed
+    here, by the ones-below rule: -1 when an odd number of the vertices
+    below v are 1 in ``mask``, so every square anticommutes.  Level j + 1
+    stacks its nodes' blocks in ascending mask order.
     """
     m = len(levels) - 1
     offsets = {}
@@ -143,8 +117,9 @@ def _cube_map(
             up = mask | 1 << v
             if mask >> v & 1 or not node or not dims[up]:
                 continue
+            sign = -1 if (mask & (1 << v) - 1).bit_count() % 2 else 1
             for column, image in zip(node, edge(mask, v)):
-                column.extend((offsets[up] + r, x) for r, x in image)
+                column.extend((offsets[up] + r, sign * x) for r, x in image)
         columns += node
     return rows, columns
 
@@ -164,43 +139,6 @@ def _field_rank(ring: CoefficientRing) -> Callable[[int, int, list], int]:
     """``rank`` for :func:`_cube_homology` over a field."""
     ops = vector_ops(ring)
     return lambda j, rows, columns: column_rank(ops, (ops.from_items(rows, c) for c in columns))
-
-
-def _sign_table(m: int, signs: SignAssignment) -> list[list[int]]:
-    """``signs(mask, v)`` on each edge of the m-cube, one call per edge;
-    0 where vertex v of ``mask`` is already 1."""
-    return [[0 if mask >> v & 1 else signs(mask, v) for v in range(m)] for mask in range(1 << m)]
-
-
-def _anticommutes(m: int, edge: list[list[int]]) -> bool:
-    """Whether every square of the m-cube anticommutes under a sign table."""
-    return all(
-        edge[mask][i] * edge[mask | 1 << i][j] + edge[mask][j] * edge[mask | 1 << j][i] == 0
-        for mask in range(1 << m)
-        for i in range(m)
-        if not mask >> i & 1
-        for j in range(i + 1, m)
-        if not mask >> j & 1
-    )
-
-
-def verify_sign_assignment(m: int, signs: SignAssignment) -> bool:
-    """Check that every square of the m-dimensional lattice anticommutes."""
-    return _anticommutes(m, _sign_table(m, signs))
-
-
-def _check_signs(m: int, signs: SignAssignment) -> list[list[int]]:
-    """The sign table of the m-cube, once checked: signs other than the
-    integers +-1, which the integer elimination needs, and signs under
-    which the cube maps would not compose to zero are refused."""
-    table = _sign_table(m, signs)
-    for mask, row in enumerate(table):
-        for v, sign in enumerate(row):
-            if not mask >> v & 1 and not (isinstance(sign, int) and sign in (1, -1)):
-                raise ValueError(f"sign assignment {signs.name!r} gives {sign!r} on edge {(mask, v)}, not +1 or -1")
-    if not _anticommutes(m, table):
-        raise ValueError(f"sign assignment {signs.name!r} does not anticommute on the {m}-cube")
-    return table
 
 
 # --------------------------------------------------------------------------
@@ -280,7 +218,7 @@ class UberComplex:
     For each (weight k, dimension i) this is a cochain complex over the
     level j = number of 1-coloured vertices; the differential is the sum
     of the maps induced by raising a single vertex.  Everything is over
-    GF(2), where the lattice needs no signs.
+    GF(2), where the signs of the level maps are all 1.
     """
 
     def __init__(self, X: SimplicialComplex, max_vertices: int = 16):
@@ -370,7 +308,6 @@ def _cube_edge_matrix(src: tuple, dst: tuple, ring: CoefficientRing):
 def zero_degree_uber_table(
     X: SimplicialComplex,
     ring: CoefficientRing,
-    signs: SignAssignment = STANDARD_SIGNS,
     max_vertices: int = 16,
 ) -> dict[tuple[int, int], int]:
     """Weight-zero poset homology over a field, all bidegrees at once.
@@ -378,11 +315,9 @@ def zero_degree_uber_table(
     Keys are (level j, dimension i); values are dimensions over ``ring``.
     Built from scratch on the colouring cube: no boundary, induced-map or
     reduction code is shared with the GF(2) horizontal-homology pipeline.
-    Raises ``ValueError`` if ``signs`` do not anticommute.
     """
     m = X.vertex_count
     check_vertex_guard(m, max_vertices)
-    sign_table = _check_signs(m, signs)
     if not ring.is_field:
         raise ValueError("the weight-zero slice needs field coefficients")
     max_degree = X.max_dim if not X.is_empty else -1
@@ -400,9 +335,8 @@ def zero_degree_uber_table(
         ]
 
         def edge(mask: int, v: int) -> list:
-            sign = sign_table[mask][v]
             return [
-                [(r, sign * x) for r, x in enumerate(coords) if x]
+                [(r, x) for r, x in enumerate(coords) if x]
                 for coords in _cube_edge_matrix(nodes[mask], nodes[mask | 1 << v], ring)
             ]
 
@@ -417,11 +351,10 @@ def zero_degree_uber(
     X: SimplicialComplex,
     ring: CoefficientRing,
     degree: int,
-    signs: SignAssignment = STANDARD_SIGNS,
     max_vertices: int = 16,
 ) -> dict[int, int]:
     """One row of the weight-zero table: {level j: dim} in a fixed dimension."""
-    table = zero_degree_uber_table(X, ring, signs=signs, max_vertices=max_vertices)
+    table = zero_degree_uber_table(X, ring, max_vertices=max_vertices)
     return {j: d for (j, i), d in table.items() if i == degree}
 
 
@@ -445,7 +378,6 @@ def _components_by_mask(adjacency: Sequence[int], mask: int) -> list[int]:
 def bold_homology(
     obj,
     ring: CoefficientRing = ZZ,
-    signs: SignAssignment = STANDARD_SIGNS,
     max_vertices: int = 16,
 ) -> dict[int, AbelianGroupPresentation]:
     """Degree-zero poset homology: the cube of components of the induced
@@ -458,21 +390,18 @@ def bold_homology(
     the block that is left (:func:`algebra.invariant_factors`).  Over Q
     each factor counts, over F_p each factor that p does not divide, and
     over Z the factors above 1 are the torsion; over a field the torsion
-    list is empty.  Raises ``ValueError`` if ``signs`` are not +-1 or do
-    not anticommute.
+    list is empty.
     """
     G = obj if hasattr(obj, "adjacency") else graphs.one_skeleton(obj)
     m = G.vertex_count
     check_vertex_guard(m, max_vertices)
-    sign_table = _check_signs(m, signs)
     comps = [_components_by_mask(G.adjacency, mask) for mask in range(1 << m)]
     torsion: dict[int, tuple[int, ...]] = {}
 
     def edge(mask: int, v: int) -> list:
         # a component lies inside exactly one component of the raised node
         up = comps[mask | 1 << v]
-        sign = sign_table[mask][v]
-        return [[(next(r for r, uc in enumerate(up) if uc & comp), sign)] for comp in comps[mask]]
+        return [[(next(r for r, uc in enumerate(up) if uc & comp), 1)] for comp in comps[mask]]
 
     def rank(j: int, rows: int, columns: list) -> int:
         factors = invariant_factors(rows, columns)

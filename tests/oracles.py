@@ -53,7 +53,6 @@ from uberhom.algebra import (
     vector_ops,
 )
 from uberhom.errors import SolveFailure
-from uberhom.uber import STANDARD_SIGNS
 
 
 def is_prime_by_trial_division(n: int) -> bool:
@@ -227,8 +226,10 @@ def bold_free_ranks_by_column_rank(G, ring) -> dict[int, int]:
     """Free ranks of bold homology over a field, {level: rank}.
 
     The nodes are the components of the induced subgraphs (from
-    networkx), the edges carry the standard signs, and each level map is
-    ranked over ``ring`` by ``column_rank``, with no invariant factors.
+    networkx), the edge raising vertex v of ``mask`` has the sign -1 when
+    an odd number of the vertices above v are 1 (the ones-above rule, not
+    the library's ones-below rule), and each level map is ranked over
+    ``ring`` by ``column_rank``, with no invariant factors.
     """
     ops = vector_ops(ring)
     g = to_networkx(G)
@@ -253,7 +254,7 @@ def bold_free_ranks_by_column_rank(G, ring) -> dict[int, int]:
                     if not mask >> v & 1:
                         up = mask | 1 << v
                         r = next(r for r, c in enumerate(comps[up]) if comp <= c)
-                        entries.append((offset[up] + r, STANDARD_SIGNS(mask, v)))
+                        entries.append((offset[up] + r, -1 if (mask >> v + 1).bit_count() % 2 else 1))
                 columns.append(ops.from_items(row, entries))
         ranks[j + 1] = column_rank(ops, columns)
     return {j: dims[j] - ranks[j] - ranks[j + 1] for j in range(m + 1)}

@@ -514,6 +514,25 @@ def test_verify_skip_table_shows_both_sides(capsys, capped_square_path):
     ]
 
 
+@pytest.mark.parametrize(
+    "theorem, doc, reason",
+    [
+        ("trianglefree", {"vertex_count": 1, "edges": []}, "graph has fewer than three vertices"),
+        ("trianglefree", {"vertex_count": 2, "edges": [[0, 1]]}, "graph has fewer than three vertices"),
+        ("cone", {"vertex_count": 0, "facets": []}, "complex is empty"),
+    ],
+    ids=["trianglefree-K1", "trianglefree-K2", "cone-empty"],
+)
+def test_verify_skips_inputs_outside_the_statement(capsys, tmp_path, theorem, doc, reason):
+    # inputs that a statement does not cover are skipped, not failed: K2's
+    # bold homology is Z at level 1, outside the triangle-free statement
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    result = run_json(capsys, ["verify", "--theorem", theorem, str(path)])
+    assert result["ok"] is True
+    assert [(r["status"], r["detail"]) for r in result["results"]] == [("SKIP", {"reason": reason})]
+
+
 def test_verify_corpus_run_with_workers(capsys):
     doc = run_json(capsys, ["verify", "--theorem", "cone", "--jobs", "2"])
     assert doc["ok"] is True

@@ -26,7 +26,7 @@ def _bold(obj, ring=al.ZZ, **kw):
 
 
 # --------------------------------------------------------------------------
-# colourings, weights, sign assignments
+# colourings, weights, level-map signs
 
 
 def test_colouring_enumeration_and_level():
@@ -45,47 +45,54 @@ def test_weight_counts_unpainted_vertices():
     assert uber.weight((0, 1, 2, 3), colouring) == 2
 
 
-def test_sign_assignments_anticommute():
-    for m in range(1, 6):
-        assert uber.verify_sign_assignment(m, uber.STANDARD_SIGNS)
-        assert uber.verify_sign_assignment(m, uber.ALTERNATE_SIGNS)
+def _level_maps(monkeypatch, run):
+    """The level maps that ``run`` lays out, one list per cube complex."""
+    cubes = []
+    cube_map = uber._cube_map
+
+    def spy(levels, j, dims, edge):
+        rows, columns = cube_map(levels, j, dims, edge)
+        if j == 0:
+            cubes.append([])
+        cubes[-1].append(columns)
+        return rows, columns
+
+    monkeypatch.setattr(uber, "_cube_map", spy)
+    run()
+    return cubes
 
 
-def test_constant_plus_one_signs_fail_to_anticommute():
-    bad = uber.SignAssignment("constant", lambda mask, v: 1)
-    assert not uber.verify_sign_assignment(2, bad)
-    assert not uber.verify_sign_assignment(4, bad)
+def _maps_compose_to_zero(ring, maps):
+    return all(al.composite_vanishes(ring, (low, high, 1)) for low, high in zip(maps, maps[1:]))
 
 
-ALL_PLUS = uber.SignAssignment("all-plus", lambda mask, v: 1)
+@pytest.mark.parametrize(
+    "G",
+    [gr.cycle_graph(6), gr.grid_graph(3, 2), gr.random_connected_graph(7, 0.4, 1)],
+    ids=["cycle-6", "grid-3x2", "random-7-seed-1"],
+)
+def test_bold_level_maps_compose_to_zero(monkeypatch, G):
+    cubes = _level_maps(monkeypatch, lambda: uber.bold_homology(G, al.ZZ))
+    assert [len(maps) for maps in cubes] == [G.vertex_count]
+    assert _maps_compose_to_zero(al.ZZ, cubes[0])
+    # without the signs of _cube_map some square would not cancel
+    unsigned = [[[(r, abs(x)) for r, x in column] for column in level] for level in cubes[0]]
+    assert not _maps_compose_to_zero(al.ZZ, unsigned)
 
 
-@pytest.mark.parametrize("ring", [al.ZZ, al.QQ], ids=str)
-def test_bold_homology_refuses_signs_that_do_not_anticommute(ring):
-    # with all-plus signs the level maps do not compose to zero, and the
-    # rank formula would give degree 3 of the 4-cycle free rank -1 and
-    # torsion (2,)
-    with pytest.raises(ValueError, match="does not anticommute"):
-        uber.bold_homology(gr.cycle_graph(4), ring, signs=ALL_PLUS)
-
-
-@pytest.mark.parametrize("ring", [al.ZZ, al.QQ], ids=str)
-def test_zero_degree_table_refuses_signs_that_do_not_anticommute(ring):
-    # over Q the rank formula would give the dimension -1 at (3, 0); over Z
-    # the sign check comes before the refusal of non-field coefficients
-    X = cx.complex_from_graph(gr.cycle_graph(4))
-    with pytest.raises(ValueError, match="does not anticommute"):
-        uber.zero_degree_uber_table(X, ring, signs=ALL_PLUS)
-
-
-def test_tables_do_not_depend_on_the_sign_assignment(corpus_complex):
+@pytest.mark.parametrize("ring", [al.QQ, al.GF(3)], ids=str)
+def test_zero_degree_level_maps_compose_to_zero(monkeypatch, corpus_complex, ring):
     X = corpus_complex
-    if X.vertex_count > 8:
-        pytest.skip("keep the doubled computation small")
-    for ring in (al.QQ, al.GF2):
-        std = _nontrivial(uber.zero_degree_uber_table(X, ring, signs=uber.STANDARD_SIGNS))
-        alt = _nontrivial(uber.zero_degree_uber_table(X, ring, signs=uber.ALTERNATE_SIGNS))
-        assert std == alt
+    cubes = _level_maps(monkeypatch, lambda: uber.zero_degree_uber_table(X, ring))
+    assert len(cubes) == X.max_dim + 1
+    for maps in cubes:
+        assert len(maps) == X.vertex_count
+        assert _maps_compose_to_zero(ring, maps)
+
+
+def test_zero_degree_table_refuses_the_integers():
+    with pytest.raises(ValueError, match="needs field coefficients"):
+        uber.zero_degree_uber_table(cx.complex_from_graph(gr.cycle_graph(4)), al.ZZ)
 
 
 # --------------------------------------------------------------------------
@@ -267,6 +274,44 @@ def test_the_zero_degree_table_reduces_each_node_differential_once(monkeypatch, 
     assert len(calls) < 1087
 
 
+def test_homology_walks_insert_nothing_into_a_zero_dimensional_span(monkeypatch):
+    # the chains of a walk's lowest degree are its cycles as they are: no
+    # zero column of the differential into that degree is inserted
+    X = cx.random_connected_complex(6, 1)
+    inserts, walking = [], []
+    walk, insert = al._homology_walk, al.Span.insert
+
+    def walk_spy(*args):
+        steps = walk(*args)
+        while True:
+            walking.append(True)
+            step = next(steps, None)
+            walking.pop()
+            if step is None:
+                return
+            yield step
+
+    def insert_spy(self, v):
+        if walking:
+            inserts.append(self.n)
+        return insert(self, v)
+
+    monkeypatch.setattr(al, "_homology_walk", walk_spy)
+    monkeypatch.setattr(al.Span, "insert", insert_spy)
+    runs = [lambda: uber.uberhomology(X)]
+    for ring in (al.QQ, al.GF2, al.GF(3)):
+        runs += [
+            lambda ring=ring: al.homology_table(al.simplicial_chain_complex(X, ring)),
+            lambda ring=ring: al.homology_table(al.simplicial_chain_complex(X, ring, reduced=True)),
+            lambda ring=ring: uber.zero_degree_uber_table(X, ring),
+            lambda ring=ring: mvss.first_page(mvss.double_complex(X, ring=ring)),
+        ]
+    for run in runs:
+        inserts.clear()
+        run()
+        assert inserts and 0 not in inserts
+
+
 def test_uber_respects_the_size_guard():
     X = cx.complex_from_graph(gr.path_graph(6))
     with pytest.raises(SizeGuardExceeded):
@@ -402,41 +447,6 @@ def test_bold_free_ranks_over_fields_match_the_column_rank_oracle(ring):
         assert all(p.torsion == () for p in got.values())
 
 
-DOUBLED = uber.SignAssignment("doubled", lambda mask, v: 2 * uber.STANDARD_SIGNS(mask, v))
-
-
-@pytest.mark.parametrize("ring", [al.ZZ, al.QQ, al.GF(3)], ids=str)
-def test_cube_pipelines_refuse_signs_that_are_not_plus_or_minus_one(ring):
-    # twice the standard signs still anticommute, but the integer
-    # elimination behind bold homology pivots on entries +-1 only
-    assert uber.verify_sign_assignment(4, DOUBLED)
-    with pytest.raises(ValueError, match="not \\+1 or -1"):
-        uber.bold_homology(gr.cycle_graph(4), ring, signs=DOUBLED)
-    with pytest.raises(ValueError, match="not \\+1 or -1"):
-        uber.zero_degree_uber_table(cx.complex_from_graph(gr.cycle_graph(4)), ring, signs=DOUBLED)
-
-
-def test_each_cube_call_reads_the_sign_rule_once_per_edge():
-    # the sign check, the anticommutation check and the edge maps share one table
-    calls = []
-
-    def rule(mask, v):
-        calls.append((mask, v))
-        return uber.STANDARD_SIGNS(mask, v)
-
-    signs = uber.SignAssignment("counted", rule)
-    X = cx.random_connected_complex(6, 1)
-    for run in (
-        lambda: uber.bold_homology(gr.cycle_graph(6), signs=signs),
-        lambda: uber.zero_degree_uber_table(X, al.QQ, signs=signs),
-        lambda: uber.verify_sign_assignment(6, signs),
-    ):
-        calls.clear()
-        run()
-        assert len(calls) == 6 * 2**5
-        assert len(set(calls)) == len(calls)
-
-
 # --------------------------------------------------------------------------
 # pinned outputs of the three cube pipelines
 
@@ -445,7 +455,6 @@ def _cube_outputs_digest():
     import hashlib
 
     h = hashlib.sha256()
-    sign_choices = (uber.STANDARD_SIGNS, uber.ALTERNATE_SIGNS)
     for m, s in ((5, 1), (5, 2), (6, 1), (6, 2)):
         X = cx.random_connected_complex(m, s)
         h.update(repr(sorted(uber.uberhomology(X).items())).encode())
@@ -455,19 +464,18 @@ def _cube_outputs_digest():
                 d = U.differential(j, i, k)
                 h.update(repr((j, i, k, d.rows, d.cols, d.to_lists())).encode())
         for ring in (al.QQ, al.GF2, al.GF(3)):
-            for signs in sign_choices:
-                table = uber.zero_degree_uber_table(X, ring, signs)
-                h.update(repr(sorted(table.items())).encode())
+            table = uber.zero_degree_uber_table(X, ring)
+            h.update(repr(sorted(table.items())).encode())
     for G in (gr.grid_graph(3, 2), gr.cycle_graph(6), gr.random_connected_graph(7, 0.4, 1)):
         for ring in (al.ZZ, al.QQ, al.GF2):
-            for signs in sign_choices:
-                table = uber.bold_homology(G, ring, signs)
-                h.update(repr([(j, p.free_rank, p.torsion) for j, p in sorted(table.items())]).encode())
+            table = uber.bold_homology(G, ring)
+            h.update(repr([(j, p.free_rank, p.torsion) for j, p in sorted(table.items())]).encode())
     return h.hexdigest()
 
 
 def test_cube_outputs_are_pinned():
     # überhomology with every level map, the weight-zero table and bold
-    # homology, hashed; the digest was recorded before the three pipelines
-    # shared one level-map assembler
-    assert _cube_outputs_digest() == "8462c7937c488ddd524f993f87fb9a1a7e3a34e73d46b45123a5a8d4433694ab"
+    # homology, hashed; the digest was recorded while the pipelines still
+    # took a sign assignment, from their tables under the ones-below rule
+    # that _cube_map now applies
+    assert _cube_outputs_digest() == "77e958f624ab1e78a649c04d3da1a2ead4bcbbf47680be6400f2d655dae5a9e2"
