@@ -563,6 +563,10 @@ class Span:
     counter: it shares the pivot entries (never mutated after insertion),
     so inserting into either one leaves the other unchanged, and the
     copy's tags continue from the original's ``inserted``.
+
+    ``last_pivot`` is the pivot coordinate of the vector that the last
+    ``insert`` added, or None when it added none (a pivot may be 0, so
+    test it with ``is None``).
     """
 
     def __init__(self, ops, n: int):
@@ -571,6 +575,7 @@ class Span:
         self._pivots: dict[int, tuple[object, object]] = {}
         self._index = 0
         self._count = 0
+        self.last_pivot: int | None = None
 
     @property
     def dim(self) -> int:
@@ -598,8 +603,9 @@ class Span:
         self._count += 1
         w, mu = ops.reduce(v, self._pivots, self._index)
         if ops.is_zero(w):
+            self.last_pivot = None
             return False, mu
-        piv = ops.pivot(w)
+        piv = self.last_pivot = ops.pivot(w)
         inv = ops.sc_inv(ops.coeff(w, piv))
         self._pivots[piv] = (ops.scale(inv, w), ops.combo_pivot(mu, inv, tag))
         self._index |= 1 << piv

@@ -11,21 +11,28 @@ complex.  The blocks are the intersections that the nerve is grown from,
 each cell is one index of (nerve simplex, simplex) pairs, and both
 differentials take the faces of one side of a pair by ``algebra.faces``.
 
-Pages are computed over a field by the zig-zag (staircase) description
-of page classes (McCleary, *A User's Guide to Spectral Sequences*, 2.2):
-a page-r class at (p, q) is a staircase of components in columns
-p .. p-r+1 whose total differential vanishes except at the bottom, where
-it computes d^r.  Each bidegree keeps one persistent span of "already
-dead" vectors, each reduced once (page one's vertical boundaries, whose
-dependencies are the cycles one row up, then every page's fresh images),
-and beside each the staircase whose total differential it is.  When the
-page turns, a kernel element becomes a one-deeper staircase by
-subtracting the staircases of the dead vectors its image is made of.
+Over a field, the pages come from the barcode and the differentials from
+the staircases.  Every page's dimensions and every d^r's rank are read
+off the persistence barcode of the total complex filtered by column (Basu
+& Parida, *Spectral sequences, exact couples and persistent homology of
+filtrations*, Expo. Math. 2017).  The matrices of the differentials come
+from the zig-zag (staircase) description of page classes (McCleary, *A
+User's Guide to Spectral Sequences*, 2.2): a page-r class at (p, q) is a
+staircase of components in columns p .. p-r+1 whose total differential
+vanishes except at the bottom, where it computes d^r.  Each bidegree
+keeps one persistent span of "already dead" vectors, and beside each the
+staircase whose total differential it is; when the page turns, a kernel
+element becomes a one-deeper staircase by subtracting the staircases of
+the dead vectors its image is made of.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from collections import Counter
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 
 from . import algebra, complexes, uber
 from .algebra import (
@@ -45,7 +52,6 @@ __all__ = [
     "double_complex",
     "Page",
     "SpectralSequence",
-    "first_page",
     "run_to_convergence",
     "IdentificationReport",
     "verify_identification",
@@ -158,16 +164,63 @@ def double_complex(
 # Pages
 
 
+def _barcode(dc: DoubleComplex) -> list[tuple[int, int, int | None]]:
+    """The bars of the total complex, filtered by column, that reach page one.
+
+    A bar (n, b, d) is a class of total degree n born in column b and
+    killed in column d > b (never when d is None), for D = d_h + (-1)^p d_v.
+    With d - b >= r it gives one class at E^r_{b, n-b} and one at
+    E^r_{d, n+1-d}, joined by d^{d-b}; an infinite bar gives a class at
+    E^r_{b, n-b} on every page.
+
+    Each total degree is reduced once, top degree first, with clearing
+    (Chen & Kerber, *Persistent homology computation with a twist*, 2011):
+    its chains, column by column, go into one ``Span`` of the degree below
+    over reversed coordinates, so that a new pivot (``Span.last_pivot``)
+    is the persistence low, the chain latest in the filtration.  A chain
+    that is a low one degree up is a cycle, and is skipped.
+    """
+    ops = vector_ops(dc.ring)
+    columns: dict[int, list[int]] = {}
+    for p, q in dc.cells():
+        columns.setdefault(p + q, []).append(p)
+    # where each column's cell starts in its degree's basis, and the size
+    starts = {n: list(accumulate((dc.cell_dim(p, n - p) for p in ps), initial=0)) for n, ps in columns.items()}
+    bars: list[tuple[int, int, int | None]] = []
+    cleared: set[int] = set()
+    for n in sorted(columns, reverse=True):
+        below, below_starts = columns.get(n - 1, []), starts.get(n - 1, [0])
+        top = below_starts[-1] - 1
+        offset = dict(zip(below, below_starts))
+        span, lows = Span(ops, top + 1), set()
+        for p, first in zip(columns[n], starts[n]):
+            q, sign = n - p, -1 if p % 2 else 1
+            dh, dv = dc.dh_sparse(p, q), dc.dv_sparse(p, q)
+            h0, v0 = top - offset.get(p - 1, 0), top - offset.get(p, 0)
+            for t in range(len(dv)):
+                if first + t in cleared:
+                    continue
+                items = [(h0 - row, c) for row, c in dh[t]] + [(v0 - row, sign * c) for row, c in dv[t]]
+                if span.insert(ops.from_items(top + 1, items))[0]:
+                    low = top - span.last_pivot
+                    lows.add(low)
+                    b = below[bisect_right(below_starts, low) - 1]
+                    if b != p:
+                        bars.append((n - 1, b, p))
+                else:
+                    bars.append((n, p, None))
+        cleared = lows
+    return bars
+
+
 @dataclass
 class Page:
-    """One page: dimensions per bidegree and (once the next page has been
-    computed) the page's differentials with their target classes as rows,
-    and their ranks, read off the kernels found when the page turns."""
+    """One page: its dimensions per bidegree, and the ranks of its
+    differentials by source bidegree (on pages past the width, none)."""
 
     r: int
     dims: dict[tuple[int, int], int]
-    differentials: dict[tuple[int, int], Matrix] = field(default_factory=dict)
-    ranks: dict[tuple[int, int], int] = field(default_factory=dict)
+    ranks: dict[tuple[int, int], int]
 
     def dim(self, p: int, q: int) -> int:
         return self.dims.get((p, q), 0)
@@ -183,13 +236,18 @@ class Page:
 
 
 class SpectralSequence:
-    """Driver that turns pages of a double complex over a field.
+    """The spectral sequence of a double complex over a field.
 
-    Everything is carried as a staircase: a ``{column: vector}`` dict of
-    components of one total degree, whose total differential is
-    D = d_h + (-1)^c d_v on the component in column c.  A page-r class at
-    (p, q) is a staircase whose D vanishes in columns p .. p-r+1; its
-    component in column p - r is d^r of the class.
+    ``page(r)``, ``converged_at``, ``infinity()`` and ``abutment_dims()``
+    read dimensions and ranks off the bars of :func:`_barcode`, reduced
+    once per sequence; only ``differentials(r)`` turns the staircase
+    engine (``_turn_to``).
+
+    In the engine everything is carried as a staircase: a ``{column:
+    vector}`` dict of components of one total degree, whose total
+    differential is D = d_h + (-1)^c d_v on the component in column c.  A
+    page-r class at (p, q) is a staircase whose D vanishes in columns
+    p .. p-r+1; its component in column p - r is d^r of the class.
 
     Each cell keeps a persistent span of dead vectors: tag g of
     ``_dead[cell]`` is D, in the cell's column, of staircase g of
@@ -200,6 +258,10 @@ class SpectralSequence:
     """
 
     def __init__(self, dc: DoubleComplex):
+        # both routes reduce d_v, so both rest on this one check
+        for p, q in dc.cells():
+            if not algebra.composite_vanishes(dc.ring, (dc.dv_sparse(p, q), dc.dv_sparse(p, q - 1), 1)):
+                raise ValueError(f"d_v∘d_v = 0 fails at bidegree {(p, q)}")
         self.dc = dc
         self.ring = dc.ring
         self.ops = vector_ops(dc.ring)
@@ -208,6 +270,7 @@ class SpectralSequence:
         self._classes: dict[tuple[int, int], list[dict[int, object]]] = {}
         self._boundary: dict[tuple[int, int], list[dict[int, object]]] = {}
         self._dead: dict[tuple[int, int], Span] = {}
+        self._differentials: dict[int, dict[tuple[int, int], Matrix]] = {}
         self._r = 0
 
     def _apply_dh(self, p: int, q: int, vec):
@@ -227,9 +290,9 @@ class SpectralSequence:
             add = ops.scale(c, v)
             into[col] = add if cur is None else ops.add(cur, add)
 
-    # -- page one ----------------------------------------------------------------
+    # -- the staircase engine: page one ------------------------------------------
 
-    def _first_page(self) -> Page:
+    def _first_page(self) -> None:
         dc = self.dc
         ops = self.ops
         # one homology walk up each column: the span of (p, q) holds the
@@ -241,26 +304,20 @@ class SpectralSequence:
             rows = [q for c, q in dc.cells() if c == p]
             rank, columns = (lambda q: dc.cell_dim(p, q)), (lambda q: dc.dv_sparse(p, q))
             for q, span, zs in algebra._homology_walk(ops, rows[0], rows[-1], rank, columns):
-                if not algebra.composite_vanishes(self.ring, (columns(q), columns(q - 1), 1)):
-                    raise ValueError(f"d_v∘d_v = 0 fails at bidegree {(p, q)}")
                 self._dead[p, q] = span
                 sign, up = -1 if p % 2 else 1, dc.cell_dim(p, q + 1)
                 self._boundary[p, q] = [{p: ops.from_items(up, [(t, sign)])} for t in range(up)]
                 homology = span.copy()
                 self._classes[p, q] = [{p: z} for z in zs if homology.insert(z)[0]]
-        dims = {cell: len(xs) for cell, xs in self._classes.items() if xs}
-        page = Page(1, dims)
-        self._pages[1] = page
         self._r = 1
-        return page
 
-    # -- turning -----------------------------------------------------------------
+    # -- the staircase engine: turning -------------------------------------------
 
-    def _turn(self) -> Page:
+    def _turn(self) -> None:
         r = self._r
         ops = self.ops
         dc = self.dc
-        page = self._pages[r]
+        differentials = self._differentials[r] = {}
         solvers: dict[tuple[int, int], Span] = {}
 
         def get_solver(cell: tuple[int, int]) -> Span:
@@ -308,8 +365,7 @@ class SpectralSequence:
                 combos.append(combo)
             kernel = nullspace(ops, [ops.from_items(n_target_classes, c) for c in cols], len(xs))
             dr_data[cell] = (kernel, combos, images, n_gens)
-            page.differentials[cell] = Matrix.from_sparse(self.ring, n_target_classes, cols)
-            page.ranks[cell] = len(xs) - len(kernel)
+            differentials[cell] = Matrix.from_sparse(self.ring, n_target_classes, cols)
 
         # pass 2: grow the dead subspaces by the fresh images; generators are
         # only appended, so the tags solved against in pass 1 keep naming them
@@ -352,45 +408,64 @@ class SpectralSequence:
                     new_classes[cell].append(comps)
 
         self._classes = new_classes
-        dims = {cell: len(xs) for cell, xs in new_classes.items() if xs}
-        nxt = Page(r + 1, dims)
-        self._pages[r + 1] = nxt
         self._r = r + 1
-        return nxt
+
+    def _turn_to(self, r: int) -> None:
+        """Turn the staircases to page min(r, width + 1): ``_classes`` then
+        holds that page's classes, and ``_differentials[s]`` the matrices of
+        every page s before it."""
+        if self._r == 0:
+            self._first_page()
+        while self._r < r and self._r <= self.width:
+            self._turn()
 
     # -- public drivers -------------------------------------------------------------
 
     def page(self, r: int) -> Page:
         if r < 1:
             raise ValueError("pages start at r = 1")
-        if self._r == 0:
-            self._first_page()
-        while self._r < r and self._r <= self.width:
-            self._turn()
-        if r in self._pages:
-            return self._pages[r]
-        # beyond the bidegree bound every page equals the last computed one
-        last = self._pages[max(self._pages)]
-        return Page(r, dict(last.dims))
+        page = self._pages.get(r)
+        if page is None:
+            # a bar lasting r pages or more leaves its ends on page r, and
+            # one lasting exactly r is a rank of d^r at its death end
+            ends: Counter[tuple[int, int]] = Counter()
+            deaths: Counter[tuple[int, int]] = Counter()
+            for n, b, d in self._bars:
+                if d is None:
+                    ends[b, n - b] += 1
+                elif d - b >= r:
+                    ends.update(((b, n - b), (d, n + 1 - d)))
+                    if d - b == r:
+                        deaths[d, n + 1 - d] += 1
+            dims = {cell: ends[cell] for cell in sorted(ends)}
+            ranks = {cell: deaths[cell] for cell in dims} if r <= self.width else {}
+            page = self._pages[r] = Page(r, dims, ranks)
+        return page
+
+    @cached_property
+    def _bars(self) -> list[tuple[int, int, int | None]]:
+        return _barcode(self.dc)
 
     def differentials(self, r: int) -> dict[tuple[int, int], Matrix]:
-        self.page(min(r + 1, self.width + 1))
+        """The matrices of d^r by source bidegree, with the target's page
+        classes as rows; one per nonzero cell of page r."""
+        if r < 1:
+            raise ValueError("pages start at r = 1")
         if r > self.width:
             return {}
-        return self._pages[r].differentials
+        self._turn_to(r + 1)
+        return self._differentials[r]
 
     def run_to_convergence(self) -> "SpectralSequence":
-        self.page(self.width + 1 if self.width >= 0 else 1)
+        self.infinity()
         return self
 
     @property
     def converged_at(self) -> int:
-        self.run_to_convergence()
-        return max((r for r, page in self._pages.items() if page.has_nonzero_differential()), default=0) + 1
+        return max((d - b for _, b, d in self._bars if d is not None), default=0) + 1
 
     def infinity(self) -> Page:
-        self.run_to_convergence()
-        return self._pages[max(self._pages)]
+        return self.page(self.width + 1)
 
     def abutment_dims(self) -> dict[int, int]:
         """Total-degree dimensions of the final page."""
@@ -400,10 +475,6 @@ class SpectralSequence:
             if d:
                 out[p + q] = out.get(p + q, 0) + d
         return out
-
-
-def first_page(dc: DoubleComplex) -> Page:
-    return SpectralSequence(dc).page(1)
 
 
 def run_to_convergence(dc: DoubleComplex) -> SpectralSequence:
@@ -469,10 +540,14 @@ def delta2_on_uber(
     check_vertex_guard(m, max_vertices)
     d2 = SpectralSequence(double_complex(X, ring=ring, augmented=True)).differentials(2)
     out = {(m - p - 1, q): mat for (p, q), mat in d2.items()}
+    columns = {
+        key: [[(i, x) for i, x in enumerate(mat.column(t)) if x] for t in range(mat.cols)]
+        for key, mat in out.items()
+    }
     for (j, i), mat in out.items():
         nxt = out.get((j + 2, i + 1))
         if nxt is not None and mat.rows == nxt.cols:
-            if not (nxt * mat).is_zero():
+            if not algebra.composite_vanishes(ring, (columns[j, i], columns[j + 2, i + 1], 1)):
                 raise LiftFailure("transported second-page maps fail to compose to zero")
     return out
 
@@ -514,11 +589,12 @@ def render_page(page: Page, ring: CoefficientRing) -> str:
 
 def page_to_json(page: Page, converged_at: int | None = None) -> str:
     cells = [{"p": p, "q": q, "dim": d} for (p, q), d in sorted(page.dims.items()) if d]
-    diffs = []
-    for (p, q), mat in sorted(page.differentials.items()):
-        if mat.rows == 0 or mat.cols == 0:
-            continue
-        diffs.append({"from": [p, q], "to": [p - page.r, q + page.r - 1], "rank": page.ranks[p, q]})
+    r = page.r
+    diffs = [
+        {"from": [p, q], "to": [p - r, q + r - 1], "rank": rank}
+        for (p, q), rank in sorted(page.ranks.items())
+        if page.dim(p, q) and page.dim(p - r, q + r - 1)
+    ]
     doc: dict = {"page": page.r, "cells": cells, "differentials": diffs}
     if converged_at is not None:
         doc["converged_at"] = converged_at

@@ -103,6 +103,19 @@ def test_span_combos_reconstruct_vectors(rows):
 
 
 @pytest.mark.parametrize("ring", [al.QQ, al.GF(3), al.GF2], ids=str)
+def test_span_names_the_pivot_of_its_last_insert(ring):
+    # the pivot is the lowest coordinate left after the reduce, 0 included
+    ops = al.vector_ops(ring)
+    span = al.Span(ops, 4)
+    assert span.last_pivot is None
+    pivots = []
+    for xs in ([0, 1, 1, 0], [1, 0, 0, 1], [1, 1, 1, 1], [0, 1, 0, 0], [0, 0, 0, 0]):
+        span.insert(ops.from_list(xs))
+        pivots.append(span.last_pivot)
+    assert pivots == [1, 0, None, 2, None]
+
+
+@pytest.mark.parametrize("ring", [al.QQ, al.GF(3), al.GF2], ids=str)
 def test_span_copy_leaves_the_original_alone_and_continues_its_tags(ring):
     ops = al.vector_ops(ring)
     base = [ops.from_list(xs) for xs in ([1, 1, 0, 0], [0, 1, 1, 0], [1, 2, 1, 0])]

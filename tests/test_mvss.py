@@ -6,6 +6,7 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from uberhom import algebra as al
@@ -92,7 +93,7 @@ def test_a_page_turn_refuses_a_kernel_element_with_a_nonzero_differential(monkey
     monkeypatch.setattr(mvss, "nullspace", lambda ops, columns, n: [ops.unit(n, t) for t in range(n)])
     ss = mvss.SpectralSequence(mvss.double_complex(cx.boundary_of_simplex(3), ring=ring))
     with pytest.raises(LiftFailure, match="page-1 kernel element at .* has a nonzero differential"):
-        ss.page(2)
+        ss._turn_to(2)
 
 
 def test_columns_are_indexed_by_nerve_simplices():
@@ -181,7 +182,7 @@ def test_first_page_dims_are_cover_intersection_homology(corpus_complex):
     cov = cx.anti_star_cover(X)
     for ring in (al.QQ, al.GF2):
         dc = mvss.double_complex(X, ring=ring, augmented=True)
-        p1 = mvss.first_page(dc)
+        p1 = mvss.SpectralSequence(dc).page(1)
         expected = {(-1, q): d for q, d in oracles.betti_oracle(X, ring).items()}
         for p in range(X.vertex_count):
             for S in dc.column(p):
@@ -294,7 +295,7 @@ def _pages_digest(ss):
     digest = hashlib.sha256()
     for r in range(1, ss.width + 2):
         page = ss.page(r)
-        diffs = sorted((cell, mat.to_lists()) for cell, mat in page.differentials.items())
+        diffs = sorted((cell, mat.to_lists()) for cell, mat in ss.differentials(r).items())
         digest.update(repr((r, sorted(page.dims.items()), diffs)).encode())
     return digest.hexdigest()
 
@@ -338,13 +339,87 @@ def test_every_page_class_is_a_staircase_whose_total_differential_vanishes_above
         dc = mvss.double_complex(cx.random_connected_complex(m, seed), ring=ring, augmented=augmented)
         ss = mvss.SpectralSequence(dc)
         for r in range(1, ss.width + 2):
-            ss.page(r)
+            ss._turn_to(r)
             for (p, q), xs in ss._classes.items():
                 for x in xs:
                     for c in range(p - r + 1, p + 1):
                         assert _total_differential_in_column(dc, x, p + q, c) == {}, (m, seed, r, (p, q), c)
                         checked += 1
     assert checked
+
+
+def _assert_routes_agree(ss):
+    """The barcode's pages against the staircase engine's, page by page:
+    dims against the engine's class counts, ranks against the oracle's
+    ranks of the engine's matrices, then the convergence page and the
+    abutment."""
+    last_nonzero = 0
+    for r in range(1, ss.width + 2):
+        ss._turn_to(r)
+        classes = {cell: len(xs) for cell, xs in ss._classes.items() if xs}
+        page, diffs = ss.page(r), ss.differentials(r)
+        assert page.dims == classes, r
+        assert page.ranks == {pq: oracles.matrix_rank(m) for pq, m in diffs.items()}, r
+        if any(not m.is_zero() for m in diffs.values()):
+            last_nonzero = r
+    assert ss.converged_at == last_nonzero + 1
+    totals = {}
+    for (p, q), d in classes.items():
+        totals[p + q] = totals.get(p + q, 0) + d
+    assert ss.abutment_dims() == totals
+
+
+@pytest.mark.parametrize("cover_of", [cx.anti_star_cover, cx.star_cover], ids=["anti-star", "star"])
+@pytest.mark.parametrize("augmented", [True, False], ids=["augmented", "plain"])
+def test_barcode_pages_agree_with_the_staircase_engine(corpus_complex, cover_of, augmented):
+    X = corpus_complex
+    if X.is_standard_simplex():
+        return
+    for ring in FIELDS:
+        _assert_routes_agree(mvss.SpectralSequence(mvss.DoubleComplex(X, cover_of(X), ring, augmented)))
+
+
+@st.composite
+def connected_complexes(draw, max_vertices=7):
+    """A spanning tree on 2 .. max_vertices vertices, plus a few facets of
+    2 to 4 vertices; never a standard simplex."""
+    m = draw(st.integers(2, max_vertices))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, m)]
+    extra = draw(st.lists(st.sets(st.integers(0, m - 1), min_size=2, max_size=4), max_size=5))
+    X = cx.build_complex(m, tree + [tuple(f) for f in extra])
+    assume(not X.is_standard_simplex())
+    return X
+
+
+@given(
+    X=connected_complexes(),
+    ring=st.sampled_from(FIELDS),
+    cover_of=st.sampled_from([cx.anti_star_cover, cx.star_cover]),
+    augmented=st.booleans(),
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_barcode_pages_agree_with_the_staircase_engine_on_generated_complexes(X, ring, cover_of, augmented):
+    _assert_routes_agree(mvss.SpectralSequence(mvss.DoubleComplex(X, cover_of(X), ring, augmented)))
+
+
+def test_pages_do_not_turn_the_staircases():
+    ss = mvss.run_to_convergence(mvss.double_complex(cx.random_connected_complex(6, 1), ring=al.GF(3)))
+    for r in range(1, ss.width + 3):
+        ss.page(r)
+    assert (ss.converged_at, ss.infinity().dims, ss.abutment_dims()) == (3, {}, {})
+    assert ss._r == 0 and not ss._classes
+    ss.differentials(1)
+    assert ss._r == 2
+
+
+def test_pages_past_the_width_keep_the_limit_and_no_ranks():
+    ss = mvss.run_to_convergence(mvss.double_complex(cx.boundary_of_simplex(4), ring=al.QQ, augmented=False))
+    limit = ss.page(ss.width + 1)
+    for r in range(ss.width + 1, ss.width + 4):
+        page = ss.page(r)
+        assert (page.r, page.dims, page.ranks) == (r, limit.dims, {})
+    with pytest.raises(ValueError, match="pages start at r = 1"):
+        ss.page(0)
 
 
 def test_pages_freeze_after_convergence():
@@ -468,6 +543,26 @@ def test_second_differential_lands_on_the_cube_grid(corpus_complex):
         for (j, i), mat in d2.items():
             assert mat.cols == dims[(j, i)]
             assert mat.rows == dims.get((j + 2, i + 1), 0)
+
+
+def test_second_differentials_that_do_not_compose_to_zero_are_refused(monkeypatch):
+    # the circle's d^2 from (1, 0) is an isomorphism onto (3, 1); a map
+    # (3, 1) -> (5, 2) that undoes nothing makes a pair composing to 1
+    X = cx.boundary_of_simplex(3)
+    original = mvss.SpectralSequence.differentials
+
+    def with_a_bad_partner(self, r):
+        out = dict(original(self, r))
+        source = next(pq for pq in out if (X.vertex_count - pq[0] - 1, pq[1]) == (1, 0))
+        mat = out[source]
+        assert oracles.matrix_rank(mat) == 1
+        p, q = source
+        out[p - 2, q + 1] = al.Matrix.from_rows(mat.ring, [[1] * mat.rows])
+        return out
+
+    monkeypatch.setattr(mvss.SpectralSequence, "differentials", with_a_bad_partner)
+    with pytest.raises(LiftFailure, match="fail to compose to zero"):
+        mvss.delta2_on_uber(X, ring=al.QQ)
 
 
 def test_second_differential_of_the_circle_is_an_isomorphism():

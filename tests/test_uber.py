@@ -304,7 +304,7 @@ def test_homology_walks_insert_nothing_into_a_zero_dimensional_span(monkeypatch)
             lambda ring=ring: al.homology_table(al.simplicial_chain_complex(X, ring)),
             lambda ring=ring: al.homology_table(al.simplicial_chain_complex(X, ring, reduced=True)),
             lambda ring=ring: uber.zero_degree_uber_table(X, ring),
-            lambda ring=ring: mvss.first_page(mvss.double_complex(X, ring=ring)),
+            lambda ring=ring: mvss.SpectralSequence(mvss.double_complex(X, ring=ring))._turn_to(1),
         ]
     for run in runs:
         inserts.clear()
