@@ -8,8 +8,10 @@ field comes from one walk up the degrees that reduces each differential
 once: the span of its columns gives the boundaries one degree down, and
 its dependencies the cycles.  Integral homology is read off the invariant
 factors of the adjacent differentials, so it carries a group presentation
-but no representatives.  Dense exact matrices are built only at the public
-edge and for the Smith normal form.
+but no representatives.  The pages of a double complex's spectral
+sequence over a field are read off one persistence barcode of its total
+complex, filtered by column.  Dense exact matrices are built only at the
+public edge and for the Smith normal form.
 
 No floating point anywhere.  Scalars are Python ints over the integers
 and prime fields.  Over the rationals the chain complexes' columns and the
@@ -25,9 +27,12 @@ is, and a kernel vector of ``nullspace`` is one.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 from .errors import SolveFailure
@@ -666,6 +671,80 @@ def _homology_walk(ops, lo: int, hi: int, rank, columns) -> Iterator[tuple[int, 
         if cycles is not None:
             yield n, span, cycles
         cycles = kernel
+
+
+def _barcode(dc) -> list[tuple[int, int, int | None]]:
+    """The bars of a double complex's total complex, filtered by column,
+    that reach page one.
+
+    ``dc`` has a field ``ring``, its occupied bidegrees ``cells()``, their
+    sizes ``cell_dim(p, q)`` and per-basis (row, scalar) columns
+    ``dv_sparse(p, q)`` into (p, q-1) and ``dh_sparse(p, q)`` into
+    (p-1, q).  A bar (n, b, d) is a class of total degree n born in column
+    b and killed in column d > b (never when d is None), for
+    D = d_h + (-1)^p d_v.  With d - b >= r it gives one class at
+    E^r_{b, n-b} and one at E^r_{d, n+1-d}, joined by d^{d-b}; an infinite
+    bar gives a class at E^r_{b, n-b} on every page (Basu & Parida,
+    *Spectral sequences, exact couples and persistent homology of
+    filtrations*, Expo. Math. 2017).
+
+    Each total degree is reduced once, top degree first, with clearing
+    (Chen & Kerber, *Persistent homology computation with a twist*, 2011):
+    its chains, column by column, go into one ``Span`` of the degree below
+    over reversed coordinates, so that a new pivot (``Span.last_pivot``)
+    is the persistence low, the chain latest in the filtration.  A chain
+    that is a low one degree up is a cycle, and is skipped.
+    """
+    ops = vector_ops(dc.ring)
+    columns: dict[int, list[int]] = {}
+    for p, q in dc.cells():
+        columns.setdefault(p + q, []).append(p)
+    # where each column's cell starts in its degree's basis, and the size
+    starts = {n: list(accumulate((dc.cell_dim(p, n - p) for p in ps), initial=0)) for n, ps in columns.items()}
+    bars: list[tuple[int, int, int | None]] = []
+    cleared: set[int] = set()
+    for n in sorted(columns, reverse=True):
+        below, below_starts = columns.get(n - 1, []), starts.get(n - 1, [0])
+        top = below_starts[-1] - 1
+        offset = dict(zip(below, below_starts))
+        span, lows = Span(ops, top + 1), set()
+        for p, first in zip(columns[n], starts[n]):
+            q, sign = n - p, -1 if p % 2 else 1
+            dh, dv = dc.dh_sparse(p, q), dc.dv_sparse(p, q)
+            h0, v0 = top - offset.get(p - 1, 0), top - offset.get(p, 0)
+            for t in range(len(dv)):
+                if first + t in cleared:
+                    continue
+                items = [(h0 - row, c) for row, c in dh[t]] + [(v0 - row, sign * c) for row, c in dv[t]]
+                if span.insert(ops.from_items(top + 1, items))[0]:
+                    low = top - span.last_pivot
+                    lows.add(low)
+                    b = below[bisect_right(below_starts, low) - 1]
+                    if b != p:
+                        bars.append((n - 1, b, p))
+                else:
+                    bars.append((n, p, None))
+        cleared = lows
+    return bars
+
+
+def _page_from_bars(bars, r: int) -> tuple[Counter, Counter]:
+    """Page r read off the bars of :func:`_barcode`: its dimensions, and
+    the ranks of d^r by source bidegree, both keyed by (p, q).
+
+    A bar lasting r pages or more leaves its ends on page r, and one
+    lasting exactly r is a rank of d^r at its death end.
+    """
+    ends: Counter[tuple[int, int]] = Counter()
+    deaths: Counter[tuple[int, int]] = Counter()
+    for n, b, d in bars:
+        if d is None:
+            ends[b, n - b] += 1
+        elif d - b >= r:
+            ends.update(((b, n - b), (d, n + 1 - d)))
+            if d - b == r:
+                deaths[d, n + 1 - d] += 1
+    return ends, deaths
 
 
 # --------------------------------------------------------------------------

@@ -13,8 +13,9 @@ differentials take the faces of one side of a pair by ``algebra.faces``.
 
 Over a field, the pages come from the barcode and the differentials from
 the staircases.  Every page's dimensions and every d^r's rank are read
-off the persistence barcode of the total complex filtered by column (Basu
-& Parida, *Spectral sequences, exact couples and persistent homology of
+off the persistence barcode of the total complex filtered by column
+(``algebra._barcode`` and ``algebra._page_from_bars``; Basu & Parida,
+*Spectral sequences, exact couples and persistent homology of
 filtrations*, Expo. Math. 2017).  The matrices of the differentials come
 from the zig-zag (staircase) description of page classes (McCleary, *A
 User's Guide to Spectral Sequences*, 2.2): a page-r class at (p, q) is a
@@ -28,11 +29,8 @@ the dead vectors its image is made of.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 
 from . import algebra, complexes, uber
 from .algebra import (
@@ -164,55 +162,6 @@ def double_complex(
 # Pages
 
 
-def _barcode(dc: DoubleComplex) -> list[tuple[int, int, int | None]]:
-    """The bars of the total complex, filtered by column, that reach page one.
-
-    A bar (n, b, d) is a class of total degree n born in column b and
-    killed in column d > b (never when d is None), for D = d_h + (-1)^p d_v.
-    With d - b >= r it gives one class at E^r_{b, n-b} and one at
-    E^r_{d, n+1-d}, joined by d^{d-b}; an infinite bar gives a class at
-    E^r_{b, n-b} on every page.
-
-    Each total degree is reduced once, top degree first, with clearing
-    (Chen & Kerber, *Persistent homology computation with a twist*, 2011):
-    its chains, column by column, go into one ``Span`` of the degree below
-    over reversed coordinates, so that a new pivot (``Span.last_pivot``)
-    is the persistence low, the chain latest in the filtration.  A chain
-    that is a low one degree up is a cycle, and is skipped.
-    """
-    ops = vector_ops(dc.ring)
-    columns: dict[int, list[int]] = {}
-    for p, q in dc.cells():
-        columns.setdefault(p + q, []).append(p)
-    # where each column's cell starts in its degree's basis, and the size
-    starts = {n: list(accumulate((dc.cell_dim(p, n - p) for p in ps), initial=0)) for n, ps in columns.items()}
-    bars: list[tuple[int, int, int | None]] = []
-    cleared: set[int] = set()
-    for n in sorted(columns, reverse=True):
-        below, below_starts = columns.get(n - 1, []), starts.get(n - 1, [0])
-        top = below_starts[-1] - 1
-        offset = dict(zip(below, below_starts))
-        span, lows = Span(ops, top + 1), set()
-        for p, first in zip(columns[n], starts[n]):
-            q, sign = n - p, -1 if p % 2 else 1
-            dh, dv = dc.dh_sparse(p, q), dc.dv_sparse(p, q)
-            h0, v0 = top - offset.get(p - 1, 0), top - offset.get(p, 0)
-            for t in range(len(dv)):
-                if first + t in cleared:
-                    continue
-                items = [(h0 - row, c) for row, c in dh[t]] + [(v0 - row, sign * c) for row, c in dv[t]]
-                if span.insert(ops.from_items(top + 1, items))[0]:
-                    low = top - span.last_pivot
-                    lows.add(low)
-                    b = below[bisect_right(below_starts, low) - 1]
-                    if b != p:
-                        bars.append((n - 1, b, p))
-                else:
-                    bars.append((n, p, None))
-        cleared = lows
-    return bars
-
-
 @dataclass
 class Page:
     """One page: its dimensions per bidegree, and the ranks of its
@@ -239,7 +188,7 @@ class SpectralSequence:
     """The spectral sequence of a double complex over a field.
 
     ``page(r)``, ``converged_at``, ``infinity()`` and ``abutment_dims()``
-    read dimensions and ranks off the bars of :func:`_barcode`, reduced
+    read dimensions and ranks off the bars of :func:`algebra._barcode`, reduced
     once per sequence; only ``differentials(r)`` turns the staircase
     engine (``_turn_to``).
 
@@ -426,17 +375,7 @@ class SpectralSequence:
             raise ValueError("pages start at r = 1")
         page = self._pages.get(r)
         if page is None:
-            # a bar lasting r pages or more leaves its ends on page r, and
-            # one lasting exactly r is a rank of d^r at its death end
-            ends: Counter[tuple[int, int]] = Counter()
-            deaths: Counter[tuple[int, int]] = Counter()
-            for n, b, d in self._bars:
-                if d is None:
-                    ends[b, n - b] += 1
-                elif d - b >= r:
-                    ends.update(((b, n - b), (d, n + 1 - d)))
-                    if d - b == r:
-                        deaths[d, n + 1 - d] += 1
+            ends, deaths = algebra._page_from_bars(self._bars, r)
             dims = {cell: ends[cell] for cell in sorted(ends)}
             ranks = {cell: deaths[cell] for cell in dims} if r <= self.width else {}
             page = self._pages[r] = Page(r, dims, ranks)
@@ -444,7 +383,7 @@ class SpectralSequence:
 
     @cached_property
     def _bars(self) -> list[tuple[int, int, int | None]]:
-        return _barcode(self.dc)
+        return algebra._barcode(self.dc)
 
     def differentials(self, r: int) -> dict[tuple[int, int], Matrix]:
         """The matrices of d^r by source bidegree, with the target's page

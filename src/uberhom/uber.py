@@ -5,9 +5,9 @@ A colouring assigns each vertex 0 or 1.  Three constructions live here:
 * per-colouring *horizontal homology* over GF(2): the simplicial boundary
   restricted to deleting 1-coloured vertices, graded by dimension and by
   the count of 0-coloured vertices in a simplex (its weight);
-* the full poset complex over GF(2): all horizontal homologies assembled
-  over the Boolean lattice of colourings, giving a triply graded
-  invariant (level, weight, dimension);
+* überhomology over GF(2): all horizontal homologies assembled over the
+  Boolean lattice of colourings, giving a triply graded invariant (level,
+  weight, dimension);
 * the weight-zero slice rebuilt *independently* over any coefficient
   ring: a cube with the homology of the subcomplex spanned by the
   1-coloured vertices at each node and inclusion-induced maps on the
@@ -15,15 +15,21 @@ A colouring assigns each vertex 0 or 1.  Three constructions live here:
   integers, where torsion can appear.
 
 All three are the homology of a cube complex over the Boolean lattice of
-colourings and share its bookkeeping: the levels, the layout and signs of
-each level map (``_cube_map``) and the rank formula (``_cube_homology``).
-Each brings its own node bases, edge maps and reductions, so the two GF(2)
-routes share no boundary, induced-map or reduction code, only that
-bookkeeping and the algebra layer, and can be played against each other in
-tests.
+colourings.  ``UberComplex`` (the level maps of überhomology), the
+weight-zero slice and bold homology share its bookkeeping: the levels, the
+layout and signs of each level map (``_cube_map``) and the rank formula
+(``_cube_homology``).  ``uberhomology`` itself builds no node: it reads
+E^2 of one double complex per weight, whose E^1 is the horizontal
+homology at each node and d^1 the level map, off one persistence barcode
+(``algebra._barcode``, which the spectral-sequence pages of ``mvss`` read
+too).  Its cells and differentials are its own.  So the two GF(2) routes
+to the weight-zero slice share no boundary, induced-map or reduction code
+of this module, only the algebra layer, and can be played against each
+other in tests.
 """
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable, Iterable, Sequence
 
 from . import algebra, graphs
@@ -48,14 +54,9 @@ Bicolouring = tuple[int, ...]
 __all__ = [
     "Bicolouring",
     "weight",
-    "colouring_level",
-    "all_colourings",
     "HorizontalHomology",
-    "horizontal_homology",
     "UberComplex",
-    "uber_complex",
     "uberhomology",
-    "zero_degree_uber",
     "zero_degree_uber_table",
     "bold_homology",
     "euler_characteristic_bold",
@@ -73,15 +74,6 @@ def _to_tuple(mask: int, m: int) -> Bicolouring:
 def weight(simplex: Iterable[int], colouring: Sequence[int]) -> int:
     """The number of 0-coloured vertices of a simplex."""
     return sum(1 for v in simplex if colouring[v] == 0)
-
-
-def colouring_level(colouring: Sequence[int]) -> int:
-    """The number of 1-coloured vertices."""
-    return sum(colouring)
-
-
-def all_colourings(m: int) -> list[Bicolouring]:
-    return [_to_tuple(mask, m) for mask in range(1 << m)]
 
 
 def _cube_levels(m: int) -> list[list[int]]:
@@ -203,11 +195,6 @@ class HorizontalHomology:
         return {key: h.dim for key, h in sorted(self._homology.items()) if h.dim}
 
 
-def horizontal_homology(X: SimplicialComplex, colouring: Sequence[int]) -> HorizontalHomology:
-    """Horizontal homology of one colouring, with representatives."""
-    return HorizontalHomology(X, colouring)
-
-
 # --------------------------------------------------------------------------
 # The full poset complex over GF(2)
 
@@ -218,7 +205,8 @@ class UberComplex:
     For each (weight k, dimension i) this is a cochain complex over the
     level j = number of 1-coloured vertices; the differential is the sum
     of the maps induced by raising a single vertex.  Everything is over
-    GF(2), where the signs of the level maps are all 1.
+    GF(2), where the signs of the level maps are all 1.  Its homology is
+    :func:`uberhomology`, which builds none of these nodes.
     """
 
     def __init__(self, X: SimplicialComplex, max_vertices: int = 16):
@@ -231,7 +219,9 @@ class UberComplex:
         self._pairs = sorted({key for node in self._nodes for key in node._buckets})
 
     def differential(self, j: int, i: int, k: int) -> Matrix:
-        """The level-j map of the (i, k) cochain complex."""
+        """The level-j map of the (i, k) cochain complex, for j in 0 .. m."""
+        if not 0 <= j <= self.m:
+            raise ValueError(f"level {j} is outside 0..{self.m}")
         return Matrix.from_sparse(GF2, *_cube_map(_cube_levels(self.m), j, self._dims(i, k), self._edge(i, k)))
 
     def _dims(self, i: int, k: int) -> list[int]:
@@ -254,24 +244,98 @@ class UberComplex:
 
         return edge
 
-    def homology_dims(self) -> dict[tuple[int, int, int], int]:
-        """Nonzero poset homology dimensions keyed by (level, weight, dimension)."""
-        rank = _field_rank(GF2)
-        out: dict[tuple[int, int, int], int] = {}
-        for (i, k) in self._pairs:
-            for j, h in enumerate(_cube_homology(self.m, self._dims(i, k), self._edge(i, k), rank)):
-                if h:
-                    out[(j, k, i)] = h
-        return out
+
+# --------------------------------------------------------------------------
+# Überhomology from one barcode per weight (GF(2))
 
 
-def uber_complex(X: SimplicialComplex, max_vertices: int = 16) -> UberComplex:
-    return UberComplex(X, max_vertices=max_vertices)
+def _bits(x: int) -> list[int]:
+    """The one-bit parts of a bitset, lowest first."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low)
+        x ^= low
+    return out
+
+
+class _WeightComplex:
+    """The weight-k double complex of the colouring cube over GF(2).
+
+    Cell (p, q) holds the pairs (mask, s) of a colouring at level m - p
+    and a q-simplex of X, as the bitset of its vertices, with k vertices
+    outside the mask, indexed ``{(mask, s): row}``.  The vertical
+    differential deletes the 1-coloured vertices of s, unsigned; a vertex
+    has no face, as there is no empty simplex.  The horizontal one sends
+    (mask, s) to (mask | 1 << v, s) for each vertex v in neither.  Filtered
+    by column, E^1 is the horizontal homology at each node, d^1 the level
+    map of :class:`UberComplex` and E^2 the cube's homology: überhomology
+    at weight k.
+
+    Both differentials keep the 0-coloured part S = s - mask, so the
+    complex is the direct sum over S of its cells.  Only the summands of
+    an S with a full link are built: S + {w} in X for every vertex w
+    outside S (S empty always has one).  If S + {w} is not in X, no cell
+    of S's summand contains w, so raising w is the identity on that
+    summand's chains.  The summand is then the cone of an identity, and
+    its E^2 is 0.
+    """
+
+    ring = GF2
+
+    def __init__(self, everything: int, cells: dict[tuple[int, int], dict[tuple[int, int], int]]):
+        self._everything = everything
+        self._cells = cells
+
+    def cells(self) -> list[tuple[int, int]]:
+        return sorted(self._cells)
+
+    def cell_dim(self, p: int, q: int) -> int:
+        return len(self._cells.get((p, q), ()))
+
+    def dv_sparse(self, p: int, q: int) -> list[tuple[tuple[int, int], ...]]:
+        cell = self._cells.get((p, q), {})
+        if not q:  # a vertex has no face
+            return [()] * len(cell)
+        below = self._cells.get((p, q - 1), {})
+        return [tuple((below[mask, s ^ v], 1) for v in _bits(mask & s)) for mask, s in cell]
+
+    def dh_sparse(self, p: int, q: int) -> list[tuple[tuple[int, int], ...]]:
+        cell, left, everything = self._cells.get((p, q), {}), self._cells.get((p - 1, q), {}), self._everything
+        return [tuple((left[mask | v, s], 1) for v in _bits(everything & ~(mask | s))) for mask, s in cell]
+
+
+def _weight_complexes(X: SimplicialComplex) -> dict[int, _WeightComplex]:
+    """The double complex of each weight, on its full-link summands only."""
+    m = X.vertex_count
+    everything = (1 << m) - 1
+    simplices = [sum(1 << v for v in s) for s in X.all_simplices()]
+    # cofaces[S] counts the vertices w outside S with S + {w} in X
+    cofaces: Counter[int] = Counter(s ^ v for s in simplices for v in _bits(s))
+    full = {S for S in [0, *simplices] if cofaces[S] == m - S.bit_count()}
+    cells: dict[int, dict[tuple[int, int], dict[tuple[int, int], int]]] = {}
+    for mask in range(1 << m):
+        for s in simplices:
+            S = s & ~mask
+            if S in full:
+                cell = cells.setdefault(S.bit_count(), {}).setdefault((m - mask.bit_count(), s.bit_count() - 1), {})
+                cell[mask, s] = len(cell)
+    return {k: _WeightComplex(everything, by_cell) for k, by_cell in sorted(cells.items())}
 
 
 def uberhomology(X: SimplicialComplex, max_vertices: int = 16) -> dict[tuple[int, int, int], int]:
-    """The triply graded GF(2) invariant: {(level, weight, dimension): dim}."""
-    return uber_complex(X, max_vertices=max_vertices).homology_dims()
+    """The triply graded GF(2) invariant: {(level, weight, dimension): dim}.
+
+    Each weight k is E^2 of its double complex (:class:`_WeightComplex`),
+    read off the complex's barcode: E^2_{p, q} is the entry (m - p, k, q).
+    """
+    m = X.vertex_count
+    check_vertex_guard(m, max_vertices)
+    out: dict[tuple[int, int, int], int] = {}
+    for k, dc in _weight_complexes(X).items():
+        dims, _ = algebra._page_from_bars(algebra._barcode(dc), 2)
+        out.update(((m - p, k, q), d) for (p, q), d in dims.items())
+    return dict(sorted(out.items()))
 
 
 # --------------------------------------------------------------------------
@@ -345,17 +409,6 @@ def zero_degree_uber_table(
             if h:
                 out[(j, degree)] = h
     return out
-
-
-def zero_degree_uber(
-    X: SimplicialComplex,
-    ring: CoefficientRing,
-    degree: int,
-    max_vertices: int = 16,
-) -> dict[int, int]:
-    """One row of the weight-zero table: {level j: dim} in a fixed dimension."""
-    table = zero_degree_uber_table(X, ring, max_vertices=max_vertices)
-    return {j: d for (j, i), d in table.items() if i == degree}
 
 
 # --------------------------------------------------------------------------

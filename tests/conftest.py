@@ -1,8 +1,9 @@
-"""Shared named inputs for the test suite."""
+"""Shared named inputs and generated complexes for the test suite."""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import assume, strategies as st
 
 from uberhom import complexes, graphs
 
@@ -69,6 +70,18 @@ def graph_corpus() -> list[tuple[str, graphs.Graph]]:
         ("random-6-seed-3", graphs.random_connected_graph(6, 0.5, seed=3)),
         ("random-7-seed-4", graphs.random_connected_graph(7, 0.4, seed=4)),
     ]
+
+
+@st.composite
+def connected_complexes(draw, max_vertices=7):
+    """A spanning tree on 2 .. max_vertices vertices, plus a few facets of
+    2 to 4 vertices; never a standard simplex."""
+    m = draw(st.integers(2, max_vertices))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, m)]
+    extra = draw(st.lists(st.sets(st.integers(0, m - 1), min_size=2, max_size=4), max_size=5))
+    X = complexes.build_complex(m, tree + [tuple(f) for f in extra])
+    assume(not X.is_standard_simplex())
+    return X
 
 
 @pytest.fixture(params=complex_corpus(), ids=lambda item: item[0])

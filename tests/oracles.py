@@ -27,6 +27,11 @@ library pieces:
   former chain-map API, built on the library's ``Matrix``,
   ``ChainComplex`` and (over a field) ``HomologyBasis``; over Z the
   induced map uses ``LatticeHomology``.
+* ``uberhomology_by_cube`` is überhomology's former route: the horizontal
+  homology of every colouring (the nodes of ``uber.UberComplex``) and,
+  per (dimension, weight), the rank formula of ``uber._cube_homology``
+  over the induced level maps.  The library now reads each weight off
+  one barcode and builds no node.
 """
 
 from __future__ import annotations
@@ -39,7 +44,9 @@ import networkx as nx
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as _sympy_snf
 
+from uberhom import uber
 from uberhom.algebra import (
+    GF2,
     QQ,
     ZZ,
     AbelianGroupPresentation,
@@ -258,6 +265,19 @@ def bold_free_ranks_by_column_rank(G, ring) -> dict[int, int]:
                 columns.append(ops.from_items(row, entries))
         ranks[j + 1] = column_rank(ops, columns)
     return {j: dims[j] - ranks[j] - ranks[j + 1] for j in range(m + 1)}
+
+
+def uberhomology_by_cube(X) -> dict[tuple[int, int, int], int]:
+    """Nonzero überhomology dimensions keyed by (level, weight, dimension),
+    from the cube of horizontal homologies ranked level map by level map."""
+    U = uber.UberComplex(X)
+    rank = uber._field_rank(GF2)
+    out: dict[tuple[int, int, int], int] = {}
+    for (i, k) in U._pairs:
+        for j, h in enumerate(uber._cube_homology(U.m, U._dims(i, k), U._edge(i, k), rank)):
+            if h:
+                out[(j, k, i)] = h
+    return out
 
 
 def euler_characteristic_oracle(X) -> int:

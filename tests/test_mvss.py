@@ -6,9 +6,10 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracles
+from conftest import connected_complexes
 from uberhom import algebra as al
 from uberhom import complexes as cx
 from uberhom import graphs as gr
@@ -377,18 +378,6 @@ def test_barcode_pages_agree_with_the_staircase_engine(corpus_complex, cover_of,
         return
     for ring in FIELDS:
         _assert_routes_agree(mvss.SpectralSequence(mvss.DoubleComplex(X, cover_of(X), ring, augmented)))
-
-
-@st.composite
-def connected_complexes(draw, max_vertices=7):
-    """A spanning tree on 2 .. max_vertices vertices, plus a few facets of
-    2 to 4 vertices; never a standard simplex."""
-    m = draw(st.integers(2, max_vertices))
-    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, m)]
-    extra = draw(st.lists(st.sets(st.integers(0, m - 1), min_size=2, max_size=4), max_size=5))
-    X = cx.build_complex(m, tree + [tuple(f) for f in extra])
-    assume(not X.is_standard_simplex())
-    return X
 
 
 @given(

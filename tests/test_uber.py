@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import PROJECTIVE_PLANE_FACETS, capped_square_complex, glued_triangles
+from conftest import PROJECTIVE_PLANE_FACETS, capped_square_complex, connected_complexes, glued_triangles
 from uberhom import algebra as al
 from uberhom import complexes as cx
 from uberhom import graphs as gr
@@ -16,6 +18,11 @@ from uberhom.errors import SizeGuardExceeded
 
 def _nontrivial(table):
     return {k: v for k, v in table.items() if v}
+
+
+def _colourings(m):
+    """Every colouring of m vertices, vertex 0 varying fastest."""
+    return [c[::-1] for c in itertools.product((0, 1), repeat=m)]
 
 
 def _bold(obj, ring=al.ZZ, **kw):
@@ -29,12 +36,12 @@ def _bold(obj, ring=al.ZZ, **kw):
 # colourings, weights, level-map signs
 
 
-def test_colouring_enumeration_and_level():
-    cols = uber.all_colourings(3)
-    assert len(cols) == 8
-    assert len(set(cols)) == 8
-    for c in cols:
-        assert uber.colouring_level(c) == sum(c)
+def test_cube_levels_group_the_colourings_by_level():
+    levels = uber._cube_levels(3)
+    assert sorted(mask for level in levels for mask in level) == list(range(8))
+    for j, level in enumerate(levels):
+        assert level == sorted(level)
+        assert all(sum(uber._to_tuple(mask, 3)) == j for mask in level)
 
 
 def test_weight_counts_unpainted_vertices():
@@ -102,7 +109,7 @@ def test_zero_degree_table_refuses_the_integers():
 def test_horizontal_complex_splits_by_weight():
     X = capped_square_complex()
     colouring = (0, 1, 0, 1, 1)
-    hh = uber.horizontal_homology(X, colouring)
+    hh = uber.HorizontalHomology(X, colouring)
     for k in hh.weights():
         C = hh.complex_for_weight(k)
         for n in range(X.max_dim + 1):
@@ -115,7 +122,7 @@ def test_horizontal_complex_splits_by_weight():
 @pytest.mark.parametrize("colouring", [(2, 0, 1), (0, -1, 1), (1, 1, 3)])
 def test_horizontal_homology_rejects_colourings_that_are_not_zero_one(colouring):
     with pytest.raises(ValueError, match="0 or 1"):
-        uber.horizontal_homology(cx.boundary_of_simplex(3), colouring)
+        uber.HorizontalHomology(cx.boundary_of_simplex(3), colouring)
 
 
 def test_cube_nodes_are_the_induced_subcomplexes(corpus_complex):
@@ -132,8 +139,8 @@ def test_cube_nodes_are_the_induced_subcomplexes(corpus_complex):
 
 def test_horizontal_dims_match_per_weight_homology():
     X = capped_square_complex()
-    for colouring in uber.all_colourings(X.vertex_count)[:8]:
-        hh = uber.horizontal_homology(X, colouring)
+    for colouring in _colourings(X.vertex_count)[:8]:
+        hh = uber.HorizontalHomology(X, colouring)
         dims = hh.dims()
         for k in hh.weights():
             betti = al.betti_numbers(hh.complex_for_weight(k))
@@ -158,9 +165,9 @@ def test_horizontal_homology_is_one_table_per_colouring_and_weight(monkeypatch):
 
     monkeypatch.setattr(al, "homology_table", table_spy)
     monkeypatch.setattr(al.HomologyBasis, "__init__", basis_spy)
-    assert uber.uberhomology(X)
+    assert uber.UberComplex(X)._pairs
     expected = []
-    for colouring in uber.all_colourings(X.vertex_count):
+    for colouring in _colourings(X.vertex_count):
         for k in {uber.weight(s, colouring) for s in X.all_simplices()}:
             ranks = [sum(1 for s in X.simplices_of_dim(n) if uber.weight(s, colouring) == k) for n in X.dims()]
             expected.append(tuple(ranks))
@@ -170,7 +177,7 @@ def test_horizontal_homology_is_one_table_per_colouring_and_weight(monkeypatch):
 def test_horizontal_homology_outside_a_weights_complex_is_zero():
     # the circle coloured (0, 1, 1): weight 0 lives in dimensions 0 and 1,
     # weight 1 in dimensions 0 and 1, and no simplex has weight 2
-    hh = uber.horizontal_homology(cx.boundary_of_simplex(3), (0, 1, 1))
+    hh = uber.HorizontalHomology(cx.boundary_of_simplex(3), (0, 1, 1))
     assert hh.weights() == [0, 1]
     for i, k in ((2, 0), (-1, 1), (5, 1), (0, 2), (1, 2)):
         h = hh.homology(i, k)
@@ -182,7 +189,7 @@ def test_horizontal_homology_outside_a_weights_complex_is_zero():
 def test_all_ones_colouring_gives_plain_homology_at_weight_zero():
     X = cx.boundary_of_simplex(3)
     colouring = (1,) * X.vertex_count
-    hh = uber.horizontal_homology(X, colouring)
+    hh = uber.HorizontalHomology(X, colouring)
     assert hh.weights() == [0]
     assert _nontrivial(dict(
         ((i, k), d) for (i, k), d in hh.dims().items()
@@ -201,6 +208,36 @@ def test_uber_table_of_circle():
         (3, 0, 1): 1,
         (2, 1, 1): 3,
     }
+
+
+def test_uber_table_matches_the_cube_oracle(corpus_complex):
+    assert uber.uberhomology(corpus_complex) == oracles.uberhomology_by_cube(corpus_complex)
+
+
+@given(X=connected_complexes())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_uber_table_matches_the_cube_oracle_on_generated_complexes(X):
+    assert uber.uberhomology(X) == oracles.uberhomology_by_cube(X)
+
+
+def test_uber_table_builds_no_horizontal_homology(monkeypatch):
+    # every weight is read off one barcode; no colouring's node is built
+    X = cx.random_connected_complex(6, 1)
+    expected = oracles.uberhomology_by_cube(X)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("HorizontalHomology built")
+
+    monkeypatch.setattr(uber.HorizontalHomology, "__init__", refuse)
+    assert uber.uberhomology(X) == expected
+
+
+@pytest.mark.parametrize("j", [-1, 4])
+def test_level_maps_exist_only_between_levels_of_the_cube(j):
+    U = uber.UberComplex(cx.boundary_of_simplex(3))
+    assert U.differential(3, 0, 0).rows == 0
+    with pytest.raises(ValueError, match="outside 0..3"):
+        U.differential(j, 0, 0)
 
 
 def test_zero_slice_agrees_with_dedicated_routine(corpus_complex):
@@ -242,18 +279,6 @@ def test_zero_degree_table_of_named_complexes():
         _nontrivial(uber.zero_degree_uber_table(two_triangles_sharing_an_edge, al.GF2))
         == {}
     )
-
-
-def test_zero_degree_table_by_degree_agrees_with_table(corpus_complex):
-    X = corpus_complex
-    table = _nontrivial(uber.zero_degree_uber_table(X, al.GF2))
-    degrees = {i for _, i in table} | {0, 1}
-    by_degree = {}
-    for i in degrees:
-        for j, d in uber.zero_degree_uber(X, al.GF2, i).items():
-            if d:
-                by_degree[(j, i)] = d
-    assert by_degree == table
 
 
 @pytest.mark.parametrize("ring", [al.QQ, al.GF2, al.GF(3)], ids=str)
@@ -298,7 +323,7 @@ def test_homology_walks_insert_nothing_into_a_zero_dimensional_span(monkeypatch)
 
     monkeypatch.setattr(al, "_homology_walk", walk_spy)
     monkeypatch.setattr(al.Span, "insert", insert_spy)
-    runs = [lambda: uber.uberhomology(X)]
+    runs = [lambda: uber.UberComplex(X)]
     for ring in (al.QQ, al.GF2, al.GF(3)):
         runs += [
             lambda ring=ring: al.homology_table(al.simplicial_chain_complex(X, ring)),
