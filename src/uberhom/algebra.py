@@ -844,9 +844,9 @@ def _boundary_complex(
     """Chain complex of the signed simplicial boundary on given bases.
 
     ``bases[q]`` lists the q-simplices (sorted vertex tuples); rows and
-    columns follow that order.  Every face of a listed simplex must be
-    listed one degree down; the empty simplex ``()`` in degree -1 turns
-    the boundary of a vertex into the augmentation.
+    columns follow that order.  A face not listed one degree down drops
+    out of the boundary; the empty simplex ``()`` in degree -1 turns the
+    boundary of a vertex into the augmentation.
     """
     ranks = {q: len(basis) for q, basis in bases.items() if basis}
     diffs = {}
@@ -854,7 +854,7 @@ def _boundary_complex(
         if q - 1 not in ranks:
             continue
         index = {s: i for i, s in enumerate(bases[q - 1])}
-        diffs[q] = [[(index[f], c) for f, c in faces(s)] for s in bases[q]]
+        diffs[q] = [[(index[f], c) for f, c in faces(s) if f in index] for s in bases[q]]
     return ChainComplex(ring, ranks, diffs)
 
 

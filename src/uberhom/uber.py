@@ -8,24 +8,27 @@ A colouring assigns each vertex 0 or 1.  Three constructions live here:
 * überhomology over GF(2): all horizontal homologies assembled over the
   Boolean lattice of colourings, giving a triply graded invariant (level,
   weight, dimension);
-* the weight-zero slice rebuilt *independently* over any coefficient
-  ring: a cube with the homology of the subcomplex spanned by the
-  1-coloured vertices at each node and inclusion-induced maps on the
-  edges.  Its degree-zero row (components only) also works over the
-  integers, where torsion can appear.
+* the weight-zero slice over any field: a cube with the homology of the
+  subcomplex spanned by the 1-coloured vertices at each node and
+  inclusion-induced maps on the edges.  Its degree-zero row (components
+  only) also works over the integers, where torsion can appear.
 
 All three are the homology of a cube complex over the Boolean lattice of
 colourings.  ``UberComplex`` (the level maps of überhomology), the
 weight-zero slice and bold homology share its bookkeeping: the levels, the
 layout and signs of each level map (``_cube_map``) and the rank formula
-(``_cube_homology``).  ``uberhomology`` itself builds no node: it reads
-E^2 of one double complex per weight, whose E^1 is the horizontal
-homology at each node and d^1 the level map, off one persistence barcode
-(``algebra._barcode``, which the spectral-sequence pages of ``mvss`` read
-too).  Its cells and differentials are its own.  So the two GF(2) routes
-to the weight-zero slice share no boundary, induced-map or reduction code
-of this module, only the algebra layer, and can be played against each
-other in tests.
+(``_cube_homology``).  The nodes of ``UberComplex`` and of the weight-zero
+slice are built one way: the signed simplicial boundary on the node's
+simplices (``algebra._boundary_complex``; a face outside them drops out),
+one homology table, and one induced map per edge (``_cube_edge_matrix``).
+``uberhomology`` itself builds no node: it reads E^2 of one double complex
+per weight, whose E^1 is the horizontal homology at each node and d^1 the
+level map, off one persistence barcode (``algebra._barcode``, which the
+spectral-sequence pages of ``mvss`` read too).  Its cells and
+differentials are its own.  So the barcode and the node cube are two
+routes to überhomology and its weight-zero slice that share no boundary,
+induced-map or reduction code of this module, only the algebra layer, and
+can be played against each other in tests.
 """
 from __future__ import annotations
 
@@ -141,10 +144,12 @@ class HorizontalHomology:
     """GF(2) homology of one colouring's horizontal differential.
 
     The chain module in bidegree (i, k) is spanned by the i-simplices of
-    weight k; the differential deletes 1-coloured vertices only, which
-    preserves the weight and drops the dimension by one.  Each bucket of
-    simplices gets one index {simplex: row}, and each weight's homology is
-    computed at construction, by one homology table.
+    weight k, and the differential is the simplicial boundary on them.
+    Deleting a 0-coloured vertex lowers the weight, so that face is not in
+    the bucket and drops out (:func:`algebra._boundary_complex`); what is
+    left deletes 1-coloured vertices only.  Each bucket of simplices gets
+    one index {simplex: row}, and each weight's homology is computed at
+    construction, by one homology table.
     """
 
     def __init__(self, X: SimplicialComplex, colouring: Sequence[int]):
@@ -172,17 +177,8 @@ class HorizontalHomology:
         return self._buckets.get((i, k), ())
 
     def complex_for_weight(self, k: int) -> ChainComplex:
-        """The weight-k chain complex, built from the bucket indices on each call."""
-        ranks = {i: len(b) for (i, w), b in self._buckets.items() if w == k}
-        diffs = {
-            i: [
-                [(self._index[i - 1, k][s[:pos] + s[pos + 1 :]], 1) for pos, v in enumerate(s) if self.colouring[v]]
-                for s in self._buckets[i, k]
-            ]
-            for i in ranks
-            if i - 1 in ranks
-        }
-        return ChainComplex(GF2, ranks, diffs)
+        """The weight-k chain complex, built from the buckets on each call."""
+        return algebra._boundary_complex(GF2, {i: b for (i, w), b in self._buckets.items() if w == k})
 
     def homology(self, i: int, k: int) -> HomologyBasis:
         h = self._homology.get((i, k))
@@ -229,20 +225,13 @@ class UberComplex:
 
     def _edge(self, i: int, k: int) -> Callable[[int, int], list]:
         """The map induced on (i, k) homology by raising vertex v of a colouring."""
-        ops = vector_ops(GF2)
 
-        def edge(mask: int, v: int) -> list:
-            src, dst = self._nodes[mask], self._nodes[mask | 1 << v]
+        def node(mask: int) -> tuple:
             # the edge map is only asked for between nodes with classes in (i, k)
-            src_basis, dst_h, dst_index = src.basis(i, k), dst.homology(i, k), dst._index[i, k]
-            images = []
-            for rep in src.homology(i, k).representatives:
-                simplices = (src_basis[pos] for pos, _ in ops.items(rep))
-                image = ops.from_items(len(dst_index), ((dst_index[s], 1) for s in simplices if v not in s))
-                images.append([(r, x) for r, x in enumerate(dst_h.reduce(image)) if x])
-            return images
+            h = self._nodes[mask]
+            return h.homology(i, k), h._index[i, k]
 
-        return edge
+        return lambda mask, v: _cube_edge_matrix(node(mask), node(mask | 1 << v), GF2)
 
 
 # --------------------------------------------------------------------------
@@ -339,7 +328,7 @@ def uberhomology(X: SimplicialComplex, max_vertices: int = 16) -> dict[tuple[int
 
 
 # --------------------------------------------------------------------------
-# The weight-zero slice over arbitrary fields (independent pipeline)
+# The weight-zero slice over any field
 
 
 def _cube_node_bases(X: SimplicialComplex) -> list[dict[int, tuple[Simplex, ...]]]:
@@ -355,17 +344,19 @@ def _cube_node_bases(X: SimplicialComplex) -> list[dict[int, tuple[Simplex, ...]
     ]
 
 
-def _cube_edge_matrix(src: tuple, dst: tuple, ring: CoefficientRing):
-    """Coordinates of the inclusion-induced map between two cube nodes, each
-    the homology in one degree of the subcomplex spanned by the 1-coloured
-    vertices and the index {simplex: row} of its chains."""
+def _cube_edge_matrix(src: tuple, dst: tuple, ring: CoefficientRing) -> list[list[tuple[int, object]]]:
+    """The (row, scalar) columns of the map that a cube edge induces on
+    homology.  Each node is its homology in one degree and the index
+    {simplex: row} of its chains; a representative keeps only the simplices
+    that ``dst`` indexes.  At weight zero that is every simplex (an
+    inclusion); at weight k, raising v drops the simplices that contain v."""
     ops = vector_ops(ring)
     (src_h, src_index), (dst_h, dst_index) = src, dst
     src_simplices = list(src_index)
     cols = []
     for rep in src_h.representatives:
-        entries = [(dst_index[src_simplices[pos]], c) for pos, c in ops.items(rep)]
-        cols.append(dst_h.reduce(ops.from_items(len(dst_index), entries)))
+        entries = [(dst_index[s], c) for pos, c in ops.items(rep) if (s := src_simplices[pos]) in dst_index]
+        cols.append([(r, x) for r, x in enumerate(dst_h.reduce(ops.from_items(len(dst_index), entries))) if x])
     return cols
 
 
@@ -377,34 +368,26 @@ def zero_degree_uber_table(
     """Weight-zero poset homology over a field, all bidegrees at once.
 
     Keys are (level j, dimension i); values are dimensions over ``ring``.
-    Built from scratch on the colouring cube: no boundary, induced-map or
-    reduction code is shared with the GF(2) horizontal-homology pipeline.
+    Each node is the subcomplex on the colouring's 1-coloured vertices,
+    with one homology table, and each edge the map its inclusion induces:
+    the node recipe of :class:`UberComplex`, at weight zero.
     """
     m = X.vertex_count
     check_vertex_guard(m, max_vertices)
     if not ring.is_field:
         raise ValueError("the weight-zero slice needs field coefficients")
-    max_degree = X.max_dim if not X.is_empty else -1
     bases = _cube_node_bases(X)
-    # one homology walk per node, advanced a degree at a time, so only the
-    # current degree's spans and the next degree's cycles stay alive
-    chains = [algebra._boundary_complex(ring, b) for b in bases]
-    walks = [algebra._homology_walk(vector_ops(ring), 0, max_degree, cc.rank, cc.columns) for cc in chains]
+    tables = [algebra.homology_table(algebra._boundary_complex(ring, b)) for b in bases]
     rank = _field_rank(ring)
     out: dict[tuple[int, int], int] = {}
-    for degree in range(max_degree + 1):
-        nodes = [
-            (HomologyBasis._from(ring, *next(w)), {s: r for r, s in enumerate(b.get(degree, ()))})
-            for b, w in zip(bases, walks)
-        ]
+    for degree in X.dims():
+        # a node without simplices of this degree has no entry, and no edge map
+        nodes = [(t.pop(degree, None), {s: r for r, s in enumerate(b.get(degree, ()))}) for b, t in zip(bases, tables)]
+        dims = [h.dim if h else 0 for h, _ in nodes]
 
         def edge(mask: int, v: int) -> list:
-            return [
-                [(r, x) for r, x in enumerate(coords) if x]
-                for coords in _cube_edge_matrix(nodes[mask], nodes[mask | 1 << v], ring)
-            ]
+            return _cube_edge_matrix(nodes[mask], nodes[mask | 1 << v], ring)
 
-        dims = [h.dim for h, _ in nodes]
         for j, h in enumerate(_cube_homology(m, dims, edge, rank)):
             if h:
                 out[(j, degree)] = h

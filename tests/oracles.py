@@ -32,6 +32,10 @@ library pieces:
   per (dimension, weight), the rank formula of ``uber._cube_homology``
   over the induced level maps.  The library now reads each weight off
   one barcode and builds no node.
+* ``horizontal_columns`` is the horizontal differential's former rule:
+  delete only the 1-coloured vertices of a simplex, with coefficient 1.
+  The library now takes the signed simplicial boundary on a weight's
+  simplices and drops the faces that leave them.
 """
 
 from __future__ import annotations
@@ -278,6 +282,19 @@ def uberhomology_by_cube(X) -> dict[tuple[int, int, int], int]:
             if h:
                 out[(j, k, i)] = h
     return out
+
+
+def horizontal_columns(X, colouring, k: int, q: int) -> list[list[tuple[int, int]]]:
+    """Columns of the weight-k horizontal differential out of dimension q
+    over GF(2): each q-simplex of weight k goes to its faces that delete a
+    1-coloured vertex, rows indexed by the weight-k (q - 1)-simplices in
+    X's order.  A vertex has no face."""
+
+    def bucket(n):
+        return [s for s in X.simplices_of_dim(n) if sum(1 for v in s if colouring[v] == 0) == k]
+
+    rows = {s: r for r, s in enumerate(bucket(q - 1))}
+    return [[(rows[s[:pos] + s[pos + 1 :]], 1) for pos, v in enumerate(s) if q and colouring[v]] for s in bucket(q)]
 
 
 def euler_characteristic_oracle(X) -> int:

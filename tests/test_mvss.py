@@ -503,6 +503,13 @@ def test_identification_over_finite_fields_at_eight_vertices(ring, seed):
     assert mvss.verify_identification(cx.random_connected_complex(8, seed), ring).ok
 
 
+@given(X=connected_complexes())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_identification_on_generated_complexes(X):
+    for ring in (al.GF2, al.GF(3), al.QQ):
+        assert mvss.verify_identification(X, ring).ok
+
+
 def test_identification_on_a_complex_that_carries_original_ids():
     X = cx.induced_subcomplex(cx.complex_from_graph(gr.cycle_graph(7)), [1, 2, 3, 4, 5])
     assert X.original_ids == (1, 2, 3, 4, 5)

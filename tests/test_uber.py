@@ -174,6 +174,18 @@ def test_horizontal_homology_is_one_table_per_colouring_and_weight(monkeypatch):
     assert sorted(tables) == sorted(expected)
 
 
+def test_horizontal_differential_deletes_only_one_coloured_vertices(corpus_complex):
+    # the signed boundary on a weight's simplices drops every face that
+    # deletes a 0-coloured vertex; the oracle builds the rest by hand
+    X = corpus_complex
+    for colouring in _colourings(X.vertex_count):
+        hh = uber.HorizontalHomology(X, colouring)
+        for k in hh.weights():
+            C = hh.complex_for_weight(k)
+            for q in X.dims():
+                assert [list(c) for c in C.columns(q)] == oracles.horizontal_columns(X, colouring, k, q)
+
+
 def test_horizontal_homology_outside_a_weights_complex_is_zero():
     # the circle coloured (0, 1, 1): weight 0 lives in dimensions 0 and 1,
     # weight 1 in dimensions 0 and 1, and no simplex has weight 2
@@ -247,6 +259,38 @@ def test_zero_slice_agrees_with_dedicated_routine(corpus_complex):
     full = uber.uberhomology(X)
     slice0 = {(j, i): d for (j, k, i), d in full.items() if k == 0 and d}
     assert slice0 == _nontrivial(uber.zero_degree_uber_table(X, al.GF2))
+
+
+@given(X=connected_complexes())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_zero_slice_agrees_with_dedicated_routine_on_generated_complexes(X):
+    slice0 = {(j, i): d for (j, k, i), d in uber.uberhomology(X).items() if k == 0 and d}
+    assert slice0 == _nontrivial(uber.zero_degree_uber_table(X, al.GF2))
+
+
+@pytest.mark.parametrize("ring", [al.QQ, al.GF2, al.GF(3)], ids=str)
+def test_zero_degree_table_is_one_homology_table_per_colouring(monkeypatch, ring):
+    # every node's homology comes from one homology table of the subcomplex
+    # on its 1-coloured vertices; no basis is built one degree at a time
+    X = cx.random_connected_complex(7, 1)
+    tables = []
+    homology_table = al.homology_table
+
+    def table_spy(C):
+        tables.append(tuple(C.rank(n) for n in X.dims()))
+        return homology_table(C)
+
+    def basis_spy(self, *args):
+        raise AssertionError("HomologyBasis built one degree at a time")
+
+    monkeypatch.setattr(al, "homology_table", table_spy)
+    monkeypatch.setattr(al.HomologyBasis, "__init__", basis_spy)
+    uber.zero_degree_uber_table(X, ring)
+    f_vectors = [
+        tuple(sum(1 for s in X.simplices_of_dim(n) if all(mask >> v & 1 for v in s)) for n in X.dims())
+        for mask in range(1 << X.vertex_count)
+    ]
+    assert tables == f_vectors
 
 
 def test_zero_degree_table_of_simplices():
