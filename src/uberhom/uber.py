@@ -14,19 +14,19 @@ A colouring assigns each vertex 0 or 1.  Three constructions live here:
   only) also works over the integers, where torsion can appear.
 
 All three are the homology of a cube complex over the Boolean lattice of
-colourings.  ``UberComplex`` (the level maps of überhomology), the
-weight-zero slice and bold homology share its bookkeeping: the levels, the
-layout and signs of each level map (``_cube_map``) and the rank formula
-(``_cube_homology``).  The nodes of ``UberComplex`` and of the weight-zero
-slice are built one way: the signed simplicial boundary on the node's
-simplices (``algebra._boundary_complex``; a face outside them drops out),
-one homology table, and one induced map per edge (``_cube_edge_matrix``).
-``uberhomology`` itself builds no node: it reads E^2 of one double complex
-per weight, whose E^1 is the horizontal homology at each node and d^1 the
-level map, off one persistence barcode (``algebra._barcode``, which the
-spectral-sequence pages of ``mvss`` read too).  Its cells and
-differentials are its own.  So the barcode and the node cube are two
-routes to überhomology and its weight-zero slice that share no boundary,
+colourings.  Überhomology and its weight-zero slice build no node: each
+is E^2 of a double complex of (colouring, simplex) pairs
+(``_WeightComplex``), whose E^1 is the node homology and d^1 the level
+map, read off one persistence barcode (``algebra._barcode``, which the
+spectral-sequence pages of ``mvss`` read too).  ``UberComplex`` and bold
+homology build the cube node by node and share its bookkeeping: the
+levels, the layout and signs of each level map (``_cube_map``) and the
+rank formula (``_cube_homology``).  A node of ``UberComplex`` is the
+signed simplicial boundary on its simplices (``algebra._boundary_complex``;
+a face outside them drops out), one homology table, and one induced map
+per edge (``_cube_edge_matrix``); the test oracles build the weight-zero
+node cube the same way.  So the barcode and the node cube are two routes
+to überhomology and its weight-zero slice that share no boundary,
 induced-map or reduction code of this module, only the algebra layer, and
 can be played against each other in tests.
 """
@@ -45,7 +45,7 @@ from .algebra import (
     Matrix,
     QQ,
     ZZ,
-    column_rank,
+    column_rank,  # unused here; bench/check_bench.py checks this binding after a traced run
     invariant_factors,
     vector_ops,
 )
@@ -87,6 +87,11 @@ def _cube_levels(m: int) -> list[list[int]]:
     return levels
 
 
+def _sign(bits: int, v: int) -> int:
+    """(-1) to the number of elements of the bitset below the bit v."""
+    return -1 if (bits & v - 1).bit_count() % 2 else 1
+
+
 def _cube_map(
     levels: list[list[int]], j: int, dims: Sequence[int], edge: Callable[[int, int], list]
 ) -> tuple[int, list[list[tuple[int, object]]]]:
@@ -112,7 +117,7 @@ def _cube_map(
             up = mask | 1 << v
             if mask >> v & 1 or not node or not dims[up]:
                 continue
-            sign = -1 if (mask & (1 << v) - 1).bit_count() % 2 else 1
+            sign = _sign(mask, 1 << v)
             for column, image in zip(node, edge(mask, v)):
                 column.extend((offsets[up] + r, sign * x) for r, x in image)
         columns += node
@@ -128,12 +133,6 @@ def _cube_homology(
     levels = _cube_levels(m)
     ranks = [0] + [rank(j, *_cube_map(levels, j, dims, edge)) for j in range(m)] + [0]
     return [sum(dims[mask] for mask in levels[j]) - ranks[j] - ranks[j + 1] for j in range(m + 1)]
-
-
-def _field_rank(ring: CoefficientRing) -> Callable[[int, int, list], int]:
-    """``rank`` for :func:`_cube_homology` over a field."""
-    ops = vector_ops(ring)
-    return lambda j, rows, columns: column_rank(ops, (ops.from_items(rows, c) for c in columns))
 
 
 # --------------------------------------------------------------------------
@@ -234,116 +233,6 @@ class UberComplex:
         return lambda mask, v: _cube_edge_matrix(node(mask), node(mask | 1 << v), GF2)
 
 
-# --------------------------------------------------------------------------
-# Überhomology from one barcode per weight (GF(2))
-
-
-def _bits(x: int) -> list[int]:
-    """The one-bit parts of a bitset, lowest first."""
-    out = []
-    while x:
-        low = x & -x
-        out.append(low)
-        x ^= low
-    return out
-
-
-class _WeightComplex:
-    """The weight-k double complex of the colouring cube over GF(2).
-
-    Cell (p, q) holds the pairs (mask, s) of a colouring at level m - p
-    and a q-simplex of X, as the bitset of its vertices, with k vertices
-    outside the mask, indexed ``{(mask, s): row}``.  The vertical
-    differential deletes the 1-coloured vertices of s, unsigned; a vertex
-    has no face, as there is no empty simplex.  The horizontal one sends
-    (mask, s) to (mask | 1 << v, s) for each vertex v in neither.  Filtered
-    by column, E^1 is the horizontal homology at each node, d^1 the level
-    map of :class:`UberComplex` and E^2 the cube's homology: überhomology
-    at weight k.
-
-    Both differentials keep the 0-coloured part S = s - mask, so the
-    complex is the direct sum over S of its cells.  Only the summands of
-    an S with a full link are built: S + {w} in X for every vertex w
-    outside S (S empty always has one).  If S + {w} is not in X, no cell
-    of S's summand contains w, so raising w is the identity on that
-    summand's chains.  The summand is then the cone of an identity, and
-    its E^2 is 0.
-    """
-
-    ring = GF2
-
-    def __init__(self, everything: int, cells: dict[tuple[int, int], dict[tuple[int, int], int]]):
-        self._everything = everything
-        self._cells = cells
-
-    def cells(self) -> list[tuple[int, int]]:
-        return sorted(self._cells)
-
-    def cell_dim(self, p: int, q: int) -> int:
-        return len(self._cells.get((p, q), ()))
-
-    def dv_sparse(self, p: int, q: int) -> list[tuple[tuple[int, int], ...]]:
-        cell = self._cells.get((p, q), {})
-        if not q:  # a vertex has no face
-            return [()] * len(cell)
-        below = self._cells.get((p, q - 1), {})
-        return [tuple((below[mask, s ^ v], 1) for v in _bits(mask & s)) for mask, s in cell]
-
-    def dh_sparse(self, p: int, q: int) -> list[tuple[tuple[int, int], ...]]:
-        cell, left, everything = self._cells.get((p, q), {}), self._cells.get((p - 1, q), {}), self._everything
-        return [tuple((left[mask | v, s], 1) for v in _bits(everything & ~(mask | s))) for mask, s in cell]
-
-
-def _weight_complexes(X: SimplicialComplex) -> dict[int, _WeightComplex]:
-    """The double complex of each weight, on its full-link summands only."""
-    m = X.vertex_count
-    everything = (1 << m) - 1
-    simplices = [sum(1 << v for v in s) for s in X.all_simplices()]
-    # cofaces[S] counts the vertices w outside S with S + {w} in X
-    cofaces: Counter[int] = Counter(s ^ v for s in simplices for v in _bits(s))
-    full = {S for S in [0, *simplices] if cofaces[S] == m - S.bit_count()}
-    cells: dict[int, dict[tuple[int, int], dict[tuple[int, int], int]]] = {}
-    for mask in range(1 << m):
-        for s in simplices:
-            S = s & ~mask
-            if S in full:
-                cell = cells.setdefault(S.bit_count(), {}).setdefault((m - mask.bit_count(), s.bit_count() - 1), {})
-                cell[mask, s] = len(cell)
-    return {k: _WeightComplex(everything, by_cell) for k, by_cell in sorted(cells.items())}
-
-
-def uberhomology(X: SimplicialComplex, max_vertices: int = 16) -> dict[tuple[int, int, int], int]:
-    """The triply graded GF(2) invariant: {(level, weight, dimension): dim}.
-
-    Each weight k is E^2 of its double complex (:class:`_WeightComplex`),
-    read off the complex's barcode: E^2_{p, q} is the entry (m - p, k, q).
-    """
-    m = X.vertex_count
-    check_vertex_guard(m, max_vertices)
-    out: dict[tuple[int, int, int], int] = {}
-    for k, dc in _weight_complexes(X).items():
-        dims, _ = algebra._page_from_bars(algebra._barcode(dc), 2)
-        out.update(((m - p, k, q), d) for (p, q), d in dims.items())
-    return dict(sorted(out.items()))
-
-
-# --------------------------------------------------------------------------
-# The weight-zero slice over any field
-
-
-def _cube_node_bases(X: SimplicialComplex) -> list[dict[int, tuple[Simplex, ...]]]:
-    """For each colouring mask, X's simplices on its 1-coloured vertices by
-    dimension, in X's ids and order: the induced subcomplex without its
-    renumbering, which is monotone and so would keep the same order."""
-    with_bits = [
-        (q, [(s, sum(1 << v for v in s)) for s in X.simplices_of_dim(q)]) for q in X.dims()
-    ]
-    return [
-        {q: tuple(s for s, bits in simplices if not bits & ~mask) for q, simplices in with_bits}
-        for mask in range(1 << X.vertex_count)
-    ]
-
-
 def _cube_edge_matrix(src: tuple, dst: tuple, ring: CoefficientRing) -> list[list[tuple[int, object]]]:
     """The (row, scalar) columns of the map that a cube edge induces on
     homology.  Each node is its homology in one degree and the index
@@ -360,6 +249,111 @@ def _cube_edge_matrix(src: tuple, dst: tuple, ring: CoefficientRing) -> list[lis
     return cols
 
 
+# --------------------------------------------------------------------------
+# Überhomology and its weight-zero slice, from one barcode per weight
+
+
+def _bits(x: int) -> list[int]:
+    """The one-bit parts of a bitset, lowest first."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low)
+        x ^= low
+    return out
+
+
+class _WeightComplex:
+    """The weight-k double complex of the colouring cube over ``ring``.
+
+    Cell (p, q) holds the pairs (mask, s) of a colouring at level m - p
+    and a q-simplex of X, as the bitset of its vertices, with k vertices
+    outside the mask, indexed ``{(mask, s): row}``.  The vertical
+    differential deletes the 1-coloured vertices v of s, with the sign
+    (-1)^(vertices of s below v) of :func:`algebra.faces`; a vertex has no
+    face, as there is no empty simplex.  The horizontal one sends (mask, s)
+    to (mask | 1 << v, s) for each vertex v in neither, with the sign
+    (-1)^(vertices of mask below v), the ones-below rule of
+    :func:`_cube_map`.  The first sign depends only on s and the second
+    only on the mask, so the two differentials commute.  Filtered by
+    column, E^1 is the horizontal homology at each node, d^1 the level map
+    and E^2 the cube's homology: überhomology at weight k, and at weight 0
+    the table of :func:`zero_degree_uber_table`.
+
+    Both differentials keep the 0-coloured part S = s - mask, so the
+    complex is the direct sum over S of its cells; weight 0 is the one
+    summand S empty.
+    """
+
+    def __init__(
+        self, ring: CoefficientRing, everything: int, cells: dict[tuple[int, int], dict[tuple[int, int], int]]
+    ):
+        self.ring = ring
+        self._everything = everything
+        self._cells = cells
+
+    def cells(self) -> list[tuple[int, int]]:
+        return sorted(self._cells)
+
+    def cell_dim(self, p: int, q: int) -> int:
+        return len(self._cells.get((p, q), ()))
+
+    def dv_sparse(self, p: int, q: int) -> list[tuple[tuple[int, int], ...]]:
+        cell = self._cells.get((p, q), {})
+        if not q:  # a vertex has no face
+            return [()] * len(cell)
+        below = self._cells.get((p, q - 1), {})
+        return [tuple((below[mask, s ^ v], _sign(s, v)) for v in _bits(mask & s)) for mask, s in cell]
+
+    def dh_sparse(self, p: int, q: int) -> list[tuple[tuple[int, int], ...]]:
+        cell, left, everything = self._cells.get((p, q), {}), self._cells.get((p - 1, q), {}), self._everything
+        return [tuple((left[mask | v, s], _sign(mask, v)) for v in _bits(everything & ~(mask | s))) for mask, s in cell]
+
+
+def _weight_complexes(
+    X: SimplicialComplex, ring: CoefficientRing, weight_zero_only: bool = False
+) -> dict[int, _WeightComplex]:
+    """The double complex of each weight, on its full-link summands only.
+
+    A summand's S has a full link when S + {w} is in X for every vertex w
+    outside S (S empty always has one).  If S + {w} is not in X, no cell
+    of S's summand contains w, so raising w is the identity on that
+    summand's chains.  The summand is then the cone of an identity, and
+    its E^2 is 0.  With ``weight_zero_only`` only the summand S empty is
+    built.
+    """
+    m = X.vertex_count
+    simplices = [sum(1 << v for v in s) for s in X.all_simplices()]
+    full = {0}
+    if not weight_zero_only:
+        # cofaces[S] counts the vertices w outside S with S + {w} in X
+        cofaces: Counter[int] = Counter(s ^ v for s in simplices for v in _bits(s))
+        full = {S for S in [0, *simplices] if cofaces[S] == m - S.bit_count()}
+    cells: dict[int, dict[tuple[int, int], dict[tuple[int, int], int]]] = {}
+    for mask in range(1 << m):
+        for s in simplices:
+            S = s & ~mask
+            if S in full:
+                cell = cells.setdefault(S.bit_count(), {}).setdefault((m - mask.bit_count(), s.bit_count() - 1), {})
+                cell[mask, s] = len(cell)
+    return {k: _WeightComplex(ring, (1 << m) - 1, by_cell) for k, by_cell in sorted(cells.items())}
+
+
+def uberhomology(X: SimplicialComplex, max_vertices: int = 16) -> dict[tuple[int, int, int], int]:
+    """The triply graded GF(2) invariant: {(level, weight, dimension): dim}.
+
+    Each weight k is E^2 of its double complex (:class:`_WeightComplex`),
+    read off the complex's barcode: E^2_{p, q} is the entry (m - p, k, q).
+    """
+    m = X.vertex_count
+    check_vertex_guard(m, max_vertices)
+    out: dict[tuple[int, int, int], int] = {}
+    for k, dc in _weight_complexes(X, GF2).items():
+        dims, _ = algebra._page_from_bars(algebra._barcode(dc), 2)
+        out.update(((m - p, k, q), d) for (p, q), d in dims.items())
+    return dict(sorted(out.items()))
+
+
 def zero_degree_uber_table(
     X: SimplicialComplex,
     ring: CoefficientRing,
@@ -367,31 +361,21 @@ def zero_degree_uber_table(
 ) -> dict[tuple[int, int], int]:
     """Weight-zero poset homology over a field, all bidegrees at once.
 
-    Keys are (level j, dimension i); values are dimensions over ``ring``.
-    Each node is the subcomplex on the colouring's 1-coloured vertices,
-    with one homology table, and each edge the map its inclusion induces:
-    the node recipe of :class:`UberComplex`, at weight zero.
+    Keys are (level j, dimension i), degree-major and then by level;
+    values are the nonzero dimensions over ``ring``.  The table is E^2 of
+    the weight-zero double complex over ``ring`` (:class:`_WeightComplex`,
+    the pairs (colouring, simplex) with every vertex of the simplex
+    coloured 1), read off its barcode: E^2_{p, q} is the entry (m - p, q).
     """
     m = X.vertex_count
     check_vertex_guard(m, max_vertices)
     if not ring.is_field:
         raise ValueError("the weight-zero slice needs field coefficients")
-    bases = _cube_node_bases(X)
-    tables = [algebra.homology_table(algebra._boundary_complex(ring, b)) for b in bases]
-    rank = _field_rank(ring)
-    out: dict[tuple[int, int], int] = {}
-    for degree in X.dims():
-        # a node without simplices of this degree has no entry, and no edge map
-        nodes = [(t.pop(degree, None), {s: r for r, s in enumerate(b.get(degree, ()))}) for b, t in zip(bases, tables)]
-        dims = [h.dim if h else 0 for h, _ in nodes]
-
-        def edge(mask: int, v: int) -> list:
-            return _cube_edge_matrix(nodes[mask], nodes[mask | 1 << v], ring)
-
-        for j, h in enumerate(_cube_homology(m, dims, edge, rank)):
-            if h:
-                out[(j, degree)] = h
-    return out
+    dc = _weight_complexes(X, ring, weight_zero_only=True).get(0)
+    if dc is None:  # X has no simplex
+        return {}
+    dims, _ = algebra._page_from_bars(algebra._barcode(dc), 2)
+    return {(m - p, q): dims[p, q] for p, q in sorted(dims, key=lambda pq: (pq[1], -pq[0]))}
 
 
 # --------------------------------------------------------------------------

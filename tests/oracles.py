@@ -32,6 +32,13 @@ library pieces:
   per (dimension, weight), the rank formula of ``uber._cube_homology``
   over the induced level maps.  The library now reads each weight off
   one barcode and builds no node.
+* ``zero_degree_table_by_cube`` is the weight-zero table's former route:
+  one homology table of the subcomplex on each colouring's 1-coloured
+  vertices (``_cube_node_bases``), one induced map per cube edge
+  (``uber._cube_edge_matrix``) and the rank formula of
+  ``uber._cube_homology``, each level map ranked over the field by
+  ``column_rank`` (``_field_rank``).  The library now reads the table off
+  the barcode of the weight-zero double complex.
 * ``horizontal_columns`` is the horizontal differential's former rule:
   delete only the 1-coloured vertices of a simplex, with coefficient 1.
   The library now takes the signed simplicial boundary on a weight's
@@ -48,7 +55,7 @@ import networkx as nx
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as _sympy_snf
 
-from uberhom import uber
+from uberhom import algebra, uber
 from uberhom.algebra import (
     GF2,
     QQ,
@@ -271,16 +278,55 @@ def bold_free_ranks_by_column_rank(G, ring) -> dict[int, int]:
     return {j: dims[j] - ranks[j] - ranks[j + 1] for j in range(m + 1)}
 
 
+def _field_rank(ring):
+    """``rank`` for ``uber._cube_homology`` over a field."""
+    ops = vector_ops(ring)
+    return lambda j, rows, columns: column_rank(ops, (ops.from_items(rows, c) for c in columns))
+
+
 def uberhomology_by_cube(X) -> dict[tuple[int, int, int], int]:
     """Nonzero überhomology dimensions keyed by (level, weight, dimension),
     from the cube of horizontal homologies ranked level map by level map."""
     U = uber.UberComplex(X)
-    rank = uber._field_rank(GF2)
+    rank = _field_rank(GF2)
     out: dict[tuple[int, int, int], int] = {}
     for (i, k) in U._pairs:
         for j, h in enumerate(uber._cube_homology(U.m, U._dims(i, k), U._edge(i, k), rank)):
             if h:
                 out[(j, k, i)] = h
+    return out
+
+
+def _cube_node_bases(X) -> list[dict[int, tuple]]:
+    """For each colouring mask, X's simplices on its 1-coloured vertices by
+    dimension, in X's ids and order: the induced subcomplex without its
+    renumbering, which is monotone and so would keep the same order."""
+    with_bits = [(q, [(s, sum(1 << v for v in s)) for s in X.simplices_of_dim(q)]) for q in X.dims()]
+    return [
+        {q: tuple(s for s, bits in simplices if not bits & ~mask) for q, simplices in with_bits}
+        for mask in range(1 << X.vertex_count)
+    ]
+
+
+def zero_degree_table_by_cube(X, ring) -> dict[tuple[int, int], int]:
+    """Nonzero weight-zero dimensions keyed by (level, dimension), degree
+    by degree, from the cube of the homologies of the subcomplexes on the
+    1-coloured vertices and the maps their inclusions induce."""
+    bases = _cube_node_bases(X)
+    tables = [algebra.homology_table(algebra._boundary_complex(ring, b)) for b in bases]
+    rank = _field_rank(ring)
+    out: dict[tuple[int, int], int] = {}
+    for degree in X.dims():
+        # a node without simplices of this degree has no entry, and no edge map
+        nodes = [(t.pop(degree, None), {s: r for r, s in enumerate(b.get(degree, ()))}) for b, t in zip(bases, tables)]
+        dims = [h.dim if h else 0 for h, _ in nodes]
+
+        def edge(mask: int, v: int) -> list:
+            return uber._cube_edge_matrix(nodes[mask], nodes[mask | 1 << v], ring)
+
+        for j, h in enumerate(uber._cube_homology(X.vertex_count, dims, edge, rank)):
+            if h:
+                out[(j, degree)] = h
     return out
 
 

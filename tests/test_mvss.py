@@ -218,6 +218,17 @@ def test_unaugmented_abutment_is_the_homology_of_the_space(corpus_complex):
         assert totals == oracles.betti_oracle(X, ring)
 
 
+@given(X=connected_complexes())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_abutment_is_the_homology_of_the_space_on_generated_complexes(X):
+    # plain: the limit is the homology of X; augmented: every row is exact
+    for ring in (al.GF2, al.GF(3), al.QQ):
+        plain = mvss.run_to_convergence(mvss.double_complex(X, ring=ring, augmented=False))
+        assert plain.abutment_dims() == oracles.betti_oracle(X, ring)
+        augmented = mvss.run_to_convergence(mvss.double_complex(X, ring=ring, augmented=True))
+        assert augmented.abutment_dims() == {}
+
+
 # --------------------------------------------------------------------------
 # page mechanics
 

@@ -90,7 +90,7 @@ def test_bold_level_maps_compose_to_zero(monkeypatch, G):
 @pytest.mark.parametrize("ring", [al.QQ, al.GF(3)], ids=str)
 def test_zero_degree_level_maps_compose_to_zero(monkeypatch, corpus_complex, ring):
     X = corpus_complex
-    cubes = _level_maps(monkeypatch, lambda: uber.zero_degree_uber_table(X, ring))
+    cubes = _level_maps(monkeypatch, lambda: oracles.zero_degree_table_by_cube(X, ring))
     assert len(cubes) == X.max_dim + 1
     for maps in cubes:
         assert len(maps) == X.vertex_count
@@ -128,7 +128,7 @@ def test_horizontal_homology_rejects_colourings_that_are_not_zero_one(colouring)
 def test_cube_nodes_are_the_induced_subcomplexes(corpus_complex):
     X = corpus_complex
     for ring in (al.ZZ, al.QQ, al.GF2, al.GF(3)):
-        for mask, bases in enumerate(uber._cube_node_bases(X)):
+        for mask, bases in enumerate(oracles._cube_node_bases(X)):
             node = al._boundary_complex(ring, bases)
             sub = cx.induced_subcomplex(X, [v for v in range(X.vertex_count) if mask >> v & 1])
             ref = al.simplicial_chain_complex(sub, ring)
@@ -285,7 +285,7 @@ def test_zero_degree_table_is_one_homology_table_per_colouring(monkeypatch, ring
 
     monkeypatch.setattr(al, "homology_table", table_spy)
     monkeypatch.setattr(al.HomologyBasis, "__init__", basis_spy)
-    uber.zero_degree_uber_table(X, ring)
+    oracles.zero_degree_table_by_cube(X, ring)
     f_vectors = [
         tuple(sum(1 for s in X.simplices_of_dim(n) if all(mask >> v & 1 for v in s)) for n in X.dims())
         for mask in range(1 << X.vertex_count)
@@ -327,9 +327,10 @@ def test_zero_degree_table_of_named_complexes():
 
 @pytest.mark.parametrize("ring", [al.QQ, al.GF2, al.GF(3)], ids=str)
 def test_the_zero_degree_table_reduces_each_node_differential_once(monkeypatch, ring):
-    # one homology walk per cube node: reducing each differential both as a
-    # kernel and as the boundaries one degree down took 1,087 inserts on
-    # this input; one reduction per differential takes 827
+    # one homology walk per cube node of the node-cube route: reducing each
+    # differential both as a kernel and as the boundaries one degree down
+    # took 1,087 inserts on this input; one reduction per differential
+    # takes 827
     calls = []
     insert = al.Span.insert
 
@@ -338,7 +339,7 @@ def test_the_zero_degree_table_reduces_each_node_differential_once(monkeypatch, 
         return insert(self, v)
 
     monkeypatch.setattr(al.Span, "insert", spy)
-    table = uber.zero_degree_uber_table(cx.random_connected_complex(6, 1), ring)
+    table = oracles.zero_degree_table_by_cube(cx.random_connected_complex(6, 1), ring)
     assert _nontrivial(table) == {(2, 0): 1, (4, 1): 1}
     assert len(calls) < 1087
 
@@ -372,13 +373,95 @@ def test_homology_walks_insert_nothing_into_a_zero_dimensional_span(monkeypatch)
         runs += [
             lambda ring=ring: al.homology_table(al.simplicial_chain_complex(X, ring)),
             lambda ring=ring: al.homology_table(al.simplicial_chain_complex(X, ring, reduced=True)),
-            lambda ring=ring: uber.zero_degree_uber_table(X, ring),
+            lambda ring=ring: oracles.zero_degree_table_by_cube(X, ring),
             lambda ring=ring: mvss.SpectralSequence(mvss.double_complex(X, ring=ring))._turn_to(1),
         ]
     for run in runs:
         inserts.clear()
         run()
         assert inserts and 0 not in inserts
+
+
+# --------------------------------------------------------------------------
+# the weight-zero table from one barcode
+
+
+@pytest.mark.parametrize("ring", [al.GF2, al.GF(3), al.GF(5), al.QQ], ids=str)
+def test_zero_degree_table_matches_the_cube_oracle(corpus_complex, ring):
+    X = corpus_complex
+    table = uber.zero_degree_uber_table(X, ring)
+    assert list(table.items()) == list(oracles.zero_degree_table_by_cube(X, ring).items())
+
+
+@given(X=connected_complexes())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_zero_degree_table_matches_the_cube_oracle_on_generated_complexes(X):
+    for ring in (al.GF2, al.GF(3), al.QQ):
+        assert uber.zero_degree_uber_table(X, ring) == oracles.zero_degree_table_by_cube(X, ring)
+
+
+@pytest.mark.parametrize("ring", [al.GF2, al.QQ], ids=str)
+@pytest.mark.parametrize(
+    "X, expected",
+    [
+        (cx.build_complex(0, []), []),
+        (cx.build_complex(1, []), [((1, 0), 1)]),
+        (cx.build_complex(3, []), []),
+        (cx.standard_simplex(1), [((1, 0), 1)]),
+        (cx.standard_simplex(2), [((1, 0), 1)]),
+        (cx.standard_simplex(3), [((1, 0), 1)]),
+        (cx.boundary_of_simplex(3), [((1, 0), 1), ((3, 1), 1)]),
+    ],
+    ids=["empty", "one-vertex", "three-points", "simplex-1", "simplex-2", "simplex-3", "circle"],
+)
+def test_zero_degree_table_of_small_complexes_in_key_order(X, expected, ring):
+    # degree-major, then level ascending, as the node cube lists them; by
+    # column p = m - j the circle's two entries would come the other way round
+    table = list(uber.zero_degree_uber_table(X, ring).items())
+    assert table == list(oracles.zero_degree_table_by_cube(X, ring).items())
+    assert table == expected
+
+
+@pytest.mark.parametrize("ring", [al.QQ, al.GF2, al.GF(3)], ids=str)
+def test_zero_degree_table_is_one_barcode_and_builds_no_node(monkeypatch, ring):
+    X = cx.random_connected_complex(7, 1)
+    expected = oracles.zero_degree_table_by_cube(X, ring)
+    barcodes = []
+    barcode = al._barcode
+
+    def barcode_spy(dc):
+        barcodes.append(dc.ring)
+        return barcode(dc)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("cube node or level map built")
+
+    monkeypatch.setattr(al, "_barcode", barcode_spy)
+    monkeypatch.setattr(al, "homology_table", refuse)
+    monkeypatch.setattr(al.HomologyBasis, "__init__", refuse)
+    monkeypatch.setattr(uber, "_cube_map", refuse)
+    assert uber.zero_degree_uber_table(X, ring) == expected
+    assert barcodes == [ring]
+
+
+@pytest.mark.parametrize("ring", [al.QQ, al.GF(3)], ids=str)
+def test_weight_complexes_are_double_complexes(corpus_complex, ring):
+    # d_v∘d_v = 0, d_h∘d_h = 0 and d_h∘d_v = d_v∘d_h, which the barcode's
+    # total differential D = d_h + (-1)^p d_v needs, on every full-link
+    # weight and on the weight-zero complex built alone
+    X = corpus_complex
+    weights = uber._weight_complexes(X, ring)
+    zero = uber._weight_complexes(X, ring, weight_zero_only=True)
+    assert list(zero) == [0] and zero[0]._cells == weights[0]._cells
+    for dc in [*weights.values(), zero[0]]:
+        assert dc.ring == ring
+        for p, q in dc.cells():
+            dv, dh = dc.dv_sparse(p, q), dc.dh_sparse(p, q)
+            assert al.composite_vanishes(ring, (dv, dc.dv_sparse(p, q - 1), 1)), ("d_v∘d_v", p, q)
+            assert al.composite_vanishes(ring, (dh, dc.dh_sparse(p - 1, q), 1)), ("d_h∘d_h", p, q)
+            assert al.composite_vanishes(
+                ring, (dv, dc.dh_sparse(p, q - 1), 1), (dh, dc.dv_sparse(p - 1, q), -1)
+            ), ("d_h∘d_v = d_v∘d_h", p, q)
 
 
 def test_uber_respects_the_size_guard():
