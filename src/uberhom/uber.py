@@ -310,30 +310,35 @@ class _WeightComplex:
         return [tuple((left[mask | v, s], _sign(mask, v)) for v in _bits(everything & ~(mask | s))) for mask, s in cell]
 
 
-def _weight_complexes(
-    X: SimplicialComplex, ring: CoefficientRing, weight_zero_only: bool = False
-) -> dict[int, _WeightComplex]:
-    """The double complex of each weight, on its full-link summands only.
+def _simplex_bits(X: SimplicialComplex) -> list[int]:
+    return [sum(1 << v for v in s) for s in X.all_simplices()]
 
-    A summand's S has a full link when S + {w} is in X for every vertex w
-    outside S (S empty always has one).  If S + {w} is not in X, no cell
-    of S's summand contains w, so raising w is the identity on that
-    summand's chains.  The summand is then the cone of an identity, and
-    its E^2 is 0.  With ``weight_zero_only`` only the summand S empty is
-    built.
+
+def _full_links(X: SimplicialComplex) -> set[int]:
+    """The 0-coloured parts S with a full link, as bitsets: the only
+    summands whose E^2 can be nonzero.
+
+    S has a full link when S + {w} is in X for every vertex w outside S
+    (S empty always has one).  If S + {w} is not in X, no cell of S's
+    summand contains w, so raising w is the identity on that summand's
+    chains.  The summand is then the cone of an identity, and its E^2 is 0.
     """
+    simplices = _simplex_bits(X)
+    # cofaces[S] counts the vertices w outside S with S + {w} in X
+    cofaces: Counter[int] = Counter(s ^ v for s in simplices for v in _bits(s))
+    return {S for S in [0, *simplices] if cofaces[S] == X.vertex_count - S.bit_count()}
+
+
+def _weight_complexes(X: SimplicialComplex, ring: CoefficientRing, summands: set[int]) -> dict[int, _WeightComplex]:
+    """The double complex of each weight, on the summands of the given
+    0-coloured parts S only (bitsets; S of k vertices lies in weight k)."""
     m = X.vertex_count
-    simplices = [sum(1 << v for v in s) for s in X.all_simplices()]
-    full = {0}
-    if not weight_zero_only:
-        # cofaces[S] counts the vertices w outside S with S + {w} in X
-        cofaces: Counter[int] = Counter(s ^ v for s in simplices for v in _bits(s))
-        full = {S for S in [0, *simplices] if cofaces[S] == m - S.bit_count()}
+    simplices = _simplex_bits(X)
     cells: dict[int, dict[tuple[int, int], dict[tuple[int, int], int]]] = {}
     for mask in range(1 << m):
         for s in simplices:
             S = s & ~mask
-            if S in full:
+            if S in summands:
                 cell = cells.setdefault(S.bit_count(), {}).setdefault((m - mask.bit_count(), s.bit_count() - 1), {})
                 cell[mask, s] = len(cell)
     return {k: _WeightComplex(ring, (1 << m) - 1, by_cell) for k, by_cell in sorted(cells.items())}
@@ -348,7 +353,7 @@ def uberhomology(X: SimplicialComplex, max_vertices: int = 16) -> dict[tuple[int
     m = X.vertex_count
     check_vertex_guard(m, max_vertices)
     out: dict[tuple[int, int, int], int] = {}
-    for k, dc in _weight_complexes(X, GF2).items():
+    for k, dc in _weight_complexes(X, GF2, _full_links(X)).items():
         dims, _ = algebra._page_from_bars(algebra._barcode(dc), 2)
         out.update(((m - p, k, q), d) for (p, q), d in dims.items())
     return dict(sorted(out.items()))
@@ -371,7 +376,7 @@ def zero_degree_uber_table(
     check_vertex_guard(m, max_vertices)
     if not ring.is_field:
         raise ValueError("the weight-zero slice needs field coefficients")
-    dc = _weight_complexes(X, ring, weight_zero_only=True).get(0)
+    dc = _weight_complexes(X, ring, {0}).get(0)  # weight 0 is the summand S empty
     if dc is None:  # X has no simplex
         return {}
     dims, _ = algebra._page_from_bars(algebra._barcode(dc), 2)
