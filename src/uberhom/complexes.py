@@ -38,6 +38,7 @@ __all__ = [
     "flag_complex",
     "skeleton",
     "is_d_leray",
+    "reduced_homology_vanishes_from",
     "euler_characteristic",
     "standard_simplex",
     "boundary_of_simplex",
@@ -481,11 +482,16 @@ def complex_from_graph(graph) -> SimplicialComplex:
     return build_complex(graph.vertex_count, graph.edges)
 
 
-def _reduced_betti(X: SimplicialComplex, ring) -> dict[int, int]:
-    if X.is_empty:
-        return {}
-    C = algebra.simplicial_chain_complex(X, ring, reduced=True)
-    return algebra.betti_numbers(C)
+def reduced_homology_vanishes_from(X: SimplicialComplex, d: int) -> bool:
+    """Whether ``X`` has trivial reduced homology in every degree >= d, over
+    both the rationals and GF(2)."""
+    if X.max_dim < d:
+        return True
+    return not any(
+        q >= d and b
+        for ring in (algebra.QQ, algebra.GF2)
+        for q, b in algebra.betti_numbers(algebra.simplicial_chain_complex(X, ring, reduced=True)).items()
+    )
 
 
 def is_d_leray(X: SimplicialComplex, d: int, max_vertices: int = 16) -> bool:
@@ -497,15 +503,10 @@ def is_d_leray(X: SimplicialComplex, d: int, max_vertices: int = 16) -> bool:
     """
     m = X.vertex_count
     check_vertex_guard(m, max_vertices)
-    for bits in range(1, 1 << m):
-        sub = induced_subcomplex(X, [v for v in range(m) if bits >> v & 1])
-        if sub.max_dim < d:
-            continue
-        for ring in (algebra.QQ, algebra.GF2):
-            betti = _reduced_betti(sub, ring)
-            if any(q >= d and b != 0 for q, b in betti.items()):
-                return False
-    return True
+    return all(
+        reduced_homology_vanishes_from(induced_subcomplex(X, [v for v in range(m) if bits >> v & 1]), d)
+        for bits in range(1, 1 << m)
+    )
 
 
 def random_connected_complex(m: int, seed: int, max_attempts: int = 2000) -> SimplicialComplex:

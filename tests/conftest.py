@@ -84,6 +84,15 @@ def connected_complexes(draw, max_vertices=7):
     return X
 
 
+@st.composite
+def connected_graphs(draw, max_vertices=9):
+    """A spanning tree on 2 .. max_vertices vertices, plus a few more edges."""
+    m = draw(st.integers(2, max_vertices))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, m)]
+    extra = draw(st.lists(st.sets(st.integers(0, m - 1), min_size=2, max_size=2), max_size=2 * m))
+    return graphs.Graph(m, tree + [tuple(e) for e in extra])
+
+
 @pytest.fixture(params=complex_corpus(), ids=lambda item: item[0])
 def corpus_complex(request):
     return request.param[1]

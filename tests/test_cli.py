@@ -100,6 +100,14 @@ def test_generate_rejects_unknown_family(capsys):
     assert code == cli.EXIT_INPUT
 
 
+@pytest.mark.parametrize("p", ["nan", "inf", "-0.5", "1.5"])
+def test_generate_refuses_an_edge_probability_outside_the_unit_interval(capsys, monkeypatch, p):
+    monkeypatch.setattr(graphs, "random_connected_graph", _refuse)
+    code, out, err = run(capsys, ["generate", "random", "3", p])
+    assert code == cli.EXIT_INPUT
+    assert out == "" and f"edge probability in [0, 1], got {p}" in err
+
+
 def test_generate_reports_an_exhausted_sampler_as_an_input_error(capsys):
     # with edge probability 0 no draw on five vertices is connected
     code, out, err = run(capsys, ["generate", "random", "5", "0"])
@@ -533,36 +541,77 @@ def test_verify_skips_inputs_outside_the_statement(capsys, tmp_path, theorem, do
     assert [(r["status"], r["detail"]) for r in result["results"]] == [("SKIP", {"reason": reason})]
 
 
-def test_verify_corpus_run_with_workers(capsys):
-    doc = run_json(capsys, ["verify", "--theorem", "cone", "--jobs", "2"])
+_PAGE_CORPUS = [
+    "triangle-boundary",
+    "tetrahedron-boundary",
+    "cone-of-square",
+    "glued-triangles",
+    "path-4",
+    "cycle-5",
+    "random-6-seed-1",
+    "random-7-seed-2",
+]
+_CORPUS_PASSES = {
+    "identification": _PAGE_CORPUS,
+    "abutment": _PAGE_CORPUS,
+    "euler": [f"flag-of-chordal-seed-{seed}" for seed in range(1, 6)],
+    "cone": ["triangle-boundary", "cycle-4", "cycle-5", "path-4"],
+    "suspension": ["triangle-boundary", "full-triangle", "path-3"],
+    "trianglefree": ["cycle-4", "cycle-5", "cycle-6", "grid-3x2"],
+    "categorification": ["complete-3", "complete-4", "cycle-5", "wheel-4", "grid-3x2", "random-6-seed-3"],
+}
+
+
+@pytest.mark.parametrize(
+    "theorem, coeff",
+    [(theorem, coeff) for theorem in _CORPUS_PASSES for coeff in ("z2", "q", "p:3")]
+    + [("euler", "z"), ("categorification", "z")],
+)
+def test_verify_passes_every_theorem_on_its_corpus(capsys, theorem, coeff):
+    doc = run_json(capsys, ["verify", "--theorem", theorem, "--coeff", coeff])
     assert doc["ok"] is True
-    assert len(doc["results"]) >= 4
-    assert all(r["status"] in ("PASS", "SKIP") for r in doc["results"])
+    verdicts = [(r["name"], r["status"], r["detail"].get("reason")) for r in doc["results"]]
+    expected = [(name, "PASS", None) for name in _CORPUS_PASSES[theorem]]
+    if theorem == "euler":
+        expected.append(("cone-of-square", "SKIP", "anti-star cover is not 1-Leray"))
+    assert verdicts == expected
 
 
-def test_verify_starts_no_more_workers_than_inputs_or_cpus(capsys, monkeypatch):
-    recorded = []
+def test_verify_skips_corpus_inputs_over_the_guard_and_refuses_a_single_one(capsys, circle_path):
+    doc = run_json(capsys, ["verify", "--theorem", "identification", "--max-vertices", "5"])
+    assert doc["ok"] is True
+    statuses = {r["name"]: r["status"] for r in doc["results"]}
+    assert statuses == {name: "SKIP" if name.startswith("random-") else "PASS" for name in _PAGE_CORPUS}
+    for r in doc["results"]:
+        if r["status"] == "SKIP":
+            assert r["detail"]["reason"].startswith("size guard: ")
+    code, out, err = run(capsys, ["verify", "--theorem", "identification", circle_path, "--max-vertices", "2"])
+    assert code == cli.EXIT_GUARD
+    assert out == "" and "size guard exceeded" in err
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            recorded.append(max_workers)
 
-        def __enter__(self):
-            return self
+def test_verify_has_no_jobs_option(capsys):
+    code, out, _ = run(capsys, ["verify", "--theorem", "cone", "--jobs", "2"])
+    assert code == 2 and out == ""
 
-        def __exit__(self, *exc):
-            return False
 
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
-    doc = run_json(capsys, ["verify", "--theorem", "cone", "--jobs", "64"])
-    assert recorded == [len(doc["results"])] == [4]
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
-    run_json(capsys, ["verify", "--theorem", "cone", "--jobs", "64"])
-    assert recorded == [4]
+def test_the_one_pass_leray_check_agrees_with_the_anti_star_cover():
+    # the former route: every anti-star's induced subcomplexes, one anti-star at a time
+    inputs = [X for _, X in cli._corpus("euler")]
+    inputs += [cli._capped_square_complex(), complexes.boundary_of_simplex(4)]
+    inputs += [complexes.complex_from_graph(graphs.cycle_graph(n)) for n in range(4, 8)]
+    for m in range(3, 8):
+        for seed in range(1, 6):
+            inputs.append(complexes.random_connected_complex(m, seed))
+            inputs.append(complexes.flag_complex(graphs.random_connected_graph(m, 0.5, seed)))
+    verdicts = []
+    for X in inputs:
+        if X.is_standard_simplex():
+            continue
+        reference = all(complexes.is_d_leray(e, 1) for e in complexes.anti_star_cover(X).elements)
+        assert cli._cover_is_one_leray(X) == reference, X
+        verdicts.append(reference)
+    assert verdicts.count(True) and verdicts.count(False)
 
 
 def test_verify_needs_field_coefficients_for_homological_checks(capsys, circle_path):

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import ast
 import importlib
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -102,3 +104,19 @@ def test_every_definition_in_the_package_is_referenced():
         and node.name not in used
     ]
     assert unused == []
+
+
+def test_importing_the_package_loads_no_process_pool():
+    # the multiprocessing import alone adds about 2.6 MB to every process
+    # that imports the package, the CLI and the benchmark included
+    modules = [f"uberhom.{path.stem}" for path in sorted(SOURCE.glob("*.py")) if path.stem != "__init__"]
+    script = (
+        "import importlib, sys\n"
+        f"for name in {modules!r}:\n"
+        "    importlib.import_module(name)\n"
+        "print([n for n in ('multiprocessing', 'concurrent.futures') if n in sys.modules])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SOURCE.parent)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

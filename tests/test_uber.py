@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import PROJECTIVE_PLANE_FACETS, capped_square_complex, connected_complexes, glued_triangles
+from conftest import (
+    PROJECTIVE_PLANE_FACETS,
+    capped_square_complex,
+    connected_complexes,
+    connected_graphs,
+    glued_triangles,
+)
 from uberhom import algebra as al
 from uberhom import complexes as cx
 from uberhom import graphs as gr
@@ -523,6 +529,15 @@ def test_bold_euler_characteristic_is_consistent(corpus_graph):
     assert chi == sum((-1) ** j * p.free_rank for j, p in integral.items())
     mod2 = uber.bold_homology(g, ring=al.GF2)
     assert chi == sum((-1) ** j * p.free_rank for j, p in mod2.items())
+
+
+@given(g=connected_graphs())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_bold_euler_characteristic_is_the_domination_value_on_generated_graphs(g):
+    blocks = gr.connected_domination_polynomial(g)
+    assert uber.euler_characteristic_bold(g) == blocks(-1)
+    pruned = gr.connected_domination_polynomial(g, prune=True)
+    assert list(blocks.coefficients) == list(pruned.coefficients) == oracles.domination_counts_oracle(g)
 
 
 def test_bold_mod2_dims_bound_rational_dims(corpus_graph):
