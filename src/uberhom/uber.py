@@ -15,9 +15,10 @@ A colouring assigns each vertex 0 or 1.  Three constructions live here:
 
 All three are the homology of a cube complex over the Boolean lattice of
 colourings.  Überhomology and its weight-zero slice build no node: each
-is E^2 of a double complex of (colouring, simplex) pairs
-(``_WeightComplex``), whose E^1 is the node homology and d^1 the level
-map, read off one persistence barcode (``algebra._barcode``, which the
+is E^2 of a double complex of (colouring, simplex) pairs, whose E^1 is
+the node homology and d^1 the level map, and which splits into one
+summand (``_WeightComplex``) per 0-coloured part of the simplex, each
+read off one persistence barcode (``algebra._barcode``, which the
 spectral-sequence pages of ``mvss`` read too).  ``UberComplex`` and bold
 homology build the cube node by node and share its bookkeeping: the
 levels, the layout and signs of each level map (``_cube_map``) and the
@@ -250,7 +251,7 @@ def _cube_edge_matrix(src: tuple, dst: tuple, ring: CoefficientRing) -> list[lis
 
 
 # --------------------------------------------------------------------------
-# Überhomology and its weight-zero slice, from one barcode per weight
+# Überhomology and its weight-zero slice, from one barcode per summand
 
 
 def _bits(x: int) -> list[int]:
@@ -264,11 +265,11 @@ def _bits(x: int) -> list[int]:
 
 
 class _WeightComplex:
-    """The weight-k double complex of the colouring cube over ``ring``.
+    """One summand of the double complex of the colouring cube over ``ring``.
 
     Cell (p, q) holds the pairs (mask, s) of a colouring at level m - p
-    and a q-simplex of X, as the bitset of its vertices, with k vertices
-    outside the mask, indexed ``{(mask, s): row}``.  The vertical
+    and a q-simplex of X, as the bitset of its vertices, whose 0-coloured
+    part s - mask is one set S, indexed ``{(mask, s): row}``.  The vertical
     differential deletes the 1-coloured vertices v of s, with the sign
     (-1)^(vertices of s below v) of :func:`algebra.faces`; a vertex has no
     face, as there is no empty simplex.  The horizontal one sends (mask, s)
@@ -277,12 +278,11 @@ class _WeightComplex:
     :func:`_cube_map`.  The first sign depends only on s and the second
     only on the mask, so the two differentials commute.  Filtered by
     column, E^1 is the horizontal homology at each node, d^1 the level map
-    and E^2 the cube's homology: überhomology at weight k, and at weight 0
-    the table of :func:`zero_degree_uber_table`.
+    and E^2 the cube's homology restricted to S.
 
-    Both differentials keep the 0-coloured part S = s - mask, so the
-    complex is the direct sum over S of its cells; weight 0 is the one
-    summand S empty.
+    Both differentials keep S, so the double complex is the direct sum of
+    these summands (:func:`_summand`); weight k sums the summands of k
+    vertices, and weight 0 is the one summand S empty.
     """
 
     def __init__(
@@ -329,33 +329,33 @@ def _full_links(X: SimplicialComplex) -> set[int]:
     return {S for S in [0, *simplices] if cofaces[S] == X.vertex_count - S.bit_count()}
 
 
-def _weight_complexes(X: SimplicialComplex, ring: CoefficientRing, summands: set[int]) -> dict[int, _WeightComplex]:
-    """The double complex of each weight, on the summands of the given
-    0-coloured parts S only (bitsets; S of k vertices lies in weight k)."""
+def _summand(X: SimplicialComplex, ring: CoefficientRing, S: int) -> _WeightComplex:
+    """The summand of 0-coloured part S (a bitset): the pairs (mask, s) with
+    s - mask = S, masks ascending, over the simplices that contain S."""
     m = X.vertex_count
-    simplices = _simplex_bits(X)
-    cells: dict[int, dict[tuple[int, int], dict[tuple[int, int], int]]] = {}
+    simplices = [s for s in _simplex_bits(X) if s & S == S]
+    cells: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
     for mask in range(1 << m):
         for s in simplices:
-            S = s & ~mask
-            if S in summands:
-                cell = cells.setdefault(S.bit_count(), {}).setdefault((m - mask.bit_count(), s.bit_count() - 1), {})
+            if s & ~mask == S:
+                cell = cells.setdefault((m - mask.bit_count(), s.bit_count() - 1), {})
                 cell[mask, s] = len(cell)
-    return {k: _WeightComplex(ring, (1 << m) - 1, by_cell) for k, by_cell in sorted(cells.items())}
+    return _WeightComplex(ring, (1 << m) - 1, cells)
 
 
 def uberhomology(X: SimplicialComplex, max_vertices: int = 16) -> dict[tuple[int, int, int], int]:
     """The triply graded GF(2) invariant: {(level, weight, dimension): dim}.
 
-    Each weight k is E^2 of its double complex (:class:`_WeightComplex`),
-    read off the complex's barcode: E^2_{p, q} is the entry (m - p, k, q).
+    Weight k is the sum of the E^2 of its full-link summands S of k
+    vertices (:func:`_summand`), each read off its own barcode: E^2_{p, q}
+    of S adds to the entry (m - p, k, q).
     """
     m = X.vertex_count
     check_vertex_guard(m, max_vertices)
-    out: dict[tuple[int, int, int], int] = {}
-    for k, dc in _weight_complexes(X, GF2, _full_links(X)).items():
-        dims, _ = algebra._page_from_bars(algebra._barcode(dc), 2)
-        out.update(((m - p, k, q), d) for (p, q), d in dims.items())
+    out: Counter[tuple[int, int, int]] = Counter()
+    for S in sorted(_full_links(X)):
+        dims, _ = algebra._page_from_bars(algebra._barcode(_summand(X, GF2, S)), 2)
+        out.update({(m - p, S.bit_count(), q): d for (p, q), d in dims.items()})
     return dict(sorted(out.items()))
 
 
@@ -368,18 +368,15 @@ def zero_degree_uber_table(
 
     Keys are (level j, dimension i), degree-major and then by level;
     values are the nonzero dimensions over ``ring``.  The table is E^2 of
-    the weight-zero double complex over ``ring`` (:class:`_WeightComplex`,
-    the pairs (colouring, simplex) with every vertex of the simplex
-    coloured 1), read off its barcode: E^2_{p, q} is the entry (m - p, q).
+    the summand S empty over ``ring`` (:func:`_summand`, the pairs
+    (colouring, simplex) with every vertex of the simplex coloured 1),
+    read off its barcode: E^2_{p, q} is the entry (m - p, q).
     """
     m = X.vertex_count
     check_vertex_guard(m, max_vertices)
     if not ring.is_field:
         raise ValueError("the weight-zero slice needs field coefficients")
-    dc = _weight_complexes(X, ring, {0}).get(0)  # weight 0 is the summand S empty
-    if dc is None:  # X has no simplex
-        return {}
-    dims, _ = algebra._page_from_bars(algebra._barcode(dc), 2)
+    dims, _ = algebra._page_from_bars(algebra._barcode(_summand(X, ring, 0)), 2)
     return {(m - p, q): dims[p, q] for p, q in sorted(dims, key=lambda pq: (pq[1], -pq[0]))}
 
 

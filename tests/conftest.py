@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import assume, strategies as st
 
-from uberhom import complexes, graphs
+from uberhom import complexes as cx, graphs
 
 # The 6-vertex closed-surface triangulation with H_1 = Z/2 (every edge lies
 # in exactly two triangles; found by exhaustive search, frozen here).
@@ -23,37 +23,37 @@ PROJECTIVE_PLANE_FACETS = (
 )
 
 
-def capped_square_complex() -> complexes.SimplicialComplex:
+def capped_square_complex() -> cx.SimplicialComplex:
     """Cone over the 4-cycle: contractible, but its cover is not 1-Leray."""
-    return complexes.cone(complexes.build_complex(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
+    return cx.cone(cx.build_complex(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
 
 
-def glued_triangles() -> complexes.SimplicialComplex:
+def glued_triangles() -> cx.SimplicialComplex:
     """Two triangles sharing an edge = suspension of the 1-simplex."""
-    return complexes.suspension(complexes.standard_simplex(2))
+    return cx.suspension(cx.standard_simplex(2))
 
 
-def projective_plane() -> complexes.SimplicialComplex:
-    return complexes.build_complex(6, PROJECTIVE_PLANE_FACETS)
+def projective_plane() -> cx.SimplicialComplex:
+    return cx.build_complex(6, PROJECTIVE_PLANE_FACETS)
 
 
-def complex_corpus() -> list[tuple[str, complexes.SimplicialComplex]]:
+def complex_corpus() -> list[tuple[str, cx.SimplicialComplex]]:
     """Connected non-simplex complexes, all small enough for every pipeline."""
     return [
-        ("triangle-boundary", complexes.boundary_of_simplex(3)),
-        ("tetrahedron-boundary", complexes.boundary_of_simplex(4)),
-        ("4-sphere-boundary", complexes.boundary_of_simplex(5)),
-        ("cycle-4", complexes.complex_from_graph(graphs.cycle_graph(4))),
-        ("cycle-5", complexes.complex_from_graph(graphs.cycle_graph(5))),
-        ("cycle-6", complexes.complex_from_graph(graphs.cycle_graph(6))),
-        ("path-3", complexes.complex_from_graph(graphs.path_graph(3))),
-        ("path-4", complexes.complex_from_graph(graphs.path_graph(4))),
-        ("grid-3x2", complexes.complex_from_graph(graphs.grid_graph(3, 2))),
+        ("triangle-boundary", cx.boundary_of_simplex(3)),
+        ("tetrahedron-boundary", cx.boundary_of_simplex(4)),
+        ("4-sphere-boundary", cx.boundary_of_simplex(5)),
+        ("cycle-4", cx.complex_from_graph(graphs.cycle_graph(4))),
+        ("cycle-5", cx.complex_from_graph(graphs.cycle_graph(5))),
+        ("cycle-6", cx.complex_from_graph(graphs.cycle_graph(6))),
+        ("path-3", cx.complex_from_graph(graphs.path_graph(3))),
+        ("path-4", cx.complex_from_graph(graphs.path_graph(4))),
+        ("grid-3x2", cx.complex_from_graph(graphs.grid_graph(3, 2))),
         ("cone-of-square", capped_square_complex()),
         ("glued-triangles", glued_triangles()),
         ("projective-plane", projective_plane()),
-        ("random-5-seed-3", complexes.random_connected_complex(5, seed=3)),
-        ("random-6-seed-1", complexes.random_connected_complex(6, seed=1)),
+        ("random-5-seed-3", cx.random_connected_complex(5, seed=3)),
+        ("random-6-seed-1", cx.random_connected_complex(6, seed=1)),
     ]
 
 
@@ -79,9 +79,20 @@ def connected_complexes(draw, max_vertices=7):
     m = draw(st.integers(2, max_vertices))
     tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, m)]
     extra = draw(st.lists(st.sets(st.integers(0, m - 1), min_size=2, max_size=4), max_size=5))
-    X = complexes.build_complex(m, tree + [tuple(f) for f in extra])
+    X = cx.build_complex(m, tree + [tuple(f) for f in extra])
     assume(not X.is_standard_simplex())
     return X
+
+
+@st.composite
+def complexes(draw, max_vertices=6):
+    """``build_complex(m, facets)`` on 0 .. max_vertices vertices from one
+    to eight random facets of 3 or 4 vertices (all m when m < 3): empty,
+    disconnected and non-pure complexes occur."""
+    m = draw(st.integers(0, max_vertices))
+    facet = st.sets(st.integers(0, m - 1), min_size=min(m, 3), max_size=4)
+    facets = draw(st.lists(facet, min_size=1, max_size=8)) if m else []
+    return cx.build_complex(m, [tuple(f) for f in facets])
 
 
 @st.composite

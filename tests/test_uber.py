@@ -11,6 +11,7 @@ import oracles
 from conftest import (
     PROJECTIVE_PLANE_FACETS,
     capped_square_complex,
+    complexes,
     connected_complexes,
     connected_graphs,
     glued_triangles,
@@ -238,8 +239,15 @@ def test_uber_table_matches_the_cube_oracle_on_generated_complexes(X):
     assert uber.uberhomology(X) == oracles.uberhomology_by_cube(X)
 
 
+@given(X=complexes())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_uber_table_matches_the_cube_oracle_on_any_complex(X):
+    # empty and disconnected complexes too, where full links decide more
+    assert uber.uberhomology(X) == oracles.uberhomology_by_cube(X)
+
+
 def test_uber_table_builds_no_horizontal_homology(monkeypatch):
-    # every weight is read off one barcode; no colouring's node is built
+    # each full-link summand is read off its own barcode; no colouring's node is built
     X = cx.random_connected_complex(6, 1)
     expected = oracles.uberhomology_by_cube(X)
 
@@ -265,8 +273,8 @@ def test_zero_slice_agrees_with_dedicated_routine(corpus_complex):
     full = uber.uberhomology(X)
     slice0 = {(j, i): d for (j, k, i), d in full.items() if k == 0 and d}
     assert slice0 == _nontrivial(uber.zero_degree_uber_table(X, al.GF2))
-    # both routines read the summand S empty of one weight complex; the
-    # node cube shares none of their code
+    # both routines read the barcode of the one summand S empty over GF(2)
+    # (uber._summand(X, GF2, 0)); the node cube shares none of their code
     assert slice0 == _nontrivial(oracles.zero_degree_table_by_cube(X, al.GF2))
 
 
@@ -456,16 +464,55 @@ def test_zero_degree_table_is_one_barcode_and_builds_no_node(monkeypatch, ring):
     assert barcodes == [ring]
 
 
+def test_uberhomology_reads_one_barcode_per_full_link_summand(monkeypatch):
+    X = cx.random_connected_complex(7, 1)
+    parts = []
+    barcode = al._barcode
+
+    def barcode_spy(dc):
+        parts.append({s & ~mask for cell in dc._cells.values() for mask, s in cell})
+        return barcode(dc)
+
+    monkeypatch.setattr(al, "_barcode", barcode_spy)
+    uber.uberhomology(X)
+    assert all(len(part) == 1 for part in parts)
+    assert sorted(S for [S] in parts) == sorted(uber._full_links(X))
+
+
+def _check_summands_split_the_cube(X):
+    # every (mask, s) pair lies in the summand of S = s - mask, and a
+    # summand without a full link is the cone of an identity, with E^2 = 0
+    simplices = uber._simplex_bits(X)
+    full = uber._full_links(X)
+    cells = 0
+    for S in {0, *simplices}:
+        pairs = [pair for cell in uber._summand(X, al.GF2, S)._cells.values() for pair in cell]
+        assert all(s & ~mask == S for mask, s in pairs)
+        cells += len(pairs)
+        if S not in full:
+            for ring in (al.GF2, al.QQ):
+                dims, _ = al._page_from_bars(al._barcode(uber._summand(X, ring, S)), 2)
+                assert not dims, (S, ring)
+    assert cells == 2**X.vertex_count * len(simplices)
+
+
+def test_summands_split_the_cube_and_only_full_links_survive(corpus_complex):
+    _check_summands_split_the_cube(corpus_complex)
+
+
+@given(X=complexes())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_summands_split_the_cube_and_only_full_links_survive_on_any_complex(X):
+    _check_summands_split_the_cube(X)
+
+
 @pytest.mark.parametrize("ring", [al.QQ, al.GF(3)], ids=str)
-def test_weight_complexes_are_double_complexes(corpus_complex, ring):
+def test_summands_are_double_complexes(corpus_complex, ring):
     # d_v∘d_v = 0, d_h∘d_h = 0 and d_h∘d_v = d_v∘d_h, which the barcode's
-    # total differential D = d_h + (-1)^p d_v needs, on every full-link
-    # weight and on the weight-zero complex built alone
+    # total differential D = d_h + (-1)^p d_v needs, on every full-link summand
     X = corpus_complex
-    weights = uber._weight_complexes(X, ring, uber._full_links(X))
-    zero = uber._weight_complexes(X, ring, {0})
-    assert list(zero) == [0] and zero[0]._cells == weights[0]._cells
-    for dc in [*weights.values(), zero[0]]:
+    for S in sorted(uber._full_links(X)):
+        dc = uber._summand(X, ring, S)
         assert dc.ring == ring
         for p, q in dc.cells():
             dv, dh = dc.dv_sparse(p, q), dc.dh_sparse(p, q)
