@@ -568,10 +568,6 @@ class Span:
     counter: it shares the pivot entries (never mutated after insertion),
     so inserting into either one leaves the other unchanged, and the
     copy's tags continue from the original's ``inserted``.
-
-    ``last_pivot`` is the pivot coordinate of the vector that the last
-    ``insert`` added, or None when it added none (a pivot may be 0, so
-    test it with ``is None``).
     """
 
     def __init__(self, ops, n: int):
@@ -580,7 +576,6 @@ class Span:
         self._pivots: dict[int, tuple[object, object]] = {}
         self._index = 0
         self._count = 0
-        self.last_pivot: int | None = None
 
     @property
     def dim(self) -> int:
@@ -608,9 +603,8 @@ class Span:
         self._count += 1
         w, mu = ops.reduce(v, self._pivots, self._index)
         if ops.is_zero(w):
-            self.last_pivot = None
             return False, mu
-        piv = self.last_pivot = ops.pivot(w)
+        piv = ops.pivot(w)
         inv = ops.sc_inv(ops.coeff(w, piv))
         self._pivots[piv] = (ops.scale(inv, w), ops.combo_pivot(mu, inv, tag))
         self._index |= 1 << piv
@@ -688,12 +682,14 @@ def _barcode(dc) -> list[tuple[int, int, int | None]]:
     *Spectral sequences, exact couples and persistent homology of
     filtrations*, Expo. Math. 2017).
 
-    Each total degree is reduced once, top degree first, with clearing
-    (Chen & Kerber, *Persistent homology computation with a twist*, 2011):
-    its chains, column by column, go into one ``Span`` of the degree below
-    over reversed coordinates, so that a new pivot (``Span.last_pivot``)
-    is the persistence low, the chain latest in the filtration.  A chain
-    that is a low one degree up is a cycle, and is skipped.
+    Each total degree is reduced once, top degree first, by the standard
+    reduction (Edelsbrunner, Letscher & Zomorodian, *Discrete Comput. Geom.*
+    2002) with clearing (Chen & Kerber, *Persistent homology computation
+    with a twist*, 2011): each chain, over reversed coordinates of the
+    degree below so that its pivot is the persistence low, is reduced only
+    at its low by the table ``lows`` of earlier columns, each scaled to 1
+    there, and no combinations are kept.  A chain that is a low one degree
+    up is a cycle, and is skipped.
     """
     ops = vector_ops(dc.ring)
     columns: dict[int, list[int]] = {}
@@ -707,7 +703,7 @@ def _barcode(dc) -> list[tuple[int, int, int | None]]:
         below, below_starts = columns.get(n - 1, []), starts.get(n - 1, [0])
         top = below_starts[-1] - 1
         offset = dict(zip(below, below_starts))
-        span, lows = Span(ops, top + 1), set()
+        lows: dict[int, object] = {}
         for p, first in zip(columns[n], starts[n]):
             q, sign = n - p, -1 if p % 2 else 1
             dh, dv = dc.dh_sparse(p, q), dc.dv_sparse(p, q)
@@ -716,15 +712,17 @@ def _barcode(dc) -> list[tuple[int, int, int | None]]:
                 if first + t in cleared:
                     continue
                 items = [(h0 - row, c) for row, c in dh[t]] + [(v0 - row, sign * c) for row, c in dv[t]]
-                if span.insert(ops.from_items(top + 1, items))[0]:
-                    low = top - span.last_pivot
-                    lows.add(low)
-                    b = below[bisect_right(below_starts, low) - 1]
-                    if b != p:
-                        bars.append((n - 1, b, p))
-                else:
+                v = ops.from_items(top + 1, items)
+                while (low := ops.pivot(v)) in lows:  # the pivot of a zero chain is None, never a key
+                    v = ops.sub(v, ops.scale(ops.coeff(v, low), lows[low]))
+                if low is None:
                     bars.append((n, p, None))
-        cleared = lows
+                    continue
+                lows[low] = ops.scale(ops.sc_inv(ops.coeff(v, low)), v)
+                b = below[bisect_right(below_starts, top - low) - 1]
+                if b != p:
+                    bars.append((n - 1, b, p))
+        cleared = {top - low for low in lows}
     return bars
 
 

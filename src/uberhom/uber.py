@@ -336,6 +336,8 @@ def _summand(X: SimplicialComplex, ring: CoefficientRing, S: int) -> _WeightComp
     simplices = [s for s in _simplex_bits(X) if s & S == S]
     cells: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
     for mask in range(1 << m):
+        if mask & S:  # s - mask would lose a vertex of S
+            continue
         for s in simplices:
             if s & ~mask == S:
                 cell = cells.setdefault((m - mask.bit_count(), s.bit_count() - 1), {})

@@ -11,6 +11,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from conftest import complexes
 from uberhom import algebra as al
 from uberhom import complexes as cx
 from uberhom import graphs as gr
@@ -100,19 +101,6 @@ def test_span_combos_reconstruct_vectors(rows):
             for tag, c in ops.items(combo):
                 acc = ops.add(acc, ops.scale(c, inserted[tag]))
             assert acc == vec
-
-
-@pytest.mark.parametrize("ring", [al.QQ, al.GF(3), al.GF2], ids=str)
-def test_span_names_the_pivot_of_its_last_insert(ring):
-    # the pivot is the lowest coordinate left after the reduce, 0 included
-    ops = al.vector_ops(ring)
-    span = al.Span(ops, 4)
-    assert span.last_pivot is None
-    pivots = []
-    for xs in ([0, 1, 1, 0], [1, 0, 0, 1], [1, 1, 1, 1], [0, 1, 0, 0], [0, 0, 0, 0]):
-        span.insert(ops.from_list(xs))
-        pivots.append(span.last_pivot)
-    assert pivots == [1, 0, None, 2, None]
 
 
 @pytest.mark.parametrize("ring", [al.QQ, al.GF(3), al.GF2], ids=str)
@@ -660,17 +648,23 @@ def test_integral_presentations_match_sympy_beyond_the_corpus():
     assert al.homology(al.simplicial_chain_complex(inputs[0], al.ZZ), 2).presentation.describe() == "Z/2"
 
 
-def test_integral_presentations_match_the_lattice_route(corpus_complex):
+def _check_integral_presentations(X):
+    def summary(table):
+        return {n: (h.presentation, h.dim, h.cycle_rank, h.boundary_rank) for n, h in table.items()}
+
     for reduced in (False, True):
-        cc = al.simplicial_chain_complex(corpus_complex, al.ZZ, reduced=reduced)
-        for n, h in al.homology_table(cc).items():
-            old = oracles.LatticeHomology(cc, n)
-            assert (h.presentation, h.dim, h.cycle_rank, h.boundary_rank) == (
-                old.presentation,
-                old.dim,
-                old.cycle_rank,
-                old.boundary_rank,
-            )
+        cc = al.simplicial_chain_complex(X, al.ZZ, reduced=reduced)
+        assert summary(al.homology_table(cc)) == summary(oracles.lattice_homology_table(cc))
+
+
+def test_integral_presentations_match_the_lattice_route(corpus_complex):
+    _check_integral_presentations(corpus_complex)
+
+
+@given(X=complexes())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_integral_presentations_match_the_lattice_route_on_any_complex(X):
+    _check_integral_presentations(X)
 
 
 def test_integral_reduce_needs_field_coefficients():

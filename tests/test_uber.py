@@ -246,6 +246,21 @@ def test_uber_table_matches_the_cube_oracle_on_any_complex(X):
     assert uber.uberhomology(X) == oracles.uberhomology_by_cube(X)
 
 
+def test_the_barcode_routes_build_no_span(monkeypatch, corpus_complex):
+    # the barcode reduces with its own table of lows, so überhomology, the
+    # zero-degree table and page two of the spectral sequence need no Span
+    X = corpus_complex
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Span built")
+
+    monkeypatch.setattr(al.Span, "__init__", refuse)
+    uber.uberhomology(X)
+    for ring in (al.GF2, al.GF(3), al.QQ):
+        uber.zero_degree_uber_table(X, ring)
+        mvss.SpectralSequence(mvss.double_complex(X, ring=ring)).page(2)
+
+
 def test_uber_table_builds_no_horizontal_homology(monkeypatch):
     # each full-link summand is read off its own barcode; no colouring's node is built
     X = cx.random_connected_complex(6, 1)
@@ -348,7 +363,8 @@ def test_the_zero_degree_table_reduces_each_node_differential_once(monkeypatch, 
     # one homology walk per cube node: reducing each differential both as a
     # kernel and as the boundaries one degree down took 1,087 inserts on
     # this input; one reduction per differential takes 827, and the
-    # barcode of the weight-zero double complex 226
+    # barcode of the weight-zero double complex, with its own table of
+    # lows, none
     calls = []
     insert = al.Span.insert
 
@@ -504,6 +520,23 @@ def test_summands_split_the_cube_and_only_full_links_survive(corpus_complex):
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_summands_split_the_cube_and_only_full_links_survive_on_any_complex(X):
     _check_summands_split_the_cube(X)
+
+
+@given(X=complexes())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_every_summand_of_a_non_simplex_is_acyclic(X):
+    # for a fixed simplex s the rows of a summand are cubes over the vertices
+    # outside s, exact unless s is all of V: no class lives forever
+    for S in {0, *uber._simplex_bits(X)}:
+        for ring in (al.GF2, al.GF(3), al.QQ):
+            infinite = [bar for bar in al._barcode(uber._summand(X, ring, S)) if bar[2] is None]
+            assert not infinite or X.is_standard_simplex(), (S, ring, infinite)
+
+
+def test_the_empty_summand_of_a_simplex_has_one_infinite_bar():
+    X = cx.standard_simplex(3)
+    for ring in (al.GF2, al.GF(3), al.QQ):
+        assert [bar for bar in al._barcode(uber._summand(X, ring, 0)) if bar[2] is None] == [(2, 2, None)]
 
 
 @pytest.mark.parametrize("ring", [al.QQ, al.GF(3)], ids=str)
