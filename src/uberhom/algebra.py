@@ -10,8 +10,9 @@ its dependencies the cycles.  Integral homology is read off the invariant
 factors of the adjacent differentials, so it carries a group presentation
 but no representatives.  The pages of a double complex's spectral
 sequence over a field are read off one persistence barcode of its total
-complex, filtered by column.  Dense exact matrices are built only at the
-public edge and for the Smith normal form.
+complex, filtered by column, and every such complex is one
+``_DoubleComplex``.  Dense exact matrices are built only at the public
+edge and for the Smith normal form.
 
 No floating point anywhere.  Scalars are Python ints over the integers
 and prime fields.  Over the rationals the chain complexes' columns and the
@@ -667,15 +668,83 @@ def _homology_walk(ops, lo: int, hi: int, rank, columns) -> Iterator[tuple[int, 
         cycles = kernel
 
 
-def _barcode(dc) -> list[tuple[int, int, int | None]]:
+def _bits(x: int) -> list[int]:
+    """The one-bit parts of a bitset, lowest first."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low)
+        x ^= low
+    return out
+
+
+def _sign(bits: int, v: int) -> int:
+    """(-1) to the number of elements of the bitset below the bit v."""
+    return -1 if (bits & v - 1).bit_count() % 2 else 1
+
+
+class _DoubleComplex:
+    """A double complex over ``ring`` whose cells are pairs of bitsets.
+
+    ``cells`` maps each occupied bidegree (p, q) to one index ``{(J, s):
+    row}``: a summand of the colouring cube (``uber._summand``) or the
+    double complex of a cover (``mvss.DoubleComplex``).  One face rule
+    gives both differentials: d_v deletes an element v of s and d_h one of
+    J, each signed (-1)^(elements of that set below v), and a face that is
+    not a cell one step down drops out.
+    """
+
+    def __init__(self, ring: CoefficientRing, cells: dict[tuple[int, int], dict[tuple[int, int], int]]):
+        self.ring = ring
+        self._cells = cells
+
+    def cells(self) -> list[tuple[int, int]]:
+        """All occupied bidegrees, column-major, rows ascending."""
+        return sorted(self._cells)
+
+    def cell_dim(self, p: int, q: int) -> int:
+        return len(self._cells.get((p, q), ()))
+
+    def dv_sparse(self, p: int, q: int) -> list[tuple[tuple[int, int], ...]]:
+        """Per-basis (row, sign) columns of the vertical differential into (p, q-1)."""
+        below = self._cells.get((p, q - 1), {})
+        return [
+            tuple((row, _sign(s, v)) for v in _bits(s) if (row := below.get((J, s ^ v))) is not None)
+            for J, s in self._cells.get((p, q), ())
+        ]
+
+    def dh_sparse(self, p: int, q: int) -> list[tuple[tuple[int, int], ...]]:
+        """Per-basis (row, sign) columns of the horizontal differential into (p-1, q)."""
+        left = self._cells.get((p - 1, q), {})
+        return [
+            tuple((row, _sign(J, v)) for v in _bits(J) if (row := left.get((J ^ v, s))) is not None)
+            for J, s in self._cells.get((p, q), ())
+        ]
+
+    def validate(self) -> None:
+        """Check the double-complex identities on every occupied bidegree.
+
+        Composes the sparse columns directly and raises ``ValueError``
+        naming the identity and the bidegree where one fails.
+        """
+        for p, q in self.cells():
+            dv, dh = self.dv_sparse(p, q), self.dh_sparse(p, q)
+            identities = (
+                ("d_v∘d_v = 0", [(dv, self.dv_sparse(p, q - 1), 1)]),
+                ("d_h∘d_h = 0", [(dh, self.dh_sparse(p - 1, q), 1)]),
+                ("d_h∘d_v = d_v∘d_h", [(dv, self.dh_sparse(p, q - 1), 1), (dh, self.dv_sparse(p - 1, q), -1)]),
+            )
+            for name, terms in identities:
+                if not composite_vanishes(self.ring, *terms):
+                    raise ValueError(f"{name} fails at bidegree {(p, q)}")
+
+
+def _barcode(dc: _DoubleComplex) -> list[tuple[int, int, int | None]]:
     """The bars of a double complex's total complex, filtered by column,
     that reach page one.
 
-    ``dc`` has a field ``ring``, its occupied bidegrees ``cells()``, their
-    sizes ``cell_dim(p, q)`` and per-basis (row, scalar) columns
-    ``dv_sparse(p, q)`` into (p, q-1) and ``dh_sparse(p, q)`` into
-    (p-1, q).  A bar (n, b, d) is a class of total degree n born in column
-    b and killed in column d > b (never when d is None), for
+    ``dc`` is over a field.  A bar (n, b, d) is a class of total degree n
+    born in column b and killed in column d > b (never when d is None), for
     D = d_h + (-1)^p d_v.  With d - b >= r it gives one class at
     E^r_{b, n-b} and one at E^r_{d, n+1-d}, joined by d^{d-b}; an infinite
     bar gives a class at E^r_{b, n-b} on every page (Basu & Parida,

@@ -243,8 +243,8 @@ def _check_identification(obj, ring: CoefficientRing, max_vertices: int) -> dict
 
 def _check_abutment(obj, ring: CoefficientRing, max_vertices: int) -> dict:
     X = _as_complex(obj)
-    cover = complexes.anti_star_cover(X)
     check_vertex_guard(X.vertex_count, max_vertices)
+    cover = complexes.anti_star_cover(X)
     betti = algebra.betti_numbers(algebra.simplicial_chain_complex(X, ring))
     betti = {n: d for n, d in betti.items() if d}
     plain = mvss.run_to_convergence(

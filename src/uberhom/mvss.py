@@ -8,8 +8,9 @@ into the one-smaller intersections.  The augmented variant appends the
 chains of the whole complex as a p = -1 column, making every row exact
 and the abutment zero; the plain variant abuts to the homology of the
 complex.  The blocks are the intersections that the nerve is grown from,
-each cell is one index of (nerve simplex, simplex) pairs, and both
-differentials take the faces of one side of a pair by ``algebra.faces``.
+and the double complex is an ``algebra._DoubleComplex`` of (nerve simplex,
+simplex) bitset pairs; over the anti-star cover, augmented, it is the
+summand S empty of ``uber._summand`` moved one column left.
 
 Over a field, the pages come from the barcode and the differentials from
 the staircases.  Every page's dimensions and every d^r's rank are read
@@ -38,11 +39,10 @@ from .algebra import (
     Matrix,
     QQ,
     Span,
-    faces,
     nullspace,
     vector_ops,
 )
-from .complexes import Cover, SimplicialComplex, Simplex
+from .complexes import Cover, SimplicialComplex
 from .errors import LiftFailure, check_vertex_guard
 
 __all__ = [
@@ -59,13 +59,14 @@ __all__ = [
 ]
 
 
-class DoubleComplex:
+class DoubleComplex(algebra._DoubleComplex):
     """Chains of all cover intersections, arranged by (nerve degree, chain degree).
 
     Column p >= 0 holds one block per p-simplex J of the nerve, the chains
     of the intersection of the elements in J; the augmented variant adds
     the block J = () of the whole complex at p = -1.  Cell (p, q) is one
-    index ``{(J, s): row}``, J lexicographic and then s lexicographic.
+    index ``{(J, s): row}`` of bitsets, J (of cover elements) by nerve
+    order and then s (of vertices) lexicographic.
     """
 
     def __init__(self, X: SimplicialComplex, cover: Cover, ring: CoefficientRing, augmented: bool = True):
@@ -75,75 +76,41 @@ class DoubleComplex:
             raise ValueError("the cover does not cover this complex")
         self.X = X
         self.cover = cover
-        self.ring = ring
         self.augmented = augmented
         self.p_min = -1 if augmented else 0
         # the blocks come by nerve dimension, then lexicographically
         blocks = complexes._nerve_intersections(cover)
         if augmented:
             blocks = {(): X.simplex_set(), **blocks}
-        self._cells: dict[tuple[int, int], dict[tuple[tuple[int, ...], Simplex], int]] = {}
+        cells: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
         for J, inter in blocks.items():
+            J_bits = sum(1 << i for i in J)
             for s in sorted(inter):
-                cell = self._cells.setdefault((len(J) - 1, len(s) - 1), {})
-                cell[J, s] = len(cell)
-        self.p_max = max(p for p, _ in self._cells)
+                cell = cells.setdefault((len(J) - 1, len(s) - 1), {})
+                cell[J_bits, sum(1 << v for v in s)] = len(cell)
+        super().__init__(ring, cells)
+        self.p_max = max(p for p, _ in cells)
         self._dv: dict[tuple[int, int], list] = {}
         self._dh: dict[tuple[int, int], list] = {}
 
-    # -- cell bookkeeping ------------------------------------------------------
-
     def column(self, p: int) -> tuple[tuple[int, ...], ...]:
         """The nerve simplices of column p; each block has vertices."""
-        return tuple(dict.fromkeys(J for J, _ in self._cells.get((p, 0), ())))
+        blocks = dict.fromkeys(J for J, _ in self._cells.get((p, 0), ()))
+        return tuple(tuple(v.bit_length() - 1 for v in algebra._bits(J)) for J in blocks)
 
-    def cell_dim(self, p: int, q: int) -> int:
-        return len(self._cells.get((p, q), ()))
-
-    def cells(self) -> list[tuple[int, int]]:
-        """All occupied bidegrees, column-major, rows ascending."""
-        return sorted(self._cells)
-
-    # -- sparse differentials ----------------------------------------------------
+    # the staircase engine reads each differential many times, so both are kept
 
     def dv_sparse(self, p: int, q: int) -> list[tuple[tuple[int, int], ...]]:
-        """Per-basis columns of the vertical (simplicial) differential into (p, q-1)."""
         cols = self._dv.get((p, q))
         if cols is None:
-            below = self._cells.get((p, q - 1), {})
-            cols = self._dv[p, q] = [
-                tuple((below[J, f], c) for f, c in faces(s)) if below else ()
-                for J, s in self._cells.get((p, q), ())
-            ]
+            cols = self._dv[p, q] = super().dv_sparse(p, q)
         return cols
 
     def dh_sparse(self, p: int, q: int) -> list[tuple[tuple[int, int], ...]]:
-        """Per-basis columns of the horizontal (nerve) differential into (p-1, q)."""
         cols = self._dh.get((p, q))
         if cols is None:
-            left = self._cells.get((p - 1, q), {})
-            cols = self._dh[p, q] = [
-                tuple((left[f, s], c) for f, c in faces(J)) if left else ()
-                for J, s in self._cells.get((p, q), ())
-            ]
+            cols = self._dh[p, q] = super().dh_sparse(p, q)
         return cols
-
-    def validate(self) -> None:
-        """Check the double-complex identities on every occupied bidegree.
-
-        Composes the sparse columns directly and raises ``ValueError``
-        naming the identity and the bidegree where one fails.
-        """
-        for (p, q) in self.cells():
-            dv, dh = self.dv_sparse(p, q), self.dh_sparse(p, q)
-            identities = (
-                ("d_v∘d_v = 0", [(dv, self.dv_sparse(p, q - 1), 1)]),
-                ("d_h∘d_h = 0", [(dh, self.dh_sparse(p - 1, q), 1)]),
-                ("d_h∘d_v = d_v∘d_h", [(dv, self.dh_sparse(p, q - 1), 1), (dh, self.dv_sparse(p - 1, q), -1)]),
-            )
-            for name, terms in identities:
-                if not algebra.composite_vanishes(self.ring, *terms):
-                    raise ValueError(f"{name} fails at bidegree {(p, q)}")
 
 
 def double_complex(

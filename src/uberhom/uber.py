@@ -17,12 +17,15 @@ All three are the homology of a cube complex over the Boolean lattice of
 colourings.  Überhomology and its weight-zero slice build no node: each
 is E^2 of a double complex of (colouring, simplex) pairs, whose E^1 is
 the node homology and d^1 the level map, and which splits into one
-summand (``_WeightComplex``) per 0-coloured part of the simplex, each
-read off one persistence barcode (``algebra._barcode``, which the
-spectral-sequence pages of ``mvss`` read too).  ``UberComplex`` and bold
-homology build the cube node by node and share its bookkeeping: the
-levels, the layout and signs of each level map (``_cube_map``) and the
-rank formula (``_cube_homology``).  A node of ``UberComplex`` is the
+summand (``_summand``) per 0-coloured part of the simplex, each read off
+one persistence barcode (``algebra._barcode``).  A summand is an
+``algebra._DoubleComplex``, the one class of double complex that the
+spectral-sequence pages of ``mvss`` read too; the summand of the empty
+part is the augmented double complex of the anti-star cover.
+``UberComplex`` and bold homology build the cube node by node and share
+its bookkeeping: the levels, the layout and signs of each level map
+(``_cube_map``) and the rank formula (``_cube_homology``).  A node of
+``UberComplex`` is the
 signed simplicial boundary on its simplices (``algebra._boundary_complex``;
 a face outside them drops out), one homology table, and one induced map
 per edge (``_cube_edge_matrix``); the test oracles build the weight-zero
@@ -46,6 +49,8 @@ from .algebra import (
     Matrix,
     QQ,
     ZZ,
+    _bits,
+    _sign,
     column_rank,  # unused here; bench/check_bench.py checks this binding after a traced run
     invariant_factors,
     vector_ops,
@@ -86,11 +91,6 @@ def _cube_levels(m: int) -> list[list[int]]:
     for mask in range(1 << m):
         levels[mask.bit_count()].append(mask)
     return levels
-
-
-def _sign(bits: int, v: int) -> int:
-    """(-1) to the number of elements of the bitset below the bit v."""
-    return -1 if (bits & v - 1).bit_count() % 2 else 1
 
 
 def _cube_map(
@@ -254,62 +254,6 @@ def _cube_edge_matrix(src: tuple, dst: tuple, ring: CoefficientRing) -> list[lis
 # Überhomology and its weight-zero slice, from one barcode per summand
 
 
-def _bits(x: int) -> list[int]:
-    """The one-bit parts of a bitset, lowest first."""
-    out = []
-    while x:
-        low = x & -x
-        out.append(low)
-        x ^= low
-    return out
-
-
-class _WeightComplex:
-    """One summand of the double complex of the colouring cube over ``ring``.
-
-    Cell (p, q) holds the pairs (mask, s) of a colouring at level m - p
-    and a q-simplex of X, as the bitset of its vertices, whose 0-coloured
-    part s - mask is one set S, indexed ``{(mask, s): row}``.  The vertical
-    differential deletes the 1-coloured vertices v of s, with the sign
-    (-1)^(vertices of s below v) of :func:`algebra.faces`; a vertex has no
-    face, as there is no empty simplex.  The horizontal one sends (mask, s)
-    to (mask | 1 << v, s) for each vertex v in neither, with the sign
-    (-1)^(vertices of mask below v), the ones-below rule of
-    :func:`_cube_map`.  The first sign depends only on s and the second
-    only on the mask, so the two differentials commute.  Filtered by
-    column, E^1 is the horizontal homology at each node, d^1 the level map
-    and E^2 the cube's homology restricted to S.
-
-    Both differentials keep S, so the double complex is the direct sum of
-    these summands (:func:`_summand`); weight k sums the summands of k
-    vertices, and weight 0 is the one summand S empty.
-    """
-
-    def __init__(
-        self, ring: CoefficientRing, everything: int, cells: dict[tuple[int, int], dict[tuple[int, int], int]]
-    ):
-        self.ring = ring
-        self._everything = everything
-        self._cells = cells
-
-    def cells(self) -> list[tuple[int, int]]:
-        return sorted(self._cells)
-
-    def cell_dim(self, p: int, q: int) -> int:
-        return len(self._cells.get((p, q), ()))
-
-    def dv_sparse(self, p: int, q: int) -> list[tuple[tuple[int, int], ...]]:
-        cell = self._cells.get((p, q), {})
-        if not q:  # a vertex has no face
-            return [()] * len(cell)
-        below = self._cells.get((p, q - 1), {})
-        return [tuple((below[mask, s ^ v], _sign(s, v)) for v in _bits(mask & s)) for mask, s in cell]
-
-    def dh_sparse(self, p: int, q: int) -> list[tuple[tuple[int, int], ...]]:
-        cell, left, everything = self._cells.get((p, q), {}), self._cells.get((p - 1, q), {}), self._everything
-        return [tuple((left[mask | v, s], _sign(mask, v)) for v in _bits(everything & ~(mask | s))) for mask, s in cell]
-
-
 def _simplex_bits(X: SimplicialComplex) -> list[int]:
     return [sum(1 << v for v in s) for s in X.all_simplices()]
 
@@ -329,20 +273,28 @@ def _full_links(X: SimplicialComplex) -> set[int]:
     return {S for S in [0, *simplices] if cofaces[S] == X.vertex_count - S.bit_count()}
 
 
-def _summand(X: SimplicialComplex, ring: CoefficientRing, S: int) -> _WeightComplex:
-    """The summand of 0-coloured part S (a bitset): the pairs (mask, s) with
-    s - mask = S, masks ascending, over the simplices that contain S."""
+def _summand(X: SimplicialComplex, ring: CoefficientRing, S: int) -> algebra._DoubleComplex:
+    """The summand of 0-coloured part S (a bitset) of the colouring cube's
+    double complex: in cell (p, q), masks ascending, the pairs (mask, s) of
+    a colouring at level m - p and a q-simplex with s - mask = S, keyed
+    (J, s) with J the vertices in neither mask nor S.  So d_v deletes the
+    1-coloured vertices of s and d_h raises a vertex of J, signed by the
+    vertices of J below it: a sign per vertex away from the ones-below rule
+    of :func:`_cube_map`, which changes no homology.  E^1 is the horizontal
+    homology of weight |S| at each node, and E^2 the cube's homology."""
     m = X.vertex_count
+    everything = (1 << m) - 1
     simplices = [s for s in _simplex_bits(X) if s & S == S]
     cells: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
     for mask in range(1 << m):
         if mask & S:  # s - mask would lose a vertex of S
             continue
+        J = everything & ~(mask | S)
         for s in simplices:
             if s & ~mask == S:
                 cell = cells.setdefault((m - mask.bit_count(), s.bit_count() - 1), {})
-                cell[mask, s] = len(cell)
-    return _WeightComplex(ring, (1 << m) - 1, cells)
+                cell[J, s] = len(cell)
+    return algebra._DoubleComplex(ring, cells)
 
 
 def uberhomology(X: SimplicialComplex, max_vertices: int = 16) -> dict[tuple[int, int, int], int]:

@@ -72,13 +72,22 @@ def graph_corpus() -> list[tuple[str, graphs.Graph]]:
     ]
 
 
+# Each strategy draws its facets (or edges) first, over every vertex id below
+# the maximum, and takes the vertex count from the largest id used: a vertex
+# count drawn first sends many examples to the few complexes on up to three
+# vertices, and under ``derandomize=True`` 40 examples then held as few as 10
+# distinct inputs.
+
+
 @st.composite
 def connected_complexes(draw, max_vertices=7):
-    """A spanning tree on 2 .. max_vertices vertices, plus a few facets of
-    2 to 4 vertices; never a standard simplex."""
-    m = draw(st.integers(2, max_vertices))
+    """Up to five distinct facets of 2 to 4 vertices, joined by a spanning
+    tree on the vertices up to the largest one used (at least three);
+    never a standard simplex."""
+    facet = st.frozensets(st.integers(0, max_vertices - 1), min_size=2, max_size=4)
+    extra = draw(st.lists(facet, max_size=5, unique=True))
+    m = max([3] + [max(f) + 1 for f in extra])
     tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, m)]
-    extra = draw(st.lists(st.sets(st.integers(0, m - 1), min_size=2, max_size=4), max_size=5))
     X = cx.build_complex(m, tree + [tuple(f) for f in extra])
     assume(not X.is_standard_simplex())
     return X
@@ -86,21 +95,23 @@ def connected_complexes(draw, max_vertices=7):
 
 @st.composite
 def complexes(draw, max_vertices=6):
-    """``build_complex(m, facets)`` on 0 .. max_vertices vertices from one
-    to eight random facets of 3 or 4 vertices (all m when m < 3): empty,
-    disconnected and non-pure complexes occur."""
-    m = draw(st.integers(0, max_vertices))
-    facet = st.sets(st.integers(0, m - 1), min_size=min(m, 3), max_size=4)
-    facets = draw(st.lists(facet, min_size=1, max_size=8)) if m else []
-    return cx.build_complex(m, [tuple(f) for f in facets])
+    """``build_complex`` of up to eight distinct facets of 2 to 4 vertices,
+    on the vertices up to the largest one used: empty (no facet),
+    disconnected (a vertex that no facet uses, or disjoint facets) and
+    non-pure complexes occur."""
+    facet = st.frozensets(st.integers(0, max_vertices - 1), min_size=2, max_size=4)
+    facets = draw(st.lists(facet, max_size=8, unique=True))
+    return cx.build_complex(max([0] + [max(f) + 1 for f in facets]), [tuple(f) for f in facets])
 
 
 @st.composite
 def connected_graphs(draw, max_vertices=9):
-    """A spanning tree on 2 .. max_vertices vertices, plus a few more edges."""
-    m = draw(st.integers(2, max_vertices))
+    """Up to 2 * max_vertices distinct edges, joined by a spanning tree on
+    the vertices up to the largest one used (at least two)."""
+    edge = st.frozensets(st.integers(0, max_vertices - 1), min_size=2, max_size=2)
+    extra = draw(st.lists(edge, max_size=2 * max_vertices, unique=True))
+    m = max([2] + [max(e) + 1 for e in extra])
     tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, m)]
-    extra = draw(st.lists(st.sets(st.integers(0, m - 1), min_size=2, max_size=2), max_size=2 * m))
     return graphs.Graph(m, tree + [tuple(e) for e in extra])
 
 

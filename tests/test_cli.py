@@ -9,7 +9,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uberhom import cli, complexes, errors, graphs, uber
+from uberhom import cli, complexes, errors, graphs, mvss, uber
 
 
 CIRCLE = {"vertex_count": 3, "facets": [[0, 1], [0, 2], [1, 2]]}
@@ -586,6 +586,18 @@ def test_verify_skips_corpus_inputs_over_the_guard_and_refuses_a_single_one(caps
         if r["status"] == "SKIP":
             assert r["detail"]["reason"].startswith("size guard: ")
     code, out, err = run(capsys, ["verify", "--theorem", "identification", circle_path, "--max-vertices", "2"])
+    assert code == cli.EXIT_GUARD
+    assert out == "" and "size guard exceeded" in err
+
+
+@pytest.mark.parametrize("theorem", sorted(cli._CHECKS))
+def test_verify_exits_on_the_guard_before_building(capsys, monkeypatch, tmp_path, theorem):
+    # a connected, triangle-free non-simplex, so every check reaches its guard
+    path = tmp_path / "path.json"
+    path.write_text(graphs.graph_to_json(graphs.path_graph(6)))
+    monkeypatch.setattr(complexes, "anti_star_cover", _refuse)
+    monkeypatch.setattr(mvss, "double_complex", _refuse)
+    code, out, err = run(capsys, ["verify", "--theorem", theorem, str(path), "--max-vertices", "5"])
     assert code == cli.EXIT_GUARD
     assert out == "" and "size guard exceeded" in err
 

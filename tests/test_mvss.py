@@ -503,6 +503,29 @@ def test_identification_on_corpus(corpus_complex):
         assert report.render().endswith("PASS")
 
 
+def _differentials_by_key(dc, p, q):
+    """d_v and d_h of cell (p, q) as {key: {key one step down: scalar}}."""
+    keys, below, left = (list(dc._cells.get(cell, ())) for cell in ((p, q), (p, q - 1), (p - 1, q)))
+    return [
+        {key: {target[row]: c for row, c in col} for key, col in zip(keys, columns)}
+        for target, columns in ((below, dc.dv_sparse(p, q)), (left, dc.dh_sparse(p, q)))
+    ]
+
+
+@pytest.mark.parametrize("ring", [al.QQ, al.GF(3)], ids=str)
+def test_the_empty_summand_is_the_augmented_anti_star_double_complex(corpus_complex, ring):
+    # the identification at chain level: the key (J, s) of the colouring cube's
+    # summand S empty is the anti-star cover's nerve simplex J and simplex s,
+    # and its column p is the double complex's column p - 1
+    X = corpus_complex
+    summand = uber._summand(X, ring, 0)
+    dc = mvss.double_complex(X, ring=ring, augmented=True)
+    assert summand.cells() == [(p + 1, q) for p, q in dc.cells()]
+    for p, q in summand.cells():
+        assert set(summand._cells[p, q]) == set(dc._cells[p - 1, q]), (p, q)
+        assert _differentials_by_key(summand, p, q) == _differentials_by_key(dc, p - 1, q), (p, q)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_identification_over_the_rationals_at_eight_vertices(seed):
     assert mvss.verify_identification(cx.random_connected_complex(8, seed), al.QQ).ok

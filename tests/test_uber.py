@@ -480,13 +480,26 @@ def test_zero_degree_table_is_one_barcode_and_builds_no_node(monkeypatch, ring):
     assert barcodes == [ring]
 
 
+def _reads_as_summand(X, dc, S):
+    # the key (J, s) in column p is the pair (mask, s) of the colouring
+    # mask = V - J - S, at level m - p, whose 0-coloured part s - mask is S
+    m = X.vertex_count
+    return all(
+        s & ~mask == S and m - mask.bit_count() == p
+        for (p, _), cell in dc._cells.items()
+        for J, s in cell
+        for mask in [(1 << m) - 1 & ~(J | S)]
+    )
+
+
 def test_uberhomology_reads_one_barcode_per_full_link_summand(monkeypatch):
     X = cx.random_connected_complex(7, 1)
+    candidates = {0, *uber._simplex_bits(X)}
     parts = []
     barcode = al._barcode
 
     def barcode_spy(dc):
-        parts.append({s & ~mask for cell in dc._cells.values() for mask, s in cell})
+        parts.append({S for S in candidates if _reads_as_summand(X, dc, S)})
         return barcode(dc)
 
     monkeypatch.setattr(al, "_barcode", barcode_spy)
@@ -502,9 +515,9 @@ def _check_summands_split_the_cube(X):
     full = uber._full_links(X)
     cells = 0
     for S in {0, *simplices}:
-        pairs = [pair for cell in uber._summand(X, al.GF2, S)._cells.values() for pair in cell]
-        assert all(s & ~mask == S for mask, s in pairs)
-        cells += len(pairs)
+        dc = uber._summand(X, al.GF2, S)
+        assert _reads_as_summand(X, dc, S)
+        cells += sum(len(cell) for cell in dc._cells.values())
         if S not in full:
             for ring in (al.GF2, al.QQ):
                 dims, _ = al._page_from_bars(al._barcode(uber._summand(X, ring, S)), 2)
@@ -547,13 +560,26 @@ def test_summands_are_double_complexes(corpus_complex, ring):
     for S in sorted(uber._full_links(X)):
         dc = uber._summand(X, ring, S)
         assert dc.ring == ring
-        for p, q in dc.cells():
-            dv, dh = dc.dv_sparse(p, q), dc.dh_sparse(p, q)
-            assert al.composite_vanishes(ring, (dv, dc.dv_sparse(p, q - 1), 1)), ("d_v∘d_v", p, q)
-            assert al.composite_vanishes(ring, (dh, dc.dh_sparse(p - 1, q), 1)), ("d_h∘d_h", p, q)
-            assert al.composite_vanishes(
-                ring, (dv, dc.dh_sparse(p, q - 1), 1), (dh, dc.dv_sparse(p - 1, q), -1)
-            ), ("d_h∘d_v = d_v∘d_h", p, q)
+        dc.validate()
+
+
+def test_every_barcode_reads_one_kind_of_double_complex(monkeypatch):
+    X = cx.random_connected_complex(6, 1)
+    received = []
+    barcode = al._barcode
+
+    def barcode_spy(dc):
+        received.append(dc)
+        return barcode(dc)
+
+    monkeypatch.setattr(al, "_barcode", barcode_spy)
+    uber.uberhomology(X)
+    for ring in (al.GF2, al.GF(3), al.QQ):
+        uber.zero_degree_uber_table(X, ring)
+        for augmented in (True, False):
+            mvss.SpectralSequence(mvss.double_complex(X, ring=ring, augmented=augmented)).page(2)
+    assert len(received) == len(uber._full_links(X)) + 9
+    assert all(isinstance(dc, al._DoubleComplex) for dc in received)
 
 
 def test_uber_respects_the_size_guard():
