@@ -51,7 +51,6 @@ __all__ = [
     "ChainComplex",
     "AbelianGroupPresentation",
     "HomologyBasis",
-    "faces",
     "simplicial_chain_complex",
     "homology",
     "homology_table",
@@ -668,30 +667,29 @@ def _homology_walk(ops, lo: int, hi: int, rank, columns) -> Iterator[tuple[int, 
         cycles = kernel
 
 
-def _bits(x: int) -> list[int]:
-    """The one-bit parts of a bitset, lowest first."""
+def _faces(x: int) -> list[tuple[int, int]]:
+    """The faces of a bitset, lowest deleted element first, each with the
+    sign (-1)^(elements of x below the deleted one): +1, -1, ...  The one
+    face and sign rule of the package."""
     out = []
-    while x:
-        low = x & -x
-        out.append(low)
-        x ^= low
+    rest, sign = x, 1
+    while rest:
+        low = rest & -rest
+        out.append((x ^ low, sign))
+        rest ^= low
+        sign = -sign
     return out
-
-
-def _sign(bits: int, v: int) -> int:
-    """(-1) to the number of elements of the bitset below the bit v."""
-    return -1 if (bits & v - 1).bit_count() % 2 else 1
 
 
 class _DoubleComplex:
     """A double complex over ``ring`` whose cells are pairs of bitsets.
 
     ``cells`` maps each occupied bidegree (p, q) to one index ``{(J, s):
-    row}``: a summand of the colouring cube (``uber._summand``) or the
-    double complex of a cover (``mvss.DoubleComplex``).  One face rule
-    gives both differentials: d_v deletes an element v of s and d_h one of
-    J, each signed (-1)^(elements of that set below v), and a face that is
-    not a cell one step down drops out.
+    row}``: a summand of the colouring cube (``uber._summand``), the
+    double complex of a cover (``mvss.DoubleComplex``) or the one column
+    of a simplicial boundary (``_boundary_complex``).  One face rule,
+    ``_faces``, gives both differentials: d_v takes the faces of s and d_h
+    those of J, and a face that is not a cell one step down drops out.
     """
 
     def __init__(self, ring: CoefficientRing, cells: dict[tuple[int, int], dict[tuple[int, int], int]]):
@@ -709,7 +707,7 @@ class _DoubleComplex:
         """Per-basis (row, sign) columns of the vertical differential into (p, q-1)."""
         below = self._cells.get((p, q - 1), {})
         return [
-            tuple((row, _sign(s, v)) for v in _bits(s) if (row := below.get((J, s ^ v))) is not None)
+            tuple((row, c) for f, c in _faces(s) if (row := below.get((J, f))) is not None)
             for J, s in self._cells.get((p, q), ())
         ]
 
@@ -717,7 +715,7 @@ class _DoubleComplex:
         """Per-basis (row, sign) columns of the horizontal differential into (p-1, q)."""
         left = self._cells.get((p - 1, q), {})
         return [
-            tuple((row, _sign(J, v)) for v in _bits(J) if (row := left.get((J ^ v, s))) is not None)
+            tuple((row, c) for f, c in _faces(J) if (row := left.get((f, s))) is not None)
             for J, s in self._cells.get((p, q), ())
         ]
 
@@ -899,30 +897,24 @@ class ChainComplex:
         return f"ChainComplex({self.ring.label()}; {parts})"
 
 
-def faces(s: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
-    """The codimension-one faces of a simplex, each with its sign in the
-    simplicial boundary: deleting vertex k gives the sign (-1)^k."""
-    return [(s[:k] + s[k + 1 :], -1 if k % 2 else 1) for k in range(len(s))]
-
-
 def _boundary_complex(
     ring: CoefficientRing, bases: dict[int, Sequence[tuple[int, ...]]]
 ) -> ChainComplex:
     """Chain complex of the signed simplicial boundary on given bases.
 
     ``bases[q]`` lists the q-simplices (sorted vertex tuples); rows and
-    columns follow that order.  A face not listed one degree down drops
-    out of the boundary; the empty simplex ``()`` in degree -1 turns the
-    boundary of a vertex into the augmentation.
+    columns follow that order.  The boundary is d_v of the one-column
+    ``_DoubleComplex`` whose cell (0, q) is ``{(0, s): row}``, s the
+    simplex as a bitset, so a face not listed one degree down drops out,
+    and the empty simplex ``()`` in degree -1 turns the boundary of a
+    vertex into the augmentation.
     """
-    ranks = {q: len(basis) for q, basis in bases.items() if basis}
-    diffs = {}
-    for q in ranks:
-        if q - 1 not in ranks:
-            continue
-        index = {s: i for i, s in enumerate(bases[q - 1])}
-        diffs[q] = [[(index[f], c) for f, c in faces(s) if f in index] for s in bases[q]]
-    return ChainComplex(ring, ranks, diffs)
+    cells = {
+        (0, q): {(0, sum(1 << v for v in s)): row for row, s in enumerate(basis)} for q, basis in bases.items() if basis
+    }
+    column = _DoubleComplex(ring, cells)
+    diffs = {q: column.dv_sparse(0, q) for _, q in cells if (0, q - 1) in cells}
+    return ChainComplex(ring, {q: len(cell) for (_, q), cell in cells.items()}, diffs)
 
 
 def simplicial_chain_complex(X, ring: CoefficientRing, reduced: bool = False) -> ChainComplex:

@@ -614,6 +614,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--format", choices=("json", "table"), default="json", help="output format"
         )
+
+    def guarded(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--max-vertices",
             type=int,
@@ -631,12 +633,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("uber", help="full triply-graded table (always over F2)")
     p.add_argument("input")
     p.add_argument("--format", choices=("json", "table"), default="json")
-    p.add_argument("--max-vertices", type=int, default=None)
+    guarded(p)
     p.set_defaults(func=cmd_uber)
 
     p = sub.add_parser("bold", help="component-level poset homology and its euler characteristic")
     p.add_argument("input")
     common(p, coeff_default="z")
+    guarded(p)
     p.set_defaults(func=cmd_bold)
 
     p = sub.add_parser("domination", help="connected domination polynomial")
@@ -647,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="use the branch-and-bound counter, which cuts branches that can no longer dominate or connect",
     )
     p.add_argument("--format", choices=("json", "table"), default="json")
-    p.add_argument("--max-vertices", type=int, default=None)
+    guarded(p)
     p.set_defaults(func=cmd_domination)
 
     p = sub.add_parser("mvss", help="pages of the covering spectral sequence")
@@ -658,6 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="drop the extra column converging to zero; the limit is then the homology of the input",
     )
     common(p)
+    guarded(p)
     p.set_defaults(func=cmd_mvss)
 
     p = sub.add_parser("verify", help="check one of the supported identities")
@@ -669,6 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="which identity to check",
     )
     common(p)
+    guarded(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("generate", help="emit JSON for standard families")

@@ -96,7 +96,7 @@ class DoubleComplex(algebra._DoubleComplex):
     def column(self, p: int) -> tuple[tuple[int, ...], ...]:
         """The nerve simplices of column p; each block has vertices."""
         blocks = dict.fromkeys(J for J, _ in self._cells.get((p, 0), ()))
-        return tuple(tuple(v.bit_length() - 1 for v in algebra._bits(J)) for J in blocks)
+        return tuple(tuple(i for i in range(J.bit_length()) if J >> i & 1) for J in blocks)
 
     # the staircase engine reads each differential many times, so both are kept
 
@@ -420,7 +420,11 @@ def verify_identification(
 
     The reindexing sends the level j of a colouring with j vertices
     coloured 1 to the nerve column p = m - j - 1, with the homology degree
-    unchanged; the augmentation column corresponds to j = m.
+    unchanged; the augmentation column corresponds to j = m.  Both columns
+    are E^2 of one double complex built two ways (the summand S empty of
+    ``uber._summand`` has the same cells and signs in another row order),
+    so a PASS is a consistency check of the two builders and the barcode;
+    the node cube of the test oracles is the independent side.
     """
     m = X.vertex_count
     table = uber.zero_degree_uber_table(X, ring, max_vertices=max_vertices)

@@ -23,13 +23,14 @@ one persistence barcode (``algebra._barcode``).  A summand is an
 spectral-sequence pages of ``mvss`` read too; the summand of the empty
 part is the augmented double complex of the anti-star cover.
 ``UberComplex`` and bold homology build the cube node by node and share
-its bookkeeping: the levels, the layout and signs of each level map
-(``_cube_map``) and the rank formula (``_cube_homology``).  A node of
-``UberComplex`` is the
-signed simplicial boundary on its simplices (``algebra._boundary_complex``;
-a face outside them drops out), one homology table, and one induced map
-per edge (``_cube_edge_matrix``); the test oracles build the weight-zero
-node cube the same way.  So the barcode and the node cube are two routes
+its bookkeeping: the levels, the layout of each level map (``_cube_map``)
+and the rank formula (``_cube_homology``); every sign, of a cube edge or
+of a summand's differentials, comes from ``algebra._faces``.  A node of
+``UberComplex`` is the signed simplicial boundary on its simplices
+(``algebra._boundary_complex``; a face outside them drops out), one
+homology table, and one induced map per edge (``_cube_edge_matrix``); the
+test oracles build the weight-zero node cube the same way.  So the
+barcode and the node cube are two routes
 to überhomology and its weight-zero slice that share no boundary,
 induced-map or reduction code of this module, only the algebra layer, and
 can be played against each other in tests.
@@ -49,8 +50,7 @@ from .algebra import (
     Matrix,
     QQ,
     ZZ,
-    _bits,
-    _sign,
+    _faces,
     column_rank,  # unused here; bench/check_bench.py checks this binding after a traced run
     invariant_factors,
     vector_ops,
@@ -99,29 +99,26 @@ def _cube_map(
     """Row count and (row, scalar) columns of the level-j map of a cube complex.
 
     ``levels`` is ``_cube_levels(m)``.  Node ``mask`` carries ``dims[mask]``
-    classes; ``edge(mask, v)`` lists, class by class, the unsigned (row,
-    scalar) image of each in node ``mask | 1 << v``.  The edge is signed
-    here, by the ones-below rule: -1 when an odd number of the vertices
-    below v are 1 in ``mask``, so every square anticommutes.  Level j + 1
-    stacks its nodes' blocks in ascending mask order.
+    classes; ``edge(mask, up)`` lists, class by class, the unsigned (row,
+    scalar) image of each in node ``up``, of which ``mask`` is a face.  The
+    edge gets the sign of that face in ``algebra._faces(up)``, the ones-below
+    rule, so every square anticommutes.  Both levels stack their nodes'
+    blocks in ascending mask order.
     """
     m = len(levels) - 1
-    offsets = {}
-    rows = 0
-    for mask in levels[j + 1] if j < m else ():
-        offsets[mask] = rows
-        rows += dims[mask]
+    first = {}
     columns = []
     for mask in levels[j]:
-        node = [[] for _ in range(dims[mask])]
-        for v in range(m):
-            up = mask | 1 << v
-            if mask >> v & 1 or not node or not dims[up]:
-                continue
-            sign = _sign(mask, 1 << v)
-            for column, image in zip(node, edge(mask, v)):
-                column.extend((offsets[up] + r, sign * x) for r, x in image)
-        columns += node
+        first[mask] = len(columns)
+        columns += [[] for _ in range(dims[mask])]
+    rows = 0
+    for up in levels[j + 1] if j < m else ():
+        for mask, sign in _faces(up) if dims[up] else ():
+            if dims[mask]:
+                node = columns[first[mask] : first[mask] + dims[mask]]
+                for column, image in zip(node, edge(mask, up)):
+                    column.extend((rows + r, sign * x) for r, x in image)
+        rows += dims[up]
     return rows, columns
 
 
@@ -231,7 +228,7 @@ class UberComplex:
             h = self._nodes[mask]
             return h.homology(i, k), h._index[i, k]
 
-        return lambda mask, v: _cube_edge_matrix(node(mask), node(mask | 1 << v), GF2)
+        return lambda mask, up: _cube_edge_matrix(node(mask), node(up), GF2)
 
 
 def _cube_edge_matrix(src: tuple, dst: tuple, ring: CoefficientRing) -> list[list[tuple[int, object]]]:
@@ -269,7 +266,7 @@ def _full_links(X: SimplicialComplex) -> set[int]:
     """
     simplices = _simplex_bits(X)
     # cofaces[S] counts the vertices w outside S with S + {w} in X
-    cofaces: Counter[int] = Counter(s ^ v for s in simplices for v in _bits(s))
+    cofaces: Counter[int] = Counter(f for s in simplices for f, _ in _faces(s))
     return {S for S in [0, *simplices] if cofaces[S] == X.vertex_count - S.bit_count()}
 
 
@@ -374,10 +371,10 @@ def bold_homology(
     comps = [_components_by_mask(G.adjacency, mask) for mask in range(1 << m)]
     torsion: dict[int, tuple[int, ...]] = {}
 
-    def edge(mask: int, v: int) -> list:
+    def edge(mask: int, up: int) -> list:
         # a component lies inside exactly one component of the raised node
-        up = comps[mask | 1 << v]
-        return [[(next(r for r, uc in enumerate(up) if uc & comp), 1)] for comp in comps[mask]]
+        raised = comps[up]
+        return [[(next(r for r, uc in enumerate(raised) if uc & comp), 1)] for comp in comps[mask]]
 
     def rank(j: int, rows: int, columns: list) -> int:
         factors = invariant_factors(rows, columns)

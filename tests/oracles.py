@@ -321,8 +321,8 @@ def zero_degree_table_by_cube(X, ring) -> dict[tuple[int, int], int]:
         nodes = [(t.pop(degree, None), {s: r for r, s in enumerate(b.get(degree, ()))}) for b, t in zip(bases, tables)]
         dims = [h.dim if h else 0 for h, _ in nodes]
 
-        def edge(mask: int, v: int) -> list:
-            return uber._cube_edge_matrix(nodes[mask], nodes[mask | 1 << v], ring)
+        def edge(mask: int, up: int) -> list:
+            return uber._cube_edge_matrix(nodes[mask], nodes[up], ring)
 
         for j, h in enumerate(uber._cube_homology(X.vertex_count, dims, edge, rank)):
             if h:

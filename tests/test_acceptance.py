@@ -109,6 +109,16 @@ def test_criterion_05_identification_on_thirty_random_complexes():
             assert cube_dim == page_dim, (m, seed, j, i)
 
 
+def test_criterion_05_companion_page_column_matches_the_node_cube():
+    # both columns of the report are E^2 of one double complex, so the page
+    # column is held to the node cube, an independent route
+    for m, seed in RANDOM_COMPLEX_SEEDS:
+        X = cx.random_connected_complex(m, seed)
+        entries = mvss.verify_identification(X, ring=al.GF2).entries
+        page = {(j, i): d for j, i, _, d in entries if d}
+        assert page == oracles.zero_degree_table_by_cube(X, al.GF2), (m, seed)
+
+
 def test_criterion_06_zero_slice_of_full_table_matches_dedicated_routine():
     for m, seed in RANDOM_COMPLEX_SEEDS:
         X = cx.random_connected_complex(m, seed)

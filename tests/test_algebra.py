@@ -492,6 +492,22 @@ def test_column_form_chain_complex_rejects_malformed_differentials(differentials
         al.ChainComplex(al.QQ, {0: 2, 1: 2, 2: 1}, differentials)
 
 
+@given(st.integers(0, (1 << 12) - 1))
+@settings(max_examples=200, deadline=None)
+def test_faces_delete_one_element_lowest_first_with_the_ones_below_sign(x):
+    faces = al._faces(x)
+    deleted = [x ^ face for face, _ in faces]
+    assert all(low.bit_count() == 1 and low & x for low in deleted)
+    assert deleted == sorted(deleted) and len(deleted) == x.bit_count()
+    assert [sign for _, sign in faces] == [(-1) ** (x & low - 1).bit_count() for low in deleted]
+    # faces of faces cancel: each is reached twice, with opposite signs
+    twice: dict[int, int] = {}
+    for face, sign in faces:
+        for face2, sign2 in al._faces(face):
+            twice[face2] = twice.get(face2, 0) + sign * sign2
+    assert not any(twice.values())
+
+
 def test_boundary_columns_match_the_simplex_lists(corpus_complex):
     X = corpus_complex
     for ring in (al.ZZ, al.QQ, al.GF2, al.GF(3)):

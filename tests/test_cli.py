@@ -472,6 +472,20 @@ def test_guard_default_comes_from_the_environment(capsys, monkeypatch, circle_pa
     assert code == cli.EXIT_OK
 
 
+def test_homology_takes_no_guard_option(capsys, circle_path):
+    # homology has no exponential step, so there is no guard to set
+    code, out, err = run(capsys, ["homology", circle_path, "--max-vertices", "1"])
+    assert code == 2 and out == "" and "--max-vertices" in err
+
+
+def test_a_bad_guard_in_the_environment_leaves_homology_alone(capsys, monkeypatch, circle_path):
+    expected = run_json(capsys, ["homology", circle_path])
+    monkeypatch.setenv("UBERHOM_MAX_VERTICES", "abc")
+    assert run_json(capsys, ["homology", circle_path]) == expected
+    code, _, err = run(capsys, ["uber", circle_path])
+    assert code == cli.EXIT_INPUT and "UBERHOM_MAX_VERTICES" in err
+
+
 # --------------------------------------------------------------------------
 # verify
 

@@ -526,6 +526,15 @@ def test_the_empty_summand_is_the_augmented_anti_star_double_complex(corpus_comp
         assert _differentials_by_key(summand, p, q) == _differentials_by_key(dc, p - 1, q), (p, q)
 
 
+@pytest.mark.parametrize("ring", [al.QQ, al.GF(3)], ids=str)
+def test_the_identification_page_column_is_the_node_cube(corpus_complex, ring):
+    # the report's two columns are E^2 of one double complex built two ways;
+    # the node cube shares neither its cells nor its barcode
+    X = corpus_complex
+    entries = mvss.verify_identification(X, ring).entries
+    assert {(j, i): page for j, i, _, page in entries if page} == oracles.zero_degree_table_by_cube(X, ring)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_identification_over_the_rationals_at_eight_vertices(seed):
     assert mvss.verify_identification(cx.random_connected_complex(8, seed), al.QQ).ok

@@ -106,6 +106,25 @@ def test_every_definition_in_the_package_is_referenced():
     assert unused == []
 
 
+def test_no_module_level_name_is_defined_in_two_modules():
+    # one helper per job: a twin of a kernel helper (such as a second bitset
+    # splitter) shows up here instead of drifting from the first
+    where: dict[str, set[str]] = {}
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if not (name.startswith("__") and name.endswith("__")):
+                    where.setdefault(name, set()).add(path.stem)
+    assert {name: sorted(modules) for name, modules in where.items() if len(modules) > 1} == {}
+
+
 def test_importing_the_package_loads_no_process_pool():
     # the multiprocessing import alone adds about 2.6 MB to every process
     # that imports the package, the CLI and the benchmark included

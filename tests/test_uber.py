@@ -758,3 +758,30 @@ def test_cube_outputs_are_pinned():
     # took a sign assignment, from their tables under the ones-below rule
     # that _cube_map now applies
     assert _cube_outputs_digest() == "77e958f624ab1e78a649c04d3da1a2ead4bcbbf47680be6400f2d655dae5a9e2"
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda X: al.simplicial_chain_complex(X, al.ZZ),
+        lambda X: uber.HorizontalHomology(X, (0, 1, 1, 0, 1)),
+        lambda X: uber.uberhomology(X),
+        lambda X: mvss.SpectralSequence(mvss.double_complex(X, ring=al.GF(3))).page(2),
+        lambda X: uber.bold_homology(X),
+    ],
+    ids=["chain-complex", "horizontal-homology", "summand-barcodes", "anti-star-pages", "bold-homology"],
+)
+def test_every_sign_comes_from_the_one_face_rule(monkeypatch, route):
+    # the simplicial boundary, both differentials of every double complex and
+    # the cube's level maps all take their faces and signs from algebra._faces
+    faces, calls = al._faces, []
+
+    def spy(x):
+        calls.append(x)
+        return faces(x)
+
+    for module in (al, uber, mvss):
+        if getattr(module, "_faces", None) is faces:
+            monkeypatch.setattr(module, "_faces", spy)
+    route(cx.random_connected_complex(5, 3))
+    assert calls
