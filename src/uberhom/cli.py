@@ -271,7 +271,7 @@ def _cover_is_one_leray(X: SimplicialComplex) -> bool:
     m = X.vertex_count
     return all(
         complexes.reduced_homology_vanishes_from(
-            complexes.induced_subcomplex(X, [v for v in range(m) if bits >> v & 1]), 1
+            complexes.induced_subcomplex(X, graphs._bits(bits)), 1
         )
         for bits in range(1, (1 << m) - 1)
     )

@@ -6,6 +6,16 @@ out a subset of an ambient complex (induced subcomplexes, anti-stars,
 links, cover intersections) renumber their vertices to an initial segment
 and record the embedding in ``original_ids`` so chain-level inclusion maps
 can be assembled without guessing.
+
+The vertex-set jobs read simplices as vertex bitsets and use the rule the
+package already has for each: ``facets`` keeps the simplices that are a
+face of no simplex, the faces taken by ``algebra._faces``; ``closed_star``
+and ``link`` share one join test (``_joins``: the simplices whose join
+with a given simplex is a simplex); components come from
+``graphs._components`` on the 1-skeleton's adjacency; ``flag_complex``
+grows each clique by the common neighbours above its last vertex, read
+from ``graph.adjacency``; and ``is_d_leray`` decodes its subset masks with
+``graphs._bits``.
 """
 from __future__ import annotations
 
@@ -15,7 +25,7 @@ import random
 from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator, Sequence
 
-from . import algebra
+from . import algebra, graphs
 from .errors import NotConnectedError, StandardSimplexError, check_simplex_guard, check_vertex_guard
 
 Simplex = tuple[int, ...]
@@ -68,7 +78,7 @@ class SimplicialComplex:
     vertices are allowed; connectedness is not an invariant.
     """
 
-    __slots__ = ("vertex_count", "_by_dim", "original_ids", "labels", "_index", "_all")
+    __slots__ = ("vertex_count", "_by_dim", "original_ids", "labels", "_index", "_all", "_bits")
 
     def __init__(
         self,
@@ -85,6 +95,7 @@ class SimplicialComplex:
         self.labels = labels
         self._index: dict[int, dict[Simplex, int]] = {}
         self._all: frozenset[Simplex] | None = None
+        self._bits: tuple[int, ...] | None = None
         if original_ids is not None and len(original_ids) != vertex_count:
             raise ValueError("original_ids must enumerate the local vertices")
         if vertex_count:
@@ -134,20 +145,11 @@ class SimplicialComplex:
         return tuple(len(b) for b in self._by_dim)
 
     def facets(self) -> tuple[Simplex, ...]:
-        """The inclusion-maximal simplices, in lexicographic order by dimension."""
-        all_s = self.simplex_set()
-        out = []
-        for q in self.dims():
-            for s in self.simplices_of_dim(q):
-                sset = set(s)
-                extendable = any(
-                    tuple(sorted(sset | {v})) in all_s
-                    for v in range(self.vertex_count)
-                    if v not in sset
-                )
-                if not extendable:
-                    out.append(s)
-        return tuple(out)
+        """The simplices that are a face of no other simplex, in
+        lexicographic order by dimension."""
+        bits = _simplex_bits(self)
+        faces = {f for b in bits for f, _ in algebra._faces(b)}
+        return tuple(s for s, b in zip(self.all_simplices(), bits) if b not in faces)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimplicialComplex):
@@ -164,26 +166,12 @@ class SimplicialComplex:
 
     def connected_components(self) -> list[list[int]]:
         """Vertex sets of the components of the underlying 1-skeleton."""
-        parent = list(range(self.vertex_count))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for u, v in self.simplices_of_dim(1):
-            ra, rb = find(u), find(v)
-            if ra != rb:
-                parent[ra] = rb
-        groups: dict[int, list[int]] = {}
-        for v in range(self.vertex_count):
-            groups.setdefault(find(v), []).append(v)
-        return sorted(groups.values())
+        adjacency = graphs.one_skeleton(self).adjacency
+        return [graphs._bits(c) for c in graphs._components(adjacency, (1 << self.vertex_count) - 1)]
 
     @property
     def is_connected(self) -> bool:
-        return len(self.connected_components()) == 1
+        return graphs.one_skeleton(self).is_connected
 
     def is_standard_simplex(self) -> bool:
         """Whether the full vertex set spans a simplex (so X is all its faces)."""
@@ -191,6 +179,13 @@ class SimplicialComplex:
 
 
 EMPTY_COMPLEX = SimplicialComplex(0, ())
+
+
+def _simplex_bits(X: SimplicialComplex) -> tuple[int, ...]:
+    """The simplices of ``X`` as vertex bitsets, in ``all_simplices`` order."""
+    if X._bits is None:
+        X._bits = tuple(sum(1 << v for v in s) for s in X.all_simplices())
+    return X._bits
 
 
 def build_complex(vertex_count: int, facets: Iterable[Iterable[int]]) -> SimplicialComplex:
@@ -308,16 +303,20 @@ def _renumbered(simplices: Collection[Simplex]) -> SimplicialComplex:
     return SimplicialComplex(len(vertices), by_dim, original_ids=tuple(vertices))
 
 
+def _joins(X: SimplicialComplex, s: int) -> list[tuple[Simplex, int]]:
+    """The simplices t of ``X`` whose join with the simplex ``s`` (a
+    bitset) is a simplex of ``X``, each with its bitset."""
+    bits = _simplex_bits(X)
+    present = set(bits)
+    return [(t, b) for t, b in zip(X.all_simplices(), bits) if b | s in present]
+
+
 def closed_star(X: SimplicialComplex, v: int) -> SimplicialComplex:
-    """The subcomplex generated by all simplices containing ``v``."""
+    """The subcomplex generated by all simplices containing ``v``: the
+    simplices whose join with ``v`` is a simplex."""
     if not X.contains((v,)):
         raise ValueError(f"vertex {v} not in the complex")
-    keep: set[Simplex] = set()
-    for s in X.all_simplices():
-        if v in s:
-            for k in range(1, len(s) + 1):
-                keep.update(itertools.combinations(s, k))
-    return _renumbered(keep)
+    return _renumbered([t for t, _ in _joins(X, 1 << v)])
 
 
 def star_cover(X: SimplicialComplex) -> Cover:
@@ -379,14 +378,8 @@ def link(X: SimplicialComplex, simplex: Iterable[int]) -> SimplicialComplex:
     s = _normalise_simplex(simplex)
     if s not in X.simplex_set():
         raise ValueError(f"simplex {s} not in the complex")
-    sset = set(s)
-    all_s = X.simplex_set()
-    hits = [
-        t
-        for t in all_s
-        if not (sset & set(t)) and tuple(sorted(sset | set(t))) in all_s
-    ]
-    return _renumbered(hits)
+    mask = sum(1 << v for v in s)
+    return _renumbered([t for t, b in _joins(X, mask) if not b & mask])
 
 
 def cone(X: SimplicialComplex) -> SimplicialComplex:
@@ -423,27 +416,21 @@ def suspension(X: SimplicialComplex) -> SimplicialComplex:
 
 
 def flag_complex(graph) -> SimplicialComplex:
-    """The clique complex of a graph: simplices are the cliques."""
+    """The clique complex of a graph: simplices are the cliques.
+
+    Each clique is grown by every common neighbour above its last vertex,
+    and carries the bitset of those neighbours.
+    """
     m = graph.vertex_count
-    adj = [set() for _ in range(m)]
-    for u, v in graph.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    cliques: list[list[Simplex]] = [[(v,) for v in range(m)]]
-    current = [(v,) for v in range(m)]
-    while current:
-        nxt = []
-        for c in current:
-            last = c[-1]
-            common = set.intersection(*(adj[v] for v in c)) if c else set(range(m))
-            for w in sorted(common):
-                if w > last:
-                    nxt.append(c + (w,))
-        if nxt:
-            cliques.append(nxt)
-        current = nxt
     if m == 0:
         return EMPTY_COMPLEX
+    adjacency = graph.adjacency
+    # -(2 << v) masks the vertices above v
+    level = [((v,), adjacency[v] & -(2 << v)) for v in range(m)]
+    cliques: list[list[Simplex]] = []
+    while level:
+        cliques.append([c for c, _ in level])
+        level = [(c + (w,), above & adjacency[w] & -(2 << w)) for c, above in level for w in graphs._bits(above)]
     return SimplicialComplex(m, cliques)
 
 
@@ -504,7 +491,7 @@ def is_d_leray(X: SimplicialComplex, d: int, max_vertices: int = 16) -> bool:
     m = X.vertex_count
     check_vertex_guard(m, max_vertices)
     return all(
-        reduced_homology_vanishes_from(induced_subcomplex(X, [v for v in range(m) if bits >> v & 1]), d)
+        reduced_homology_vanishes_from(induced_subcomplex(X, graphs._bits(bits)), d)
         for bits in range(1, 1 << m)
     )
 
@@ -516,8 +503,8 @@ def random_connected_complex(m: int, seed: int, max_attempts: int = 2000) -> Sim
     RNG stream, hence deterministic per seed) until the result is
     connected and is not a standard simplex.
     """
-    if m < 2:
-        raise ValueError("need at least two vertices for a connected non-simplex")
+    if m < 3:
+        raise ValueError("need at least three vertices for a connected non-simplex")
     rng = random.Random(seed)
     for _ in range(max_attempts):
         facets: list[tuple[int, ...]] = []

@@ -122,6 +122,18 @@ def _component_mask(adjacency: Sequence[int], start: int, within: int) -> int:
     return seen
 
 
+def _components(adjacency: Sequence[int], mask: int) -> list[int]:
+    """The components (as bitmasks) of the subgraph induced on ``mask``,
+    ordered by smallest vertex."""
+    comps = []
+    rest = mask
+    while rest:
+        comp = _component_mask(adjacency, (rest & -rest).bit_length() - 1, mask)
+        comps.append(comp)
+        rest &= ~comp
+    return comps
+
+
 def one_skeleton(X) -> Graph:
     """The graph of vertices and edges of a simplicial complex."""
     return Graph(X.vertex_count, list(X.simplices_of_dim(1)))
@@ -403,9 +415,7 @@ def is_chordal(G: Graph) -> ChordalityCertificate:
     when the graph is chordal; on failure a chordless cycle of length at
     least four is extracted.
     """
-    m = G.vertex_count
     order = _lex_bfs(G)
-    position = {v: i for i, v in enumerate(order)}
     elimination = tuple(reversed(order))
     elim_pos = {v: i for i, v in enumerate(elimination)}
     for v in elimination:

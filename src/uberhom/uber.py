@@ -55,7 +55,7 @@ from .algebra import (
     invariant_factors,
     vector_ops,
 )
-from .complexes import SimplicialComplex, Simplex
+from .complexes import SimplicialComplex, Simplex, _simplex_bits
 from .errors import check_vertex_guard
 
 Bicolouring = tuple[int, ...]
@@ -251,10 +251,6 @@ def _cube_edge_matrix(src: tuple, dst: tuple, ring: CoefficientRing) -> list[lis
 # Überhomology and its weight-zero slice, from one barcode per summand
 
 
-def _simplex_bits(X: SimplicialComplex) -> list[int]:
-    return [sum(1 << v for v in s) for s in X.all_simplices()]
-
-
 def _full_links(X: SimplicialComplex) -> set[int]:
     """The 0-coloured parts S with a full link, as bitsets: the only
     summands whose E^2 can be nonzero.
@@ -335,19 +331,6 @@ def zero_degree_uber_table(
 # Degree-zero row: component counting, torsion-capable over Z
 
 
-def _components_by_mask(adjacency: Sequence[int], mask: int) -> list[int]:
-    """Connected components (as bitmasks) of the induced subgraph, ordered
-    by smallest vertex."""
-    comps = []
-    rest = mask
-    while rest:
-        start = (rest & -rest).bit_length() - 1
-        comp = graphs._component_mask(adjacency, start, mask)
-        comps.append(comp)
-        rest &= ~comp
-    return comps
-
-
 def bold_homology(
     obj,
     ring: CoefficientRing = ZZ,
@@ -368,7 +351,7 @@ def bold_homology(
     G = obj if hasattr(obj, "adjacency") else graphs.one_skeleton(obj)
     m = G.vertex_count
     check_vertex_guard(m, max_vertices)
-    comps = [_components_by_mask(G.adjacency, mask) for mask in range(1 << m)]
+    comps = [graphs._components(G.adjacency, mask) for mask in range(1 << m)]
     torsion: dict[int, tuple[int, ...]] = {}
 
     def edge(mask: int, up: int) -> list:

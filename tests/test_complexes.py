@@ -5,10 +5,12 @@ from __future__ import annotations
 import itertools
 import json
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from conftest import complexes, connected_graphs
 from uberhom import algebra as al
 from uberhom import complexes as cx
 from uberhom import graphs as gr
@@ -108,6 +110,19 @@ def test_random_connected_complex_is_deterministic_and_connected():
         assert X.vertex_count == m
 
 
+def test_random_connected_complex_refuses_two_vertices_without_drawing(monkeypatch):
+    # on two vertices the only connected complex is the edge, a simplex
+    X = cx.random_connected_complex(3, 1)
+    assert X.is_connected and not X.is_standard_simplex()
+
+    def no_draw(*args):
+        raise AssertionError("a complex was drawn")
+
+    monkeypatch.setattr(cx, "build_complex", no_draw)
+    with pytest.raises(ValueError, match="three vertices"):
+        cx.random_connected_complex(2, 1)
+
+
 def test_euler_characteristic_matches_oracle(corpus_complex):
     assert cx.euler_characteristic(corpus_complex) == oracles.euler_characteristic_oracle(
         corpus_complex
@@ -170,6 +185,54 @@ def test_flag_complex_of_complete_graph_is_a_simplex():
 def test_flag_complex_fills_triangles():
     g = gr.Graph(3, ((0, 1), (1, 2), (0, 2)))
     assert cx.flag_complex(g).facets() == ((0, 1, 2),)
+
+
+@given(g=connected_graphs())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_flag_complex_is_the_clique_list_of_networkx(g):
+    G = nx.Graph(list(g.edges))
+    G.add_nodes_from(range(g.vertex_count))
+    cliques = sorted(tuple(sorted(c)) for c in nx.enumerate_all_cliques(G))
+    assert sorted(cx.flag_complex(g).all_simplices()) == cliques
+
+
+@given(X=complexes())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_connected_components_are_those_of_networkx(X):
+    G = nx.Graph(list(X.simplices_of_dim(1)))
+    G.add_nodes_from(range(X.vertex_count))
+    components = sorted(sorted(c) for c in nx.connected_components(G))
+    assert X.connected_components() == components
+    assert X.is_connected == (len(components) == 1)
+
+
+@given(X=complexes())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_facets_are_the_maximal_simplices(X):
+    simplices = list(X.all_simplices())
+    assert X.facets() == tuple(s for s in simplices if not any(set(s) < set(t) for t in simplices))
+
+
+def _in_ambient_ids(Y):
+    """The simplices of a renumbered subcomplex, in the ambient's vertex ids."""
+    return {tuple(Y.original_ids[v] for v in s) for s in Y.all_simplices()}
+
+
+@given(X=complexes())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_closed_stars_and_links_meet_their_definitions(X):
+    # every nonempty vertex subset t, tested against the definitions
+    m = X.vertex_count
+    simplices = X.simplex_set()
+    subsets = [t for k in range(1, m + 1) for t in itertools.combinations(range(m), k)]
+    for v in range(m):
+        star = {t for t in subsets if any(v in s and set(t) <= set(s) for s in simplices)}
+        assert _in_ambient_ids(cx.closed_star(X, v)) == star
+    for s in simplices:
+        link = {t for t in subsets if not set(t) & set(s) and tuple(sorted(t + s)) in simplices}
+        L = cx.link(X, s)
+        assert _in_ambient_ids(L) == link
+        assert (L.original_ids or ()) == tuple(sorted({v for t in link for v in t}))
 
 
 # --------------------------------------------------------------------------

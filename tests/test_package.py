@@ -139,3 +139,37 @@ def test_importing_the_package_loads_no_process_pool():
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def _own_nodes(func):
+    """The nodes of a function's body, not descending into the functions,
+    lambdas and classes defined inside it."""
+    stack = list(func.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_function_assigns_a_local_it_never_reads():
+    # a local that is written and never read is dead code, or a sign that a
+    # later line reads the wrong name; a nested function reading it counts
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            names = [node for node in ast.walk(func) if isinstance(node, ast.Name)]
+            read = {node.id for node in names if isinstance(node.ctx, ast.Load)}
+            shared = {name for node in ast.walk(func) if isinstance(node, (ast.Global, ast.Nonlocal)) for name in node.names}
+            found += [
+                f"{path.name}:{node.lineno}:{func.name}:{node.id}"
+                for node in _own_nodes(func)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Store)
+                and not node.id.startswith("_")
+                and node.id not in read | shared
+            ]
+    assert found == []

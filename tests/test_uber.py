@@ -563,6 +563,48 @@ def test_summands_are_double_complexes(corpus_complex, ring):
         dc.validate()
 
 
+def _link_cube(L, ring):
+    """The colouring cube of the link L plus the empty face: the pairs
+    (mask, t) of a colouring of L's n vertices and a face t of L or the
+    empty face, t inside mask, in cell (n - |mask|, |t| - 1), keyed (J, t)
+    with J the vertices outside mask."""
+    n = L.vertex_count
+    faces = [0, *(sum(1 << v for v in t) for t in L.all_simplices())]
+    cells = {}
+    for mask in range(1 << n):
+        for t in faces:
+            if not t & ~mask:
+                cell = cells.setdefault((n - mask.bit_count(), t.bit_count() - 1), {})
+                cell[(1 << n) - 1 & ~mask, t] = len(cell)
+    return al._DoubleComplex(ring, cells)
+
+
+def _check_summands_are_shifted_link_cubes(X):
+    # summand S is, up to a diagonal change of signs, the cube of the link
+    # of S plus the empty face on the m - |S| vertices outside S, shifted
+    # by |S| in p and in q (s = S + t, and J is the same vertex set)
+    m = X.vertex_count
+    for S in sorted(uber._full_links(X) - {0}):
+        k = S.bit_count()
+        L = cx.link(X, [v for v in range(m) if S >> v & 1])
+        # a full link holds every vertex outside S
+        assert (L.original_ids or ()) == tuple(v for v in range(m) if not S >> v & 1)
+        for ring in (al.GF2, al.GF(3), al.QQ):
+            got, _ = al._page_from_bars(al._barcode(uber._summand(X, ring, S)), 2)
+            want, _ = al._page_from_bars(al._barcode(_link_cube(L, ring)), 2)
+            assert _nontrivial(got) == {(p + k, q + k): d for (p, q), d in want.items() if d}, (S, ring)
+
+
+def test_each_full_link_summand_is_the_shifted_cube_of_its_link(corpus_complex):
+    _check_summands_are_shifted_link_cubes(corpus_complex)
+
+
+@given(X=complexes())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_each_full_link_summand_is_the_shifted_cube_of_its_link_on_any_complex(X):
+    _check_summands_are_shifted_link_cubes(X)
+
+
 def test_every_barcode_reads_one_kind_of_double_complex(monkeypatch):
     X = cx.random_connected_complex(6, 1)
     received = []
