@@ -685,7 +685,7 @@ class _DoubleComplex:
     """A double complex over ``ring`` whose cells are pairs of bitsets.
 
     ``cells`` maps each occupied bidegree (p, q) to one index ``{(J, s):
-    row}``: a summand of the colouring cube (``uber._summand``), the
+    row}``: a summand of the colouring cube (``uber._link_cube``), the
     double complex of a cover (``mvss.DoubleComplex``) or the one column
     of a simplicial boundary (``_boundary_complex``).  One face rule,
     ``_faces``, gives both differentials: d_v takes the faces of s and d_h

@@ -166,12 +166,12 @@ class SimplicialComplex:
 
     def connected_components(self) -> list[list[int]]:
         """Vertex sets of the components of the underlying 1-skeleton."""
-        adjacency = graphs.one_skeleton(self).adjacency
+        adjacency = graphs._adjacency(self.vertex_count, self.simplices_of_dim(1))
         return [graphs._bits(c) for c in graphs._components(adjacency, (1 << self.vertex_count) - 1)]
 
     @property
     def is_connected(self) -> bool:
-        return graphs.one_skeleton(self).is_connected
+        return len(self.connected_components()) == 1
 
     def is_standard_simplex(self) -> bool:
         """Whether the full vertex set spans a simplex (so X is all its faces)."""
@@ -374,9 +374,10 @@ def nerve(cover: Cover) -> SimplicialComplex:
 
 
 def link(X: SimplicialComplex, simplex: Iterable[int]) -> SimplicialComplex:
-    """The link of a simplex: faces disjoint from it whose join with it lies in X."""
+    """The link of a simplex: faces disjoint from it whose join with it lies
+    in X.  The link of the empty simplex is X, ``original_ids`` the identity."""
     s = _normalise_simplex(simplex)
-    if s not in X.simplex_set():
+    if s and s not in X.simplex_set():
         raise ValueError(f"simplex {s} not in the complex")
     mask = sum(1 << v for v in s)
     return _renumbered([t for t, b in _joins(X, mask) if not b & mask])
@@ -549,6 +550,8 @@ def complex_from_json(text: str) -> SimplicialComplex:
     X = build_complex(vertex_count, facets)
     labels = doc.get("labels")
     if labels is not None:
+        if not isinstance(labels, list):
+            raise ValueError(f"'labels' must be a JSON array, got {labels!r}")
         if len(labels) != X.vertex_count:
             raise ValueError("labels must match vertex_count")
         X = SimplicialComplex(

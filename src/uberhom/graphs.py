@@ -60,11 +60,7 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) out of range")
             canon.add((min(u, v), max(u, v)))
         self.edges = frozenset(canon)
-        adj = [0] * vertex_count
-        for u, v in canon:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        self.adjacency = tuple(adj)
+        self.adjacency = tuple(_adjacency(vertex_count, canon))
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adjacency[u] >> v & 1)
@@ -105,6 +101,15 @@ def _bits(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def _adjacency(m: int, edges: Iterable[tuple[int, int]]) -> list[int]:
+    """The neighbours of each of the vertices 0..m-1 as a bitset."""
+    adjacency = [0] * m
+    for u, v in edges:
+        adjacency[u] |= 1 << v
+        adjacency[v] |= 1 << u
+    return adjacency
 
 
 def _component_mask(adjacency: Sequence[int], start: int, within: int) -> int:

@@ -10,7 +10,8 @@ and the abutment zero; the plain variant abuts to the homology of the
 complex.  The blocks are the intersections that the nerve is grown from,
 and the double complex is an ``algebra._DoubleComplex`` of (nerve simplex,
 simplex) bitset pairs; over the anti-star cover, augmented, it is the
-summand S empty of ``uber._summand`` moved one column left.
+summand S empty, the colouring cube of ``uber._link_cube``, moved one
+column left.
 
 Over a field, the pages come from the barcode and the differentials from
 the staircases.  Every page's dimensions and every d^r's rank are read
@@ -421,8 +422,8 @@ def verify_identification(
     The reindexing sends the level j of a colouring with j vertices
     coloured 1 to the nerve column p = m - j - 1, with the homology degree
     unchanged; the augmentation column corresponds to j = m.  Both columns
-    are E^2 of one double complex built two ways (the summand S empty of
-    ``uber._summand`` has the same cells and signs in another row order),
+    are E^2 of one double complex built two ways (the colouring cube of
+    ``uber._link_cube`` has the same cells and signs in another row order),
     so a PASS is a consistency check of the two builders and the barcode;
     the node cube of the test oracles is the independent side.
     """

@@ -17,23 +17,25 @@ All three are the homology of a cube complex over the Boolean lattice of
 colourings.  Überhomology and its weight-zero slice build no node: each
 is E^2 of a double complex of (colouring, simplex) pairs, whose E^1 is
 the node homology and d^1 the level map, and which splits into one
-summand (``_summand``) per 0-coloured part of the simplex, each read off
-one persistence barcode (``algebra._barcode``).  A summand is an
-``algebra._DoubleComplex``, the one class of double complex that the
-spectral-sequence pages of ``mvss`` read too; the summand of the empty
-part is the augmented double complex of the anti-star cover.
-``UberComplex`` and bold homology build the cube node by node and share
-its bookkeeping: the levels, the layout of each level map (``_cube_map``)
-and the rank formula (``_cube_homology``); every sign, of a cube edge or
-of a summand's differentials, comes from ``algebra._faces``.  A node of
-``UberComplex`` is the signed simplicial boundary on its simplices
-(``algebra._boundary_complex``; a face outside them drops out), one
-homology table, and one induced map per edge (``_cube_edge_matrix``); the
-test oracles build the weight-zero node cube the same way.  So the
-barcode and the node cube are two routes
-to überhomology and its weight-zero slice that share no boundary,
-induced-map or reduction code of this module, only the algebra layer, and
-can be played against each other in tests.
+summand per 0-coloured part S of the simplex, each read off one
+persistence barcode (``algebra._barcode``).  Each summand is the
+colouring cube of a link (``_link_cube``): the part S empty is the cube
+of X, any other S the cube of link(X, S) plus the empty face, shifted by
+|S|.  A summand is an ``algebra._DoubleComplex``, the one class of double
+complex that the spectral-sequence pages of ``mvss`` read too; the
+summand of the empty part is the augmented double complex of the
+anti-star cover.  ``UberComplex`` and bold homology build the cube node
+by node and share its bookkeeping: the levels, the layout of each level
+map (``_cube_map``) and the rank formula (``_cube_homology``); every
+sign, of a cube edge or of a summand's differentials, comes from
+``algebra._faces``.  A node of ``UberComplex`` is the signed simplicial
+boundary on its simplices (``algebra._boundary_complex``; a face outside
+them drops out), one homology table, and one induced map per edge
+(``_cube_edge_matrix``); the test oracles build the weight-zero node
+cube the same way.  So the barcode and the node cube are two routes to
+überhomology and its weight-zero slice that share no boundary,
+induced-map or reduction code of this module, only the algebra layer,
+and can be played against each other in tests.
 """
 from __future__ import annotations
 
@@ -55,7 +57,7 @@ from .algebra import (
     invariant_factors,
     vector_ops,
 )
-from .complexes import SimplicialComplex, Simplex, _simplex_bits
+from .complexes import SimplicialComplex, Simplex, _simplex_bits, link
 from .errors import check_vertex_guard
 
 Bicolouring = tuple[int, ...]
@@ -251,58 +253,46 @@ def _cube_edge_matrix(src: tuple, dst: tuple, ring: CoefficientRing) -> list[lis
 # Überhomology and its weight-zero slice, from one barcode per summand
 
 
-def _full_links(X: SimplicialComplex) -> set[int]:
-    """The 0-coloured parts S with a full link, as bitsets: the only
-    summands whose E^2 can be nonzero.
-
-    S has a full link when S + {w} is in X for every vertex w outside S
-    (S empty always has one).  If S + {w} is not in X, no cell of S's
-    summand contains w, so raising w is the identity on that summand's
-    chains.  The summand is then the cone of an identity, and its E^2 is 0.
-    """
-    simplices = _simplex_bits(X)
-    # cofaces[S] counts the vertices w outside S with S + {w} in X
-    cofaces: Counter[int] = Counter(f for s in simplices for f, _ in _faces(s))
-    return {S for S in [0, *simplices] if cofaces[S] == X.vertex_count - S.bit_count()}
-
-
-def _summand(X: SimplicialComplex, ring: CoefficientRing, S: int) -> algebra._DoubleComplex:
-    """The summand of 0-coloured part S (a bitset) of the colouring cube's
-    double complex: in cell (p, q), masks ascending, the pairs (mask, s) of
-    a colouring at level m - p and a q-simplex with s - mask = S, keyed
-    (J, s) with J the vertices in neither mask nor S.  So d_v deletes the
-    1-coloured vertices of s and d_h raises a vertex of J, signed by the
-    vertices of J below it: a sign per vertex away from the ones-below rule
-    of :func:`_cube_map`, which changes no homology.  E^1 is the horizontal
-    homology of weight |S| at each node, and E^2 the cube's homology."""
-    m = X.vertex_count
-    everything = (1 << m) - 1
-    simplices = [s for s in _simplex_bits(X) if s & S == S]
+def _link_cube(L: SimplicialComplex, ring: CoefficientRing, empty: bool) -> algebra._DoubleComplex:
+    """The colouring cube of ``L``: in cell (p, q), masks ascending, the
+    pairs (mask, t) of a colouring of L's n vertices at level n - p and a
+    q-simplex t inside mask (or, if ``empty`` is set, the empty face, in
+    row -1), keyed (J, t) with J the vertices outside mask.  d_v deletes a
+    vertex of t and d_h raises one of J, each signed by ``algebra._faces``:
+    a sign per vertex away from the ones-below rule of :func:`_cube_map`,
+    which changes no homology.  E^1 is the node homology, E^2 the cube's."""
+    n = L.vertex_count
+    faces = [0] * empty + list(_simplex_bits(L))
     cells: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
-    for mask in range(1 << m):
-        if mask & S:  # s - mask would lose a vertex of S
-            continue
-        J = everything & ~(mask | S)
-        for s in simplices:
-            if s & ~mask == S:
-                cell = cells.setdefault((m - mask.bit_count(), s.bit_count() - 1), {})
-                cell[J, s] = len(cell)
+    for mask in range(1 << n):
+        J = (1 << n) - 1 & ~mask
+        for t in faces:
+            if not t & ~mask:
+                cell = cells.setdefault((n - mask.bit_count(), t.bit_count() - 1), {})
+                cell[J, t] = len(cell)
     return algebra._DoubleComplex(ring, cells)
 
 
 def uberhomology(X: SimplicialComplex, max_vertices: int = 16) -> dict[tuple[int, int, int], int]:
     """The triply graded GF(2) invariant: {(level, weight, dimension): dim}.
 
-    Weight k is the sum of the E^2 of its full-link summands S of k
-    vertices (:func:`_summand`), each read off its own barcode: E^2_{p, q}
-    of S adds to the entry (m - p, k, q).
+    Weight k sums the E^2 of the summands of its 0-coloured parts S of k
+    vertices.  Summand S is the cube of L = link(X, S), plus the empty
+    face if S is not empty (:func:`_link_cube`): E^2_{p, q} of that cube
+    adds to the entry (m - p - k, k, q + k).  Only S with a full link, L
+    on all m - k other vertices, can add anything: if S + {w} is not in X,
+    no cell of the summand contains w, so raising w is the identity on its
+    chains; the summand is the cone of an identity, and its E^2 is 0.
     """
     m = X.vertex_count
     check_vertex_guard(m, max_vertices)
     out: Counter[tuple[int, int, int]] = Counter()
-    for S in sorted(_full_links(X)):
-        dims, _ = algebra._page_from_bars(algebra._barcode(_summand(X, GF2, S)), 2)
-        out.update({(m - p, S.bit_count(), q): d for (p, q), d in dims.items()})
+    for S in [(), *X.all_simplices()]:
+        k = len(S)
+        L = link(X, S)
+        if L.vertex_count == m - k:
+            dims, _ = algebra._page_from_bars(algebra._barcode(_link_cube(L, GF2, bool(S))), 2)
+            out.update({(m - p - k, k, q + k): d for (p, q), d in dims.items()})
     return dict(sorted(out.items()))
 
 
@@ -315,7 +305,7 @@ def zero_degree_uber_table(
 
     Keys are (level j, dimension i), degree-major and then by level;
     values are the nonzero dimensions over ``ring``.  The table is E^2 of
-    the summand S empty over ``ring`` (:func:`_summand`, the pairs
+    the colouring cube of X over ``ring`` (:func:`_link_cube`: the pairs
     (colouring, simplex) with every vertex of the simplex coloured 1),
     read off its barcode: E^2_{p, q} is the entry (m - p, q).
     """
@@ -323,7 +313,7 @@ def zero_degree_uber_table(
     check_vertex_guard(m, max_vertices)
     if not ring.is_field:
         raise ValueError("the weight-zero slice needs field coefficients")
-    dims, _ = algebra._page_from_bars(algebra._barcode(_summand(X, ring, 0)), 2)
+    dims, _ = algebra._page_from_bars(algebra._barcode(_link_cube(X, ring, False)), 2)
     return {(m - p, q): dims[p, q] for p, q in sorted(dims, key=lambda pq: (pq[1], -pq[0]))}
 
 

@@ -39,6 +39,11 @@ library pieces:
   ``uber._cube_homology``, each level map ranked over the field by
   ``column_rank`` (``_field_rank``).  The library now reads the table off
   the barcode of the weight-zero double complex.
+* ``full_links`` and ``summand`` are the former split of the colouring
+  cube's double complex by 0-coloured part S, keyed in the ambient's
+  vertices: each summand scans every colouring of X against the simplices
+  that contain S, and a coface count picks the summands with a full link.
+  The library now builds summand S as the colouring cube of link(X, S).
 * ``horizontal_columns`` is the horizontal differential's former rule:
   delete only the 1-coloured vertices of a simplex, with coefficient 1.
   The library now takes the signed simplicial boundary on a weight's
@@ -48,6 +53,7 @@ library pieces:
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -66,10 +72,12 @@ from uberhom.algebra import (
     Matrix,
     Span,
     _coerce,
+    _faces,
     column_rank,
     smith_normal_form,
     vector_ops,
 )
+from uberhom.complexes import _simplex_bits
 from uberhom.errors import SolveFailure
 
 
@@ -328,6 +336,45 @@ def zero_degree_table_by_cube(X, ring) -> dict[tuple[int, int], int]:
             if h:
                 out[(j, degree)] = h
     return out
+
+
+def full_links(X) -> set[int]:
+    """The 0-coloured parts S with a full link, as bitsets: the only
+    summands whose E^2 can be nonzero.
+
+    S has a full link when S + {w} is in X for every vertex w outside S
+    (S empty always has one).  If S + {w} is not in X, no cell of S's
+    summand contains w, so raising w is the identity on that summand's
+    chains.  The summand is then the cone of an identity, and its E^2 is 0.
+    """
+    simplices = _simplex_bits(X)
+    # cofaces[S] counts the vertices w outside S with S + {w} in X
+    cofaces: Counter[int] = Counter(f for s in simplices for f, _ in _faces(s))
+    return {S for S in [0, *simplices] if cofaces[S] == X.vertex_count - S.bit_count()}
+
+
+def summand(X, ring, S: int) -> algebra._DoubleComplex:
+    """The summand of 0-coloured part S (a bitset) of the colouring cube's
+    double complex: in cell (p, q), masks ascending, the pairs (mask, s) of
+    a colouring at level m - p and a q-simplex with s - mask = S, keyed
+    (J, s) with J the vertices in neither mask nor S.  So d_v deletes the
+    1-coloured vertices of s and d_h raises a vertex of J, signed by the
+    vertices of J below it: a sign per vertex away from the ones-below rule
+    of ``uber._cube_map``, which changes no homology.  E^1 is the horizontal
+    homology of weight |S| at each node, and E^2 the cube's homology."""
+    m = X.vertex_count
+    everything = (1 << m) - 1
+    simplices = [s for s in _simplex_bits(X) if s & S == S]
+    cells: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
+    for mask in range(1 << m):
+        if mask & S:  # s - mask would lose a vertex of S
+            continue
+        J = everything & ~(mask | S)
+        for s in simplices:
+            if s & ~mask == S:
+                cell = cells.setdefault((m - mask.bit_count(), s.bit_count() - 1), {})
+                cell[J, s] = len(cell)
+    return algebra._DoubleComplex(ring, cells)
 
 
 def horizontal_columns(X, colouring, k: int, q: int) -> list[list[tuple[int, int]]]:

@@ -351,6 +351,15 @@ def test_labels_that_do_not_match_the_vertex_count_are_an_input_error(capsys, tm
     assert out == "" and "labels must match vertex_count" in err
 
 
+def test_labels_given_as_a_string_are_an_input_error(capsys, tmp_path):
+    # "abc" has the vertex count's length, but it is not a list of labels
+    path = tmp_path / "labelled.json"
+    path.write_text(json.dumps({**CIRCLE, "labels": "abc"}))
+    code, out, err = run(capsys, ["homology", str(path)])
+    assert code == cli.EXIT_INPUT == 2
+    assert out == "" and "invalid complex document" in err and "JSON array" in err
+
+
 # int() would read 3.9 as 3 and "3" as 3; a JSON integer is the only count
 @pytest.mark.parametrize("count", [3.9, 3.0, "3", True], ids=["float", "integral-float", "string", "bool"])
 def test_a_complex_vertex_count_that_is_not_a_json_integer_is_an_input_error(capsys, tmp_path, count):

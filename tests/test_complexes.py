@@ -58,6 +58,13 @@ def test_json_round_trip(corpus_complex):
     assert cx.complex_from_json(cx.complex_to_json(X)) == X
 
 
+def test_json_labels_must_be_an_array():
+    # a string is a sequence too, but not of labels
+    doc = {"vertex_count": 2, "facets": [[0, 1]], "labels": "ab"}
+    with pytest.raises(ValueError, match="'labels' must be a JSON array"):
+        cx.complex_from_json(json.dumps(doc))
+
+
 def test_json_round_trip_keeps_labels():
     doc = {"vertex_count": 3, "facets": [[0, 1], [1, 2]], "labels": ["a", "b", 7]}
     X = cx.complex_from_json(json.dumps(doc))
@@ -206,6 +213,20 @@ def test_connected_components_are_those_of_networkx(X):
     assert X.is_connected == (len(components) == 1)
 
 
+def test_is_connected_builds_no_graph(monkeypatch):
+    # the adjacency bitsets are read off the edges; random_connected_complex
+    # asks once per draw
+    X = cx.random_connected_complex(12, 1)
+
+    def refuse(*args):
+        raise AssertionError("Graph built")
+
+    monkeypatch.setattr(gr.Graph, "__init__", refuse)
+    assert X.is_connected
+    assert not cx.build_complex(3, [(0, 1)]).is_connected
+    assert not cx.EMPTY_COMPLEX.is_connected
+
+
 @given(X=complexes())
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_facets_are_the_maximal_simplices(X):
@@ -228,7 +249,7 @@ def test_closed_stars_and_links_meet_their_definitions(X):
     for v in range(m):
         star = {t for t in subsets if any(v in s and set(t) <= set(s) for s in simplices)}
         assert _in_ambient_ids(cx.closed_star(X, v)) == star
-    for s in simplices:
+    for s in [(), *simplices]:
         link = {t for t in subsets if not set(t) & set(s) and tuple(sorted(t + s)) in simplices}
         L = cx.link(X, s)
         assert _in_ambient_ids(L) == link

@@ -518,7 +518,7 @@ def test_the_empty_summand_is_the_augmented_anti_star_double_complex(corpus_comp
     # summand S empty is the anti-star cover's nerve simplex J and simplex s,
     # and its column p is the double complex's column p - 1
     X = corpus_complex
-    summand = uber._summand(X, ring, 0)
+    summand = uber._link_cube(X, ring, False)
     dc = mvss.double_complex(X, ring=ring, augmented=True)
     assert summand.cells() == [(p + 1, q) for p, q in dc.cells()]
     for p, q in summand.cells():

@@ -58,6 +58,33 @@ def test_every_public_name_resolves():
     assert missing == []
 
 
+def _resolves(owner, dotted: str) -> bool:
+    for part in dotted.split("."):
+        if not hasattr(owner, part):
+            return False
+        owner = getattr(owner, part)
+    return True
+
+
+def test_every_name_reference_in_the_package_resolves():
+    # a docstring or comment that points at a renamed or retired helper,
+    # as ``<module>.<name>`` or :func:`name`, misleads its reader
+    modules = {path.stem: importlib.import_module(f"uberhom.{path.stem}") for path in SOURCE.glob("*.py")}
+    modules.pop("__init__")
+    qualified = re.compile(r"``(%s)\.(\w+(?:\.\w+)*)" % "|".join(modules))
+    checked, missing = 0, []
+    for stem, module in sorted(modules.items()):
+        text = (SOURCE / f"{stem}.py").read_text(encoding="utf-8")
+        refs = [(modules[m], name) for m, name in qualified.findall(text)]
+        for name in re.findall(r":func:`([\w.]+)`", text):
+            head, _, rest = name.partition(".")
+            refs.append((modules[head], rest) if rest and head in modules else (module, name))
+        checked += len(refs)
+        missing += [f"{stem}: {owner.__name__}.{name}" for owner, name in refs if not _resolves(owner, name)]
+    assert checked
+    assert missing == []
+
+
 def test_bench_trace_targets_resolve():
     # the benchmark traces these callables by name; a rename shows up here
     # rather than only in a traced benchmark run
