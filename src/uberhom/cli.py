@@ -647,7 +647,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--prune",
         action="store_true",
-        help="use the branch-and-bound counter, which cuts branches that can no longer dominate or connect",
+        help=(
+            "use the branch-and-bound counter: it decides high-degree vertices first, cuts branches that can "
+            "no longer dominate or connect, and counts all supersets of one dominating component at once"
+        ),
     )
     p.add_argument("--format", choices=("json", "table"), default="json")
     guarded(p)

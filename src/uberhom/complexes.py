@@ -554,9 +554,12 @@ def complex_from_json(text: str) -> SimplicialComplex:
             raise ValueError(f"'labels' must be a JSON array, got {labels!r}")
         if len(labels) != X.vertex_count:
             raise ValueError("labels must match vertex_count")
-        X = SimplicialComplex(
-            X.vertex_count,
-            [X.simplices_of_dim(q) for q in X.dims()],
-            labels=tuple(str(x) for x in labels),
-        )
+        for x in labels:
+            # a bool is an int to Python, but not a JSON number
+            if type(x) not in (str, int, float):
+                raise ValueError(f"label {x!r} is not a JSON string or number")
+        names = tuple(map(str, labels))
+        if len(set(names)) != len(names):
+            raise ValueError(f"labels must be distinct, got {names!r}")
+        X = SimplicialComplex(X.vertex_count, [X.simplices_of_dim(q) for q in X.dims()], labels=names)
     return X

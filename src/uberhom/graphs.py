@@ -6,8 +6,9 @@ domination polynomial counts, for every cardinality, the vertex subsets
 that dominate the graph and induce a connected subgraph.  Its default
 counter is bit-parallel: one Python int holds a block of 2**14 subsets,
 one per bit, so domination and connectivity are decided for the whole
-block by ANDs and ORs of such ints.  A branch-and-bound recursion over
-single subsets is the independent reference route.
+block by ANDs and ORs of such ints.  A branch-and-bound recursion, which
+counts a whole subtree of supersets at once, is the independent reference
+route.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import json
 import operator
 import random
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable, Sequence
 
 from .errors import NotConnectedError, check_simplex_guard, check_vertex_guard
@@ -210,9 +212,11 @@ def connected_domination_polynomial(
     give the same polynomial: by default the block counter
     :func:`_cdp_blocks` decides domination and connectivity for
     ``2**_BLOCK_BITS`` subsets at a time, as the bits of Python ints; with
-    ``prune=True`` the branch-and-bound recursion :func:`_cdp_prune` checks
-    one subset at a time, carrying the components of the chosen set and
-    cutting branches that can no longer dominate or can no longer connect.
+    ``prune=True`` the branch-and-bound recursion :func:`_cdp_prune`
+    decides the vertices in order of degree, highest first, carrying the
+    components of the chosen set.  It cuts branches that can no longer
+    dominate or can no longer connect, and closes a branch whose chosen set
+    is one dominating component by counting all its supersets at once.
     """
     m = G.vertex_count
     check_vertex_guard(m, max_vertices)
@@ -220,10 +224,14 @@ def connected_domination_polynomial(
         raise NotConnectedError("the connected domination polynomial needs a connected graph")
     counts = [0] * (m + 1)
     if prune:
+        # highest degree first, so that domination completes near the root
+        order = sorted(range(m), key=G.degree, reverse=True)
+        rank = {u: i for i, u in enumerate(order)}
+        adjacency = _adjacency(m, [(rank[u], rank[v]) for u, v in G.edges])
         reach = [0] * (m + 1)  # reach[v]: what the vertices from v on dominate
         for v in reversed(range(m)):
-            reach[v] = reach[v + 1] | G.adjacency[v] | 1 << v
-        _cdp_prune(G.adjacency, reach, m, 0, [], 0, counts)
+            reach[v] = reach[v + 1] | adjacency[v] | 1 << v
+        _cdp_prune(adjacency, reach, m, 0, [], 0, counts)
     else:
         _cdp_blocks(G.adjacency, m, counts)
     return Polynomial(tuple(counts))
@@ -294,17 +302,24 @@ def _cdp_blocks(adjacency: Sequence[int], m: int, counts: list[int]) -> None:
 
 
 def _cdp_prune(adjacency, reach, m, v, parts, dominated, counts) -> None:
-    """The reference route: subsets one at a time, by branch and bound.
+    """The reference route: branch and bound over the vertices in order.
 
     Vertices below ``v`` are decided and ``parts`` holds the components of
     the chosen set as (vertex mask, open neighbourhood) pairs.  A branch is
     cut when the vertices from ``v`` on cannot complete the domination, or
     when one of two or more components has no undecided neighbour left.
+    A branch whose chosen set is one dominating component is closed whole:
+    each undecided vertex is then a neighbour of that component, so every
+    way of adding k of the m - v undecided vertices counts, C(m - v, k) sets
+    of each size.
     """
     if dominated | reach[v] != reach[0]:
         return
-    if v == m:  # one component: two or more were cut at vertex m - 1
-        counts[parts[0][0].bit_count()] += 1
+    # at v == m both hold: two or more components were cut at vertex m - 1
+    if dominated == reach[0] and len(parts) == 1:
+        size, free = parts[0][0].bit_count(), m - v
+        for k in range(free + 1):
+            counts[size + k] += comb(free, k)
         return
     bit = 1 << v
     later = reach[0] ^ ((bit << 1) - 1)

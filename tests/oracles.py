@@ -48,6 +48,11 @@ library pieces:
   delete only the 1-coloured vertices of a simplex, with coefficient 1.
   The library now takes the signed simplicial boundary on a weight's
   simplices and drops the faces that leave them.
+* ``cdp_prune_by_leaves`` (counted by ``domination_counts_by_leaves``) is
+  the ``prune=True`` domination counter's former recursion, in the given
+  vertex order, with one leaf per connected dominating set.  The library
+  now closes a branch whole once its one component dominates, and decides
+  the vertices of highest degree first.
 """
 
 from __future__ import annotations
@@ -232,6 +237,47 @@ def domination_counts_oracle(G) -> list[int]:
             if nx.is_connected(g.subgraph(subset)):
                 counts[size] += 1
     return counts
+
+
+def domination_counts_by_leaves(G) -> list[int]:
+    """Connected-dominating-set counts by size, one recursion leaf per set."""
+    m = G.vertex_count
+    counts = [0] * (m + 1)
+    reach = [0] * (m + 1)  # reach[v]: what the vertices from v on dominate
+    for v in reversed(range(m)):
+        reach[v] = reach[v + 1] | G.adjacency[v] | 1 << v
+    cdp_prune_by_leaves(G.adjacency, reach, m, 0, [], 0, counts)
+    return counts
+
+
+def cdp_prune_by_leaves(adjacency, reach, m, v, parts, dominated, counts) -> None:
+    """The reference route: subsets one at a time, by branch and bound.
+
+    Vertices below ``v`` are decided and ``parts`` holds the components of
+    the chosen set as (vertex mask, open neighbourhood) pairs.  A branch is
+    cut when the vertices from ``v`` on cannot complete the domination, or
+    when one of two or more components has no undecided neighbour left.
+    """
+    if dominated | reach[v] != reach[0]:
+        return
+    if v == m:  # one component: two or more were cut at vertex m - 1
+        counts[parts[0][0].bit_count()] += 1
+        return
+    bit = 1 << v
+    later = reach[0] ^ ((bit << 1) - 1)
+    joined, around, apart, stuck = bit, adjacency[v], [], False
+    for part in parts:
+        if part[1] & bit:
+            joined, around = joined | part[0], around | part[1]
+            stuck = stuck or not part[1] & later
+        else:
+            apart.append(part)
+    # taking v merges it with every component it touches
+    if not apart or around & later:
+        cdp_prune_by_leaves(adjacency, reach, m, v + 1, [*apart, (joined, around)], dominated | adjacency[v] | bit, counts)
+    # leaving v out strands a component whose last way on was v
+    if not (stuck and len(parts) > 1):
+        cdp_prune_by_leaves(adjacency, reach, m, v + 1, parts, dominated, counts)
 
 
 def chordal_oracle(G) -> bool:

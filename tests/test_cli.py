@@ -360,6 +360,26 @@ def test_labels_given_as_a_string_are_an_input_error(capsys, tmp_path):
     assert out == "" and "invalid complex document" in err and "JSON array" in err
 
 
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        (["a", None, "c"], "not a JSON string or number"),
+        (["a", [1], "c"], "not a JSON string or number"),
+        (["a", {"a": 2}, "c"], "not a JSON string or number"),
+        (["a", True, "c"], "not a JSON string or number"),
+        (["a", "a", "c"], "labels must be distinct"),
+        (["a", 1, "1"], "labels must be distinct"),
+    ],
+    ids=["null", "array", "object", "bool", "repeated", "repeated-as-text"],
+)
+def test_labels_that_are_not_distinct_strings_or_numbers_are_an_input_error(capsys, tmp_path, labels, message):
+    path = tmp_path / "labelled.json"
+    path.write_text(json.dumps({**CIRCLE, "labels": labels}))
+    code, out, err = run(capsys, ["homology", str(path)])
+    assert code == cli.EXIT_INPUT == 2
+    assert out == "" and "invalid complex document" in err and message in err
+
+
 # int() would read 3.9 as 3 and "3" as 3; a JSON integer is the only count
 @pytest.mark.parametrize("count", [3.9, 3.0, "3", True], ids=["float", "integral-float", "string", "bool"])
 def test_a_complex_vertex_count_that_is_not_a_json_integer_is_an_input_error(capsys, tmp_path, count):

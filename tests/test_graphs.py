@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import capped_square_complex, graph_corpus
-from uberhom import graphs as gr
+from uberhom import graphs as gr, uber
 from uberhom.errors import MAX_SIMPLICES, NotConnectedError, SizeGuardExceeded
 
 
@@ -190,8 +190,22 @@ CLOSED_FORMS = [
 ]
 
 
-@ROUTES
-@pytest.mark.parametrize("g, expected", [case[1:] for case in CLOSED_FORMS], ids=[case[0] for case in CLOSED_FORMS])
+# the block counter would sweep all 2**24 subsets of K_24; the prune route
+# closes the whole tree below each first chosen vertex at once
+PRUNE_CLOSED_FORMS = [("complete-24", gr.complete_graph(24), [0] + [math.comb(24, k) for k in range(1, 25)])]
+
+
+@pytest.mark.parametrize(
+    "g, expected, prune",
+    [
+        *(
+            pytest.param(g, expected, prune, id=f"{name}-{route}")
+            for name, g, expected in CLOSED_FORMS
+            for route, prune in (("blocks", False), ("prune", True))
+        ),
+        *(pytest.param(g, expected, True, id=f"{name}-prune") for name, g, expected in PRUNE_CLOSED_FORMS),
+    ],
+)
 def test_connected_domination_closed_forms(g, expected, prune):
     # P_m: t^(m-2) (1+t)^2; C_m: m t^(m-2) + m t^(m-1) + t^m; the star with
     # n leaves: t (1+t)^n; K_m: (1+t)^m - 1
@@ -203,6 +217,65 @@ def test_pruned_enumeration_agrees_with_plain(g):
     plain = gr.connected_domination_polynomial(g, prune=False)
     pruned = gr.connected_domination_polynomial(g, prune=True)
     assert plain.coefficients == pruned.coefficients
+
+
+@pytest.mark.parametrize(
+    "g",
+    [g for _, g in [*ORACLE_GRAPHS, *BLOCK_GRAPHS]],
+    ids=[name for name, _ in [*ORACLE_GRAPHS, *BLOCK_GRAPHS]],
+)
+def test_pruned_enumeration_agrees_with_the_leaf_recursion(g):
+    # the former recursion, one leaf per set and in the given vertex order,
+    # shares neither the closed subtree nor the degree order
+    pruned = gr.connected_domination_polynomial(g, prune=True)
+    assert list(pruned.coefficients) == oracles.domination_counts_by_leaves(g)
+
+
+def _star(n, centre):
+    """The star with ``n`` leaves and its centre at vertex ``centre``."""
+    return gr.Graph(n + 1, [(centre, v) for v in range(n + 1) if v != centre])
+
+
+@pytest.mark.parametrize(
+    "g",
+    [gr.complete_graph(12), _star(11, 0), _star(11, 11)],
+    ids=["complete-12", "star-11-centre-first", "star-11-centre-last"],
+)
+def test_pruned_enumeration_closes_dominating_subtrees(monkeypatch, g):
+    # every superset of a vertex of K_m, and of the star's centre, is a
+    # connected dominating set: the closed subtree counts them in one call
+    # each, where one leaf per set takes more than 2**(m-1) calls
+    calls = 0
+    recurse = gr._cdp_prune
+
+    def spy(*args):
+        nonlocal calls
+        calls += 1
+        recurse(*args)
+
+    monkeypatch.setattr(gr, "_cdp_prune", spy)
+    pruned = gr.connected_domination_polynomial(g, prune=True)
+    assert list(pruned.coefficients) == oracles.domination_counts_by_leaves(g)
+    assert calls <= 2 * g.vertex_count + 1
+
+
+@given(
+    st.integers(3, 14),
+    st.sampled_from([0.2, 0.3, 0.5]),
+    st.integers(0, 40),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_pruned_enumeration_agrees_with_blocks_under_relabelling(m, p, seed, rng):
+    labels = list(range(m))
+    rng.shuffle(labels)
+    g = _relabelled(gr.random_connected_graph(m, p, seed=seed), labels)
+    pruned = gr.connected_domination_polynomial(g, prune=True)
+    assert pruned == gr.connected_domination_polynomial(g)
+    if m <= 8:
+        subsets = itertools.chain.from_iterable(itertools.combinations(range(m), k) for k in range(m + 1))
+        assert pruned(1) == sum(gr.is_connected_dominating(g, sub) for sub in subsets)
+        assert pruned(-1) == uber.euler_characteristic_bold(g)
 
 
 @given(st.integers(3, 7), st.integers(0, 40))
