@@ -383,37 +383,28 @@ def link(X: SimplicialComplex, simplex: Iterable[int]) -> SimplicialComplex:
     return _renumbered([t for t, b in _joins(X, mask) if not b & mask])
 
 
+def _with_apexes(X: SimplicialComplex, k: int) -> SimplicialComplex:
+    """The join of X with k new vertices, no two of them joined: the apexes
+    take the k highest ids and every other vertex keeps its id."""
+    apexes = [(X.vertex_count + i,) for i in range(k)]
+    by_dim = [list(X.simplices_of_dim(q)) for q in range(X.max_dim + 2)]
+    for q in X.dims():
+        by_dim[q + 1] += [s + a for s in X.simplices_of_dim(q) for a in apexes]
+    by_dim[0] += apexes
+    return SimplicialComplex(X.vertex_count + k, by_dim)
+
+
 def cone(X: SimplicialComplex) -> SimplicialComplex:
     """The cone: one new apex (the highest vertex id) joined to everything.
-
-    Original vertices keep their ids; the apex is ``X.vertex_count``.  The
-    cone over the empty complex is a single point.
-    """
-    apex = X.vertex_count
-    by_dim: list[list[Simplex]] = [[] for _ in range(X.max_dim + 2 if not X.is_empty else 1)]
-    for q in X.dims():
-        for s in X.simplices_of_dim(q):
-            by_dim[q].append(s)
-            by_dim[q + 1].append(s + (apex,))
-    by_dim[0].append((apex,))
-    return SimplicialComplex(apex + 1, by_dim)
+    The cone over the empty complex is a single point."""
+    return _with_apexes(X, 1)
 
 
 def suspension(X: SimplicialComplex) -> SimplicialComplex:
     """The suspension: two new apexes, each joined to everything, no edge
     between them.  Apexes get the two highest ids.  The suspension of the
     empty complex is two points."""
-    a = X.vertex_count
-    b = a + 1
-    by_dim: list[list[Simplex]] = [[] for _ in range(X.max_dim + 2 if not X.is_empty else 1)]
-    for q in X.dims():
-        for s in X.simplices_of_dim(q):
-            by_dim[q].append(s)
-            by_dim[q + 1].append(s + (a,))
-            by_dim[q + 1].append(s + (b,))
-    by_dim[0].append((a,))
-    by_dim[0].append((b,))
-    return SimplicialComplex(b + 1, by_dim)
+    return _with_apexes(X, 2)
 
 
 def flag_complex(graph) -> SimplicialComplex:

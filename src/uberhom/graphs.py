@@ -358,27 +358,6 @@ class ChordalityCertificate:
         return self.chordal
 
 
-def _lex_bfs(G: Graph) -> list[int]:
-    partitions: list[list[int]] = [list(range(G.vertex_count))]
-    order: list[int] = []
-    while partitions:
-        head = partitions[0]
-        v = head.pop(0)
-        if not head:
-            partitions.pop(0)
-        order.append(v)
-        refined: list[list[int]] = []
-        for cls in partitions:
-            hit = [x for x in cls if G.has_edge(v, x)]
-            miss = [x for x in cls if not G.has_edge(v, x)]
-            if hit:
-                refined.append(hit)
-            if miss:
-                refined.append(miss)
-        partitions = refined
-    return order
-
-
 def _find_chordless_cycle(G: Graph, v: int, u: int, w: int) -> tuple[int, ...] | None:
     """A chordless cycle through v given non-adjacent neighbours u, w of v."""
     banned = G.adjacency[v] | (1 << v)
@@ -408,47 +387,57 @@ def _find_chordless_cycle(G: Graph, v: int, u: int, w: int) -> tuple[int, ...] |
 
 
 def _chordless_cycle(G: Graph) -> tuple[int, ...] | None:
-    """A chordless cycle of length at least four, or None if G is chordal.
+    """A chordless cycle of length at least four, or None if G is chordal:
+    the full search, behind the targeted one of :func:`is_chordal`.
 
-    Tries every vertex v with non-adjacent neighbours u, w.  This always
+    Tries every vertex v with non-adjacent neighbours u < w.  This always
     finds one when it exists: on a chordless cycle of length >= 4 the two
     cycle neighbours u, w of any vertex v are non-adjacent, and the rest of
     the cycle is a u-w path whose inner vertices avoid the closed
     neighbourhood N[v], which is exactly what :func:`_find_chordless_cycle`
     searches for.  That is O(m^3) searches instead of a scan of subsets.
     """
+    adjacency = G.adjacency
     for v in range(G.vertex_count):
-        nbrs = G.neighbors(v)
-        for i, u in enumerate(nbrs):
-            for w in nbrs[i + 1 :]:
-                if not G.has_edge(u, w):
-                    cycle = _find_chordless_cycle(G, v, u, w)
-                    if cycle is not None:
-                        return cycle
+        for u in _bits(adjacency[v]):
+            # -(2 << u) masks the vertices above u
+            for w in _bits(adjacency[v] & ~adjacency[u] & -(2 << u)):
+                cycle = _find_chordless_cycle(G, v, u, w)
+                if cycle is not None:
+                    return cycle
     return None
 
 
 def is_chordal(G: Graph) -> ChordalityCertificate:
-    """Chordality via lexicographic BFS, with a checkable witness either way.
+    """Chordality by maximum cardinality search, with a checkable witness
+    either way (Tarjan & Yannakakis, SIAM J. Comput. 13, 1984).
 
-    The reverse of a lex-BFS order is a perfect elimination order exactly
-    when the graph is chordal; on failure a chordless cycle of length at
-    least four is extracted.
+    The search numbers next the vertex with the most numbered neighbours,
+    the lowest on ties, and G is chordal exactly when each vertex's
+    numbered neighbours form a clique; the reverse of the numbering is then
+    a perfect elimination order.  At the first vertex v whose numbered
+    neighbours u, w are not adjacent, a chordless cycle through v, u and w
+    is searched for first (:func:`_find_chordless_cycle`), and if there is
+    none, among all vertices (:func:`_chordless_cycle`).
     """
-    order = _lex_bfs(G)
-    elimination = tuple(reversed(order))
-    elim_pos = {v: i for i, v in enumerate(elimination)}
-    for v in elimination:
-        later = [w for w in G.neighbors(v) if elim_pos[w] > elim_pos[v]]
-        for i in range(len(later)):
-            for j in range(i + 1, len(later)):
-                u, w = later[i], later[j]
-                if not G.has_edge(u, w):
-                    cycle = _find_chordless_cycle(G, v, u, w)
-                    if cycle is None:
-                        cycle = _chordless_cycle(G)
-                    return ChordalityCertificate(False, chordless_cycle=cycle)
-    return ChordalityCertificate(True, elimination_order=elimination)
+    adjacency = G.adjacency
+    weight = [0] * G.vertex_count
+    unnumbered = (1 << G.vertex_count) - 1
+    order: list[int] = []
+    for _ in range(G.vertex_count):
+        v = max(_bits(unnumbered), key=weight.__getitem__)
+        before = adjacency[v] & ~unnumbered
+        for u in _bits(before):
+            missing = before & ~(adjacency[u] | 1 << u)
+            if missing:
+                w = (missing & -missing).bit_length() - 1
+                cycle = _find_chordless_cycle(G, v, u, w) or _chordless_cycle(G)
+                return ChordalityCertificate(False, chordless_cycle=cycle)
+        unnumbered ^= 1 << v
+        order.append(v)
+        for u in _bits(adjacency[v] & unnumbered):
+            weight[u] += 1
+    return ChordalityCertificate(True, elimination_order=tuple(reversed(order)))
 
 
 def is_triangle_free(G: Graph) -> bool:
@@ -519,20 +508,19 @@ def random_chordal_graph(m: int, seed: int) -> Graph:
         raise ValueError("need at least one vertex")
     rng = random.Random(seed)
     edges: list[tuple[int, int]] = []
-    adj: list[set[int]] = [set()]
+    adjacency = [0]
     for v in range(1, m):
         anchor = rng.randrange(v)
-        clique = [anchor]
-        candidates = set(adj[anchor])
+        clique = 1 << anchor
+        candidates = adjacency[anchor]
         while candidates and rng.random() < 0.6:
-            w = rng.choice(sorted(candidates))
-            clique.append(w)
-            candidates &= adj[w]
-        adj.append(set())
-        for w in clique:
+            w = rng.choice(_bits(candidates))
+            clique |= 1 << w
+            candidates &= adjacency[w]
+        adjacency.append(clique)
+        for w in _bits(clique):
             edges.append((w, v))
-            adj[v].add(w)
-            adj[w].add(v)
+            adjacency[w] |= 1 << v
     return Graph(m, edges)
 
 

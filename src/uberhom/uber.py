@@ -282,16 +282,18 @@ def uberhomology(X: SimplicialComplex, max_vertices: int = 16) -> dict[tuple[int
     adds to the entry (m - p - k, k, q + k).  Only S with a full link, L
     on all m - k other vertices, can add anything: if S + {w} is not in X,
     no cell of the summand contains w, so raising w is the identity on its
-    chains; the summand is the cone of an identity, and its E^2 is 0.
+    chains; the summand is the cone of an identity, and its E^2 is 0.  So
+    only the full links are built, picked by one lookup of S + {w} per w.
     """
     m = X.vertex_count
     check_vertex_guard(m, max_vertices)
+    bits = _simplex_bits(X)
+    present = set(bits)
     out: Counter[tuple[int, int, int]] = Counter()
-    for S in [(), *X.all_simplices()]:
-        k = len(S)
-        L = link(X, S)
-        if L.vertex_count == m - k:
-            dims, _ = algebra._page_from_bars(algebra._barcode(_link_cube(L, GF2, bool(S))), 2)
+    for S, s in [((), 0), *zip(X.all_simplices(), bits)]:
+        if all(s | 1 << w in present for w in graphs._bits(((1 << m) - 1) ^ s)):
+            k = len(S)
+            dims, _ = algebra._page_from_bars(algebra._barcode(_link_cube(link(X, S), GF2, bool(S))), 2)
             out.update({(m - p - k, k, q + k): d for (p, q), d in dims.items()})
     return dict(sorted(out.items()))
 

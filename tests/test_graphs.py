@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
@@ -345,7 +346,7 @@ def _check_certificate(g, cert):
 
 
 def test_chordality_matches_oracle_on_atlas():
-    for nxg in oracles.connected_atlas_graphs(6):
+    for nxg in oracles.connected_atlas_graphs(7):
         g = gr.Graph(nxg.number_of_nodes(), nxg.edges())
         cert = gr.is_chordal(g)
         assert cert.chordal == oracles.chordal_oracle(g)
@@ -380,6 +381,68 @@ def test_random_chordal_generator_emits_chordal_connected_graphs(m, seed):
     assert cert.chordal
     _check_certificate(g, cert)
     assert oracles.chordal_oracle(g)
+
+
+@st.composite
+def chordality_inputs(draw):
+    """A random connected graph, or a random chordal graph with zero or one
+    extra edge."""
+    m, seed = draw(st.integers(3, 16)), draw(st.integers(0, 10**6))
+    if draw(st.booleans()):
+        return gr.random_connected_graph(m, draw(st.sampled_from([0.15, 0.3, 0.5])), seed)
+    g = gr.random_chordal_graph(m, seed)
+    absent = [(u, v) for u, v in itertools.combinations(range(m), 2) if not g.has_edge(u, v)]
+    if absent and draw(st.booleans()):
+        g = gr.Graph(m, [*g.edges, draw(st.sampled_from(absent))])
+    return g
+
+
+@given(chordality_inputs())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_chordality_matches_oracle_on_random_graphs(g):
+    cert = gr.is_chordal(g)
+    assert cert.chordal == oracles.chordal_oracle(g)
+    _check_certificate(g, cert)
+
+
+def test_random_chordal_graphs_are_pinned():
+    # criterion 10 and the ``verify --theorem euler`` corpus draw from this
+    # sampler, so its edge sets must not drift
+    digest = hashlib.sha256()
+    for m in range(1, 15):
+        for seed in range(40):
+            digest.update(f"{m} {seed} {sorted(gr.random_chordal_graph(m, seed).edges)}\n".encode())
+    assert digest.hexdigest() == "746535e978cecce926eb810ffe76db1bf634b09d21ac025e3a0a6f02eb9cb5b5"
+
+
+def _caterpillar_with_square(k):
+    """A path of k spine vertices, a leaf on each, and a 4-cycle hung from
+    the last spine vertex by one edge: 2k + 4 vertices."""
+    edges = [(i, i + 1) for i in range(k - 1)] + [(i, k + i) for i in range(k)]
+    a = 2 * k
+    edges += [(k - 1, a), (a, a + 1), (a + 1, a + 2), (a + 2, a + 3), (a + 3, a)]
+    return gr.Graph(2 * k + 4, edges)
+
+
+@pytest.mark.parametrize(
+    "g", [gr.cycle_graph(40), _caterpillar_with_square(73)], ids=["cycle-40", "caterpillar-150"]
+)
+def test_the_targeted_search_finds_the_chordless_cycle(monkeypatch, g):
+    found = []
+    targeted = gr._find_chordless_cycle
+
+    def targeted_spy(*args):
+        found.append(targeted(*args))
+        return found[-1]
+
+    def full_search(G):
+        raise AssertionError("the full chordless-cycle search ran")
+
+    monkeypatch.setattr(gr, "_find_chordless_cycle", targeted_spy)
+    monkeypatch.setattr(gr, "_chordless_cycle", full_search)
+    cert = gr.is_chordal(g)
+    assert not cert.chordal and found == [cert.chordless_cycle]
+    _check_certificate(g, cert)
 
 
 @given(st.integers(3, 8), st.integers(0, 60))

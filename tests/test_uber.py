@@ -526,6 +526,21 @@ def test_uberhomology_reads_one_barcode_per_full_link_summand(monkeypatch):
     assert sorted(S for [S] in parts) == sorted(oracles.full_links(X))
 
 
+def test_uberhomology_builds_only_the_full_links(monkeypatch):
+    # the full links are picked on bitsets before any link is built
+    X = cx.random_connected_complex(7, 1)
+    built = []
+    link = uber.link
+
+    def link_spy(Y, S):
+        built.append(S)
+        return link(Y, S)
+
+    monkeypatch.setattr(uber, "link", link_spy)
+    uber.uberhomology(X)
+    assert len(built) == len(oracles.full_links(X))
+
+
 def _check_summands_split_the_cube(X):
     # every (mask, s) pair lies in the summand of S = s - mask, and a
     # summand without a full link is the cone of an identity, with E^2 = 0
