@@ -421,21 +421,27 @@ def verify_identification(
 
     The reindexing sends the level j of a colouring with j vertices
     coloured 1 to the nerve column p = m - j - 1, with the homology degree
-    unchanged; the augmentation column corresponds to j = m.  Both columns
-    are E^2 of one double complex built two ways (the colouring cube of
-    ``uber._link_cube`` has the same cells and signs in another row order),
-    so a PASS is a consistency check of the two builders and the barcode;
-    the node cube of the test oracles is the independent side.
+    unchanged; the augmentation column corresponds to j = m.  The two
+    columns are E^2 of two double complexes: the cube side reads the
+    reduced quotient of ``uber._link_cube`` (dominating vertices deleted,
+    the star of an apex dropped), the page side the full anti-star double
+    complex, whose cells and signs are the full cube's in another row
+    order.  So a PASS also exercises both lemmas of the reduction; the
+    node cube of the test oracles is the independent side.
     """
-    m = X.vertex_count
     table = uber.zero_degree_uber_table(X, ring, max_vertices=max_vertices)
-    dc = double_complex(X, ring=ring, augmented=True)
-    e2 = SpectralSequence(dc).page(2)
-    page_dims = {(m - p - 1, q): d for (p, q), d in e2.dims.items() if d}
+    page_dims = _anti_star_table(X, ring)
     keys = sorted(set(table) | set(page_dims))
     entries = [(j, i, table.get((j, i), 0), page_dims.get((j, i), 0)) for j, i in keys]
     ok = all(a == b for _, _, a, b in entries)
-    return IdentificationReport(ring, m, entries, ok)
+    return IdentificationReport(ring, X.vertex_count, entries, ok)
+
+
+def _anti_star_table(X: SimplicialComplex, ring: CoefficientRing) -> dict[tuple[int, int], int]:
+    """The nonzero E^2 of the augmented anti-star double complex, on its
+    full cells, keyed (level m - p - 1, degree q) as the cube's table."""
+    e2 = SpectralSequence(double_complex(X, ring=ring, augmented=True)).page(2)
+    return {(X.vertex_count - p - 1, q): d for (p, q), d in e2.dims.items() if d}
 
 
 def delta2_on_uber(

@@ -21,21 +21,23 @@ summand per 0-coloured part S of the simplex, each read off one
 persistence barcode (``algebra._barcode``).  Each summand is the
 colouring cube of a link (``_link_cube``): the part S empty is the cube
 of X, any other S the cube of link(X, S) plus the empty face, shifted by
-|S|.  A summand is an ``algebra._DoubleComplex``, the one class of double
-complex that the spectral-sequence pages of ``mvss`` read too; the
-summand of the empty part is the augmented double complex of the
-anti-star cover.  ``UberComplex`` and bold homology build the cube node
-by node and share its bookkeeping: the levels, the layout of each level
-map (``_cube_map``) and the rank formula (``_cube_homology``); every
-sign, of a cube edge or of a summand's differentials, comes from
-``algebra._faces``.  A node of ``UberComplex`` is the signed simplicial
-boundary on its simplices (``algebra._boundary_complex``; a face outside
-them drops out), one homology table, and one induced map per edge
-(``_cube_edge_matrix``); the test oracles build the weight-zero node
-cube the same way.  So the barcode and the node cube are two routes to
-überhomology and its weight-zero slice that share no boundary,
-induced-map or reduction code of this module, only the algebra layer,
-and can be played against each other in tests.
+|S|.  Its barcode reads a reduced cube with the same E^2: dominating
+vertices deleted, then the star of one apex dropped.  A summand is an
+``algebra._DoubleComplex``, the one class of double complex that the
+spectral-sequence pages of ``mvss`` read too; the full summand of the
+empty part is the augmented double complex of the anti-star cover.
+``UberComplex`` and bold homology build the cube node by node and share
+its bookkeeping: the levels, the layout of each level map (``_cube_map``)
+and the rank formula (``_cube_homology``); every sign, of a cube edge or
+of a summand's differentials, comes from ``algebra._faces``.  A node of
+``UberComplex`` is the signed simplicial boundary on its simplices
+(``algebra._boundary_complex``; a face outside them drops out), one
+homology table, and one induced map per edge (``_cube_edge_matrix``);
+the test oracles build the weight-zero node cube the same way.  So the
+barcode and the node cube are two routes to überhomology and its
+weight-zero slice that share no boundary, induced-map or reduction code
+of this module, only the algebra layer, and can be played against each
+other in tests.
 """
 from __future__ import annotations
 
@@ -253,24 +255,69 @@ def _cube_edge_matrix(src: tuple, dst: tuple, ring: CoefficientRing) -> list[lis
 # Überhomology and its weight-zero slice, from one barcode per summand
 
 
-def _link_cube(L: SimplicialComplex, ring: CoefficientRing, empty: bool) -> algebra._DoubleComplex:
+def _link_cube(
+    L: SimplicialComplex, ring: CoefficientRing, empty: bool, reduced: bool = False
+) -> algebra._DoubleComplex:
     """The colouring cube of ``L``: in cell (p, q), masks ascending, the
     pairs (mask, t) of a colouring of L's n vertices at level n - p and a
     q-simplex t inside mask (or, if ``empty`` is set, the empty face, in
     row -1), keyed (J, t) with J the vertices outside mask.  d_v deletes a
     vertex of t and d_h raises one of J, each signed by ``algebra._faces``:
     a sign per vertex away from the ones-below rule of :func:`_cube_map`,
-    which changes no homology.  E^1 is the node homology, E^2 the cube's."""
-    n = L.vertex_count
-    faces = [0] * empty + list(_simplex_bits(L))
+    which changes no homology.  E^1 is the node homology, E^2 the cube's.
+
+    ``reduced`` keeps E^2 and every later page on fewer cells.  It deletes
+    the w of each pair of :func:`_dominated_pairs`: the nodes whose mask
+    holds w are a subcomplex, the cone along v of isomorphisms, so acyclic.
+    Column p stays n - |mask|, one higher per deleted vertex.  Then, with
+    two vertices or more left, it drops the star of the apex, the vertex in
+    the most simplices (the lowest on ties): the (mask, t) with the apex in
+    mask and t + apex a face.  Its columns are cones: acyclic with the
+    empty face, and without it their H_0 runs along a cube on the other
+    vertices, acyclic too.  So the quotient keeps E^2 by the mapping lemma
+    (McCleary, *A User's Guide to Spectral Sequences*); its differentials
+    are the drop-out rule, a face that is not a cell dropping out."""
+    n, simplices, apex = L.vertex_count, _simplex_bits(L), 0
+    if reduced:
+        deleted = sum(1 << w for _, w in _dominated_pairs(simplices))
+        simplices = [s for s in simplices if not s & deleted]
+        count = Counter(v for s in simplices for v in graphs._bits(s))
+        apex = 1 << max(sorted(count), key=count.__getitem__) if len(count) > 1 else 0
+    vertices = sum(s for s in simplices if s.bit_count() == 1)
+    present = set(simplices)
+    faces = [(t, t.bit_count() - 1) for t in [0] * empty + list(simplices)]
+    outside_star = [(t, q) for t, q in faces if t | apex not in present]
     cells: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
     for mask in range(1 << n):
-        J = (1 << n) - 1 & ~mask
-        for t in faces:
+        if mask & ~vertices:
+            continue
+        J, p = vertices & ~mask, n - mask.bit_count()
+        for t, q in outside_star if mask & apex else faces:
             if not t & ~mask:
-                cell = cells.setdefault((n - mask.bit_count(), t.bit_count() - 1), {})
+                cell = cells.setdefault((p, q), {})
                 cell[J, t] = len(cell)
     return algebra._DoubleComplex(ring, cells)
+
+
+def _dominated_pairs(simplices: Sequence[int]) -> list[tuple[int, int]]:
+    """A strong collapse on simplex bitsets (Barmak & Minian, DCG 47,
+    2012): pairs (v, w) with w in every facet that holds v, the lowest v
+    and then w first, each on what deleting the earlier w left, until
+    none is left."""
+    pairs = []
+    while True:
+        faces = {f for s in simplices for f, _ in _faces(s)}
+        common: dict[int, int] = {}
+        for facet in set(simplices) - faces:
+            for v in graphs._bits(facet):
+                common[v] = common.get(v, facet) & facet
+        dominated = sorted((v, c ^ 1 << v) for v, c in common.items() if c ^ 1 << v)
+        if not dominated:
+            return pairs
+        v, others = dominated[0]
+        w = (others & -others).bit_length() - 1
+        pairs.append((v, w))
+        simplices = [s for s in simplices if not s >> w & 1]
 
 
 def uberhomology(X: SimplicialComplex, max_vertices: int = 16) -> dict[tuple[int, int, int], int]:
@@ -283,7 +330,8 @@ def uberhomology(X: SimplicialComplex, max_vertices: int = 16) -> dict[tuple[int
     on all m - k other vertices, can add anything: if S + {w} is not in X,
     no cell of the summand contains w, so raising w is the identity on its
     chains; the summand is the cone of an identity, and its E^2 is 0.  So
-    only the full links are built, picked by one lookup of S + {w} per w.
+    only the full links are built, picked by one lookup of S + {w} per w,
+    and each is read off its reduced cube (``_link_cube`` with ``reduced``).
     """
     m = X.vertex_count
     check_vertex_guard(m, max_vertices)
@@ -293,7 +341,7 @@ def uberhomology(X: SimplicialComplex, max_vertices: int = 16) -> dict[tuple[int
     for S, s in [((), 0), *zip(X.all_simplices(), bits)]:
         if all(s | 1 << w in present for w in graphs._bits(((1 << m) - 1) ^ s)):
             k = len(S)
-            dims, _ = algebra._page_from_bars(algebra._barcode(_link_cube(link(X, S), GF2, bool(S))), 2)
+            dims, _ = algebra._page_from_bars(algebra._barcode(_link_cube(link(X, S), GF2, bool(S), True)), 2)
             out.update({(m - p - k, k, q + k): d for (p, q), d in dims.items()})
     return dict(sorted(out.items()))
 
@@ -309,13 +357,14 @@ def zero_degree_uber_table(
     values are the nonzero dimensions over ``ring``.  The table is E^2 of
     the colouring cube of X over ``ring`` (:func:`_link_cube`: the pairs
     (colouring, simplex) with every vertex of the simplex coloured 1),
-    read off its barcode: E^2_{p, q} is the entry (m - p, q).
+    read off the barcode of its reduced cube, whose columns stay those of
+    X's cube: E^2_{p, q} is the entry (m - p, q).
     """
     m = X.vertex_count
     check_vertex_guard(m, max_vertices)
     if not ring.is_field:
         raise ValueError("the weight-zero slice needs field coefficients")
-    dims, _ = algebra._page_from_bars(algebra._barcode(_link_cube(X, ring, False)), 2)
+    dims, _ = algebra._page_from_bars(algebra._barcode(_link_cube(X, ring, False, True)), 2)
     return {(m - p, q): dims[p, q] for p, q in sorted(dims, key=lambda pq: (pq[1], -pq[0]))}
 
 

@@ -508,10 +508,11 @@ def _reads_as_summand(X, dc, S):
 
 
 def test_uberhomology_reads_one_barcode_per_full_link_summand(monkeypatch):
-    # summand S is the cube of link(X, S), plus the empty face if S is not empty
+    # summand S is the reduced cube of link(X, S), plus the empty face if S is not empty
     X = cx.random_connected_complex(7, 1)
     cubes = {
-        S: uber._link_cube(cx.link(X, gr._bits(S)), al.GF2, bool(S))._cells for S in {0, *cx._simplex_bits(X)}
+        S: uber._link_cube(cx.link(X, gr._bits(S)), al.GF2, bool(S), True)._cells
+        for S in {0, *cx._simplex_bits(X)}
     }
     parts = []
     barcode = al._barcode
@@ -539,6 +540,148 @@ def test_uberhomology_builds_only_the_full_links(monkeypatch):
     monkeypatch.setattr(uber, "link", link_spy)
     uber.uberhomology(X)
     assert len(built) == len(oracles.full_links(X))
+
+
+# --------------------------------------------------------------------------
+# the reduced cube: dominating vertices deleted, the star of an apex dropped
+
+
+def _e2(dc):
+    return _nontrivial(al._page_from_bars(al._barcode(dc), 2)[0])
+
+
+def _quotient(L, ring, empty, deleted=0, apex=0):
+    """The full cube of L less its cells whose mask meets ``deleted`` or
+    that lie in the star of the vertex bit ``apex``, rows renumbered: the
+    quotients of the two lemmas, built apart from the package's cell loop."""
+    full, present = uber._link_cube(L, ring, empty), set(cx._simplex_bits(L))
+    everything = (1 << L.vertex_count) - 1
+    cells = {}
+    for pq, cell in full._cells.items():
+        keys = [
+            (J, t)
+            for J, t in cell
+            if not (mask := everything & ~J) & deleted and not (mask & apex and t | apex in present)
+        ]
+        if keys:
+            cells[pq] = {key: row for row, key in enumerate(keys)}
+    return al._DoubleComplex(ring, cells)
+
+
+def _summand_links(X):
+    """(L, empty) of the table and of every full-link summand of X."""
+    return [(cx.link(X, gr._bits(S)), bool(S)) for S in sorted(oracles.full_links(X))]
+
+
+def _facets(simplices):
+    return [s for s in simplices if not any(s != t and s & t == s for t in simplices)]
+
+
+def _check_the_quotient_by_any_apex_keeps_e2(X):
+    for L, empty in _summand_links(X):
+        if L.vertex_count < 2:
+            continue
+        for ring in (al.GF2, al.GF(3), al.QQ):
+            full = _e2(uber._link_cube(L, ring, empty))
+            assert _e2(uber._link_cube(L, ring, empty, True)) == full, (L, empty, ring)
+            for v in range(L.vertex_count):
+                assert _e2(_quotient(L, ring, empty, apex=1 << v)) == full, (L, empty, ring, v)
+
+
+def test_the_quotient_by_any_apex_keeps_e2(corpus_complex):
+    _check_the_quotient_by_any_apex_keeps_e2(corpus_complex)
+
+
+@given(X=complexes())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_the_quotient_by_any_apex_keeps_e2_on_any_complex(X):
+    _check_the_quotient_by_any_apex_keeps_e2(X)
+
+
+def test_the_one_vertex_complex_gets_no_quotient():
+    # its star is the whole cube, so the quotient would lose the class of
+    # the vertex; below two vertices the reduced cube is the full one
+    X = cx.build_complex(1, [])
+    for ring in (al.GF2, al.GF(3), al.QQ):
+        full = uber._link_cube(X, ring, False)
+        assert _e2(full) == {(0, 0): 1}
+        assert _e2(_quotient(X, ring, False, apex=1)) == {}
+        assert uber._link_cube(X, ring, False, True)._cells == full._cells
+
+
+def _check_every_deletion_keeps_e2(X):
+    for L, empty in _summand_links(X):
+        deleted = 0
+        for _, w in uber._dominated_pairs(cx._simplex_bits(L)):
+            deleted |= 1 << w
+            for ring in (al.GF2, al.GF(3), al.QQ):
+                full = _e2(uber._link_cube(L, ring, empty))
+                assert _e2(_quotient(L, ring, empty, deleted)) == full, (L, empty, ring, w)
+
+
+def test_every_deletion_of_a_dominating_vertex_keeps_e2(corpus_complex):
+    _check_every_deletion_keeps_e2(corpus_complex)
+
+
+@given(X=complexes())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_every_deletion_of_a_dominating_vertex_keeps_e2_on_any_complex(X):
+    _check_every_deletion_keeps_e2(X)
+
+
+@given(X=complexes(max_vertices=7))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_each_dominated_pair_meets_the_definition_and_none_is_left(X):
+    simplices = list(cx._simplex_bits(X))
+    for v, w in uber._dominated_pairs(simplices):
+        assert v != w and {1 << v, 1 << w} <= set(simplices)
+        assert all(f >> w & 1 for f in _facets(simplices) if f >> v & 1), (v, w)
+        simplices = [s for s in simplices if not s >> w & 1]
+    vertices = [v for v in range(X.vertex_count) if 1 << v in simplices]
+    for v, w in itertools.permutations(vertices, 2):
+        assert any(not f >> w & 1 for f in _facets(simplices) if f >> v & 1), (v, w)
+
+
+def test_deleting_the_dominated_vertex_instead_changes_the_table():
+    # in the path 0 - 1 - 2 vertex 1 dominates 0: the cube of the path less
+    # 1 (two points) has the path's E^2, the cube less 0 (an edge) does not
+    X = cx.complex_from_graph(gr.path_graph(3))
+    assert uber._dominated_pairs(cx._simplex_bits(X))[0] == (0, 1)
+    for ring in (al.GF2, al.GF(3), al.QQ):
+        full = _e2(uber._link_cube(X, ring, False))
+        assert _e2(_quotient(X, ring, False, 1 << 1)) == full
+        assert _e2(_quotient(X, ring, False, 1 << 0)) != full
+
+
+def _barcode_cells(monkeypatch, run):
+    cells = []
+    barcode = al._barcode
+
+    def barcode_spy(dc):
+        cells.append(sum(dc.cell_dim(*pq) for pq in dc.cells()))
+        return barcode(dc)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(al, "_barcode", barcode_spy)
+        run()
+    return sum(cells)
+
+
+def test_the_barcodes_read_the_reduced_cubes(monkeypatch):
+    # the full cube of X has sum 2^(m - |s|) over the simplices s, and each
+    # full link's summand the same over its link plus the empty face
+    X = cx.random_connected_complex(9, 1)
+    table = _barcode_cells(monkeypatch, lambda: uber.zero_degree_uber_table(X, al.GF2))
+    summands = _barcode_cells(monkeypatch, lambda: uber.uberhomology(X))
+    full_table = sum(2 ** (9 - s.bit_count()) for s in cx._simplex_bits(X))
+    full_summands = sum(
+        sum(2 ** (L.vertex_count - t.bit_count()) for t in [0] * empty + list(cx._simplex_bits(L)))
+        for L, empty in _summand_links(X)
+    )
+    # the counts at the change that brought in the reduction; the full cubes
+    # hold 9,568 and 25,472 cells
+    assert table <= 4_704 and summands <= 6_920
+    assert table < full_table and summands < full_summands
 
 
 def _check_summands_split_the_cube(X):
